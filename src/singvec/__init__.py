@@ -31,8 +31,6 @@ from .digitsets import (
     Cylinder,
     DigitSystem,
     ProductSet,
-    anchor_rational,
-    cylinder_interval,
     rationals_in,
 )
 from .engine import (

@@ -7,8 +7,7 @@ display renderings and never feed back into any check.
 
 Exit codes: 0 success, 1 usage, 2 search depth exhausted, 3 malformed
 certificate schema, 4 verification failure, 5 precision exhausted.
-Output is a deterministic function of the arguments; --threads is
-accepted for interface stability but never changes results.
+Output is a deterministic function of the arguments.
 """
 from __future__ import annotations
 
@@ -385,12 +384,6 @@ def build_parser() -> _Parser:
             "machine-checkable certificates, value-function brute "
             "force, and root-isolated exponent bounds."
         ),
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="reserved; results never depend on it",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 

@@ -185,14 +185,6 @@ class Cylinder:
         return f"Cylinder({self.system.base}:{self.prefix_str()!r})"
 
 
-def cylinder_interval(c: Cylinder) -> RatInterval:
-    return c.hull()
-
-
-def anchor_rational(c: Cylinder) -> Fraction:
-    return c.anchor()
-
-
 def rationals_in(
     c: Cylinder, min_depth: int
 ) -> Iterator[tuple[Fraction, Cylinder]]:

@@ -8,11 +8,21 @@ evaluating psi exactly (rational targets), enclosing it rigorously
 (algebraic targets), walking its record thresholds, and scanning
 weighted variants over affine families.
 
-Rational targets go through modular arithmetic on a common denominator,
-so results are exact.  Irrational targets go through fixed-point
-integer enclosures whose precision doubles until the comparison at hand
-is decided; if 4096 bits cannot decide it, PrecisionExhausted is raised
-rather than ever guessing.
+The psi, record and badness scans share one scaled-integer kernel.
+Each target coordinate x becomes integers A <= scale * x <= B, and
+nearest-integer distances are bounded by exact interval arithmetic on
+those integers.  A target whose coordinates are all rational is a
+zero-width enclosure: the scale is the lcm of the denominators and
+A == B, so a single pass is exact and candidates that tie are real
+ties, broken by witness_key.  Any irrational coordinate puts the whole
+target at scale 2**bits.
+
+Precision has one rule, _refine: bits double from a start value until
+the query is decided; a query still undecided at its cap raises
+PrecisionExhausted rather than ever guessing.  psi, records,
+psi_simultaneous and lower_bound_check go from 64 to 4096 bits; the
+badness scans go from their `bits` argument to 1024 and then report
+their honest enclosure.
 """
 from __future__ import annotations
 
@@ -20,6 +30,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterator, Sequence
 
 from .bounds import badness_exponent
@@ -29,7 +40,7 @@ from .errors import (
     PrecisionExhausted,
     UsageError,
 )
-from .exact import RatInterval, nearest_int_dist, rat_str
+from .exact import RatInterval, rat_str
 from .powers import PowerValue
 from .realdesc import (
     ExactReal,
@@ -183,29 +194,15 @@ def witness_key(q: Sequence[int]) -> tuple:
 def signed_box(caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """All nonzero integer vectors with |q_j| <= caps[j], one
     representative per antipodal pair (first nonzero coordinate
-    positive)."""
+    positive).  Vectors with more leading zeros come first, each block
+    in lexicographic order."""
     n = len(caps)
-    q = [0] * n
-
-    def rec(j: int, lead: bool) -> Iterator[tuple[int, ...]]:
-        if j == n:
-            if not lead:
-                yield tuple(q)
-            return
-        cap = caps[j]
-        if lead:
-            q[j] = 0
-            yield from rec(j + 1, True)
-            for v in range(1, cap + 1):
-                q[j] = v
-                yield from rec(j + 1, False)
-        else:
-            for v in range(-cap, cap + 1):
-                q[j] = v
-                yield from rec(j + 1, False)
-        q[j] = 0
-
-    yield from rec(0, True)
+    for lead in reversed(range(n)):
+        yield from product(
+            *([(0,)] * lead),
+            range(1, caps[lead] + 1),
+            *(range(-c, c + 1) for c in caps[lead + 1:]),
+        )
 
 
 def as_descriptor(x) -> RealDescriptor:
@@ -243,20 +240,45 @@ def _dist_scaled(lo: int, hi: int, scale: int) -> tuple[int, int]:
     return dlo, dhi
 
 
-def _scaled_pairs(
-    descs: Sequence[RealDescriptor],
-    vals: Sequence[Fraction | None],
-    bits: int,
-) -> list[tuple[int, int]]:
-    """Integer enclosures (A, B) with A <= 2**bits * x_j <= B."""
+def _refine(step, start: int, cap: int, what: str):
+    """The one precision policy.  Call step(bits, last) with bits = start,
+    2*start, ... up to the first value at or above cap, where last is
+    True; return its first answer other than None.  None on the last
+    round raises PrecisionExhausted; a caller with an honest fallback
+    (an enclosure, an exact scan) returns it when last is set."""
+    bits = start
+    while True:
+        last = bits >= cap
+        out = step(bits, last)
+        if out is not None:
+            return out
+        if last:
+            raise PrecisionExhausted(what.format(bits=bits))
+        bits *= 2
+
+
+def _scan_row(descs: Sequence[RealDescriptor]) -> list:
+    """Each coordinate as its exact value when it is rational, else its
+    descriptor: decided once per query, so every round of refinement
+    scans the same target."""
+    out = []
+    for d in descs:
+        v = d.exact_value()
+        out.append(d if v is None else v)
+    return out
+
+
+def _fixed_pairs(row: Sequence, bits: int) -> list[tuple[int, int]]:
+    """Integer enclosures (A, B) with A <= 2**bits * x <= B for each
+    entry x of a scan row."""
     scale = 1 << bits
     width = Fraction(1, scale)
     out = []
-    for d, v in zip(descs, vals):
-        if v is not None:
-            lo = hi = v
+    for x in row:
+        if isinstance(x, Fraction):
+            lo = hi = x
         else:
-            iv = d.enclose(width)
+            iv = x.enclose(width)
             lo, hi = iv.lo, iv.hi
         a = (lo.numerator * scale) // lo.denominator
         b = -((-hi.numerator * scale) // hi.denominator)
@@ -264,16 +286,80 @@ def _scaled_pairs(
     return out
 
 
-def _dot_interval(q: Sequence[int], pairs: Sequence[tuple[int, int]]) -> tuple[int, int]:
-    lo = hi = 0
-    for c, (a, b) in zip(q, pairs):
-        if c > 0:
-            lo += c * a
-            hi += c * b
-        elif c < 0:
-            lo += c * b
-            hi += c * a
-    return lo, hi
+def _is_rational(rows: Sequence[Sequence]) -> bool:
+    return all(isinstance(x, Fraction) for row in rows for x in row)
+
+
+def _scaled_rows(rows: Sequence[Sequence], bits: int) -> tuple[list, int]:
+    """Integer enclosures of every entry of the scan rows at one common
+    scale, and that scale.  Rows of rational entries are zero-width
+    enclosures (A, A) at the lcm of their denominators, whatever bits
+    is; anything else is enclosed at scale 2**bits."""
+    if not _is_rational(rows):
+        return [_fixed_pairs(row, bits) for row in rows], 1 << bits
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    table = []
+    for row in rows:
+        nums = (x.numerator * (scale // x.denominator) % scale for x in row)
+        table.append([(a, a) for a in nums])
+    return table, scale
+
+
+def _max_dist(q: Sequence[int], table, scale: int) -> tuple[int, int]:
+    """Integer bounds on scale * max_i <row_i . q> from the enclosures
+    of _scaled_rows."""
+    d_lo = d_hi = 0
+    for row in table:
+        lo = hi = 0
+        for c, (a, b) in zip(q, row):
+            if c > 0:
+                lo += c * a
+                hi += c * b
+            elif c < 0:
+                lo += c * b
+                hi += c * a
+        a, b = _dist_scaled(lo, hi, scale)
+        if a > d_lo:
+            d_lo = a
+        if b > d_hi:
+            d_hi = b
+    return d_lo, d_hi
+
+
+def _min_dist(rows, caps: Sequence[int], tol) -> tuple[RatInterval, tuple]:
+    """Least max_i <row_i . q> over signed_box(caps), with a minimizer:
+    the least witness_key among candidates whose lower end reaches the
+    upper end of the minimum.  Refinement stops once the enclosure is at
+    most tol wide or, with no tol, once that pool is a single vector; a
+    rational target is exact, so its first round answers, exact ties
+    included."""
+    early_unique = tol is None
+    tol = _DEFAULT_TOL if tol is None else Fraction(tol)
+
+    def step(bits, last):
+        table, scale = _scaled_rows(rows, bits)
+        min_lo = min_hi = None
+        pool = []  # candidates with lower end <= the running min_hi
+        for q in signed_box(caps):
+            dlo, dhi = _max_dist(q, table, scale)
+            if min_lo is None or dlo < min_lo:
+                min_lo = dlo
+            if min_hi is None or dhi < min_hi:
+                min_hi = dhi
+                pool = [p for p in pool if p[0] <= dhi]
+            if dlo <= min_hi:
+                pool.append((dlo, q))
+        narrow = Fraction(min_hi - min_lo, scale) <= tol
+        if narrow or (early_unique and len(pool) == 1):
+            value = RatInterval(Fraction(min_lo, scale), Fraction(min_hi, scale))
+            return value, min((q for _, q in pool), key=witness_key)
+        return None
+
+    return _refine(
+        step, _START_BITS, _MAX_BITS,
+        "could not separate the minimal distance at {bits} bits; "
+        "the target may satisfy an exact integer relation",
+    )
 
 
 # -- psi ---------------------------------------------------------------
@@ -299,99 +385,18 @@ def psi(
     caps = norm.coordinate_caps(t, n)
     if all(c == 0 for c in caps):
         raise EmptyRange(f"no nonzero integer vector has height <= {t}")
-    vals = [d.exact_value() for d in descs]
-    if all(v is not None for v in vals):
-        dist, q = _min_dist_exact(caps, vals)
-        return RatInterval(dist, dist), q
-    return _min_dist_interval(descs, vals, caps, tol)
-
-
-def _min_dist_exact(
-    caps: Sequence[int], vals: Sequence[Fraction]
-) -> tuple[Fraction, tuple[int, ...]]:
-    den = math.lcm(*(v.denominator for v in vals))
-    nums = [v.numerator * (den // v.denominator) % den for v in vals]
-    best_n = None
-    best_key = None
-    best_q = None
-    for q in signed_box(caps):
-        acc = 0
-        for c, a in zip(q, nums):
-            acc += c * a
-        r = acc % den
-        dn = r if 2 * r <= den else den - r
-        if best_n is None or dn < best_n:
-            best_n, best_key, best_q = dn, witness_key(q), q
-        elif dn == best_n:
-            k = witness_key(q)
-            if k < best_key:
-                best_key, best_q = k, q
-    assert best_q is not None
-    return Fraction(best_n, den), best_q
-
-
-def _min_dist_interval(
-    descs: Sequence[RealDescriptor],
-    vals: Sequence[Fraction | None],
-    caps: Sequence[int],
-    tol,
-) -> tuple[RatInterval, tuple[int, ...]]:
+    row = _scan_row(descs)
     # Exact zero is only certifiable on the rational coordinates, so
-    # scan candidates supported there first.
-    zero_caps = [c if v is not None else 0 for c, v in zip(caps, vals)]
-    if any(zero_caps):
-        exact_vals = [v if v is not None else Fraction(0) for v in vals]
-        zero_key = None
-        zero_q = None
-        for q in signed_box(zero_caps):
-            acc = Fraction(0)
-            for c, v in zip(q, exact_vals):
-                if c:
-                    acc += c * v
-            if nearest_int_dist(acc) == 0:
-                k = witness_key(q)
-                if zero_key is None or k < zero_key:
-                    zero_key, zero_q = k, q
-        if zero_q is not None:
-            return RatInterval(Fraction(0), Fraction(0)), zero_q
-
-    early_unique = tol is None
-    tol = _DEFAULT_TOL if tol is None else Fraction(tol)
-    bits = _START_BITS
-    while bits <= _MAX_BITS:
-        scale = 1 << bits
-        pairs = _scaled_pairs(descs, vals, bits)
-        min_hi = None
-        min_lo = None
-        for q in signed_box(caps):
-            lo, hi = _dot_interval(q, pairs)
-            dlo, dhi = _dist_scaled(lo, hi, scale)
-            if min_hi is None or dhi < min_hi:
-                min_hi = dhi
-            if min_lo is None or dlo < min_lo:
-                min_lo = dlo
-        count = 0
-        best_key = None
-        best_q = None
-        for q in signed_box(caps):
-            lo, hi = _dot_interval(q, pairs)
-            dlo, _ = _dist_scaled(lo, hi, scale)
-            if dlo <= min_hi:
-                count += 1
-                k = witness_key(q)
-                if best_key is None or k < best_key:
-                    best_key, best_q = k, q
-        narrow = Fraction(min_hi - min_lo, scale) <= tol
-        if narrow or (early_unique and count == 1):
-            return (
-                RatInterval(Fraction(min_lo, scale), Fraction(min_hi, scale)),
-                best_q,
-            )
-        bits *= 2
-    raise PrecisionExhausted(
-        "could not separate the minimal distance at 4096 bits; "
-        "the target may satisfy an exact integer relation"
-    )
+    # scan the rational sub-box first, exactly.
+    zero_caps = [
+        c if isinstance(x, Fraction) else 0 for c, x in zip(caps, row)
+    ]
+    if not _is_rational([row]) and any(zero_caps):
+        sub = [x if isinstance(x, Fraction) else Fraction(0) for x in row]
+        value, q = _min_dist([sub], zero_caps, None)
+        if value.hi == 0:
+            return value, q
+    return _min_dist([row], caps, tol)
 
 
 def psi_enclosure(norm: NormSpec, xi, t, bits: int = 128) -> RatInterval:
@@ -401,7 +406,8 @@ def psi_enclosure(norm: NormSpec, xi, t, bits: int = 128) -> RatInterval:
     A single pass over the candidate box: both ends are outer bounds,
     so .hi is always a true upper bound for the value and .lo a true
     lower bound.  Meant for bulk checks (certificate spot checks) where
-    the exact scan would grind on huge rational targets.
+    the exact scan would grind on huge rational targets, so rational
+    targets too are enclosed at scale 2**bits here.
     """
     t = Fraction(t)
     descs = [as_descriptor(x) for x in xi]
@@ -410,14 +416,12 @@ def psi_enclosure(norm: NormSpec, xi, t, bits: int = 128) -> RatInterval:
     caps = norm.coordinate_caps(t, n)
     if all(c == 0 for c in caps):
         raise EmptyRange(f"no nonzero integer vector has height <= {t}")
-    vals = [d.exact_value() for d in descs]
     scale = 1 << bits
-    pairs = _scaled_pairs(descs, vals, bits)
+    table = [_fixed_pairs(_scan_row(descs), bits)]
     min_lo = None
     min_hi = None
     for q in signed_box(caps):
-        lo, hi = _dot_interval(q, pairs)
-        dlo, dhi = _dist_scaled(lo, hi, scale)
+        dlo, dhi = _max_dist(q, table, scale)
         if min_hi is None or dhi < min_hi:
             min_hi = dhi
             if min_hi == 0:
@@ -438,45 +442,10 @@ def psi_simultaneous(xi, t, tol=None) -> tuple[RatInterval, int]:
     cap = t.numerator // t.denominator if t > 0 else 0
     if cap < 1:
         raise EmptyRange(f"no positive integer is at most {t}")
-    vals = [d.exact_value() for d in descs]
-    if all(v is not None for v in vals):
-        best = None
-        best_q = None
-        for q in range(1, cap + 1):
-            d = max(nearest_int_dist(q * v) for v in vals)
-            if best is None or d < best:
-                best, best_q = d, q
-        return RatInterval(best, best), best_q
-
-    early_unique = tol is None
-    tol = _DEFAULT_TOL if tol is None else Fraction(tol)
-    bits = _START_BITS
-    while bits <= _MAX_BITS:
-        scale = 1 << bits
-        pairs = _scaled_pairs(descs, vals, bits)
-        dists = []
-        for q in range(1, cap + 1):
-            dlo = dhi = 0
-            for a, b in pairs:
-                clo, chi = _dist_scaled(q * a, q * b, scale)
-                if clo > dlo:
-                    dlo = clo
-                if chi > dhi:
-                    dhi = chi
-            dists.append((dlo, dhi))
-        min_hi = min(d[1] for d in dists)
-        min_lo = min(d[0] for d in dists)
-        pool = [q for q, d in enumerate(dists, start=1) if d[0] <= min_hi]
-        narrow = Fraction(min_hi - min_lo, scale) <= tol
-        if narrow or (early_unique and len(pool) == 1):
-            return (
-                RatInterval(Fraction(min_lo, scale), Fraction(min_hi, scale)),
-                pool[0],
-            )
-        bits *= 2
-    raise PrecisionExhausted(
-        "could not separate the simultaneous minimum at 4096 bits"
-    )
+    # one row per coordinate; candidates (q,) in witness_key order are
+    # q = 1, 2, ..., so the least key is the smallest q
+    value, (q,) = _min_dist([[x] for x in _scan_row(descs)], [cap], tol)
+    return value, q
 
 
 def dirichlet_check(xi, t, mode: str = "dual") -> bool:
@@ -547,11 +516,42 @@ def record_sequence(
     caps = norm.coordinate_caps(t_max, n)
     if all(c == 0 for c in caps):
         raise EmptyRange(f"no nonzero integer vector has height <= {t_max}")
-    vals = [d.exact_value() for d in descs]
-    if all(v is not None for v in vals):
-        entries = _records_exact(norm, caps, vals)
-    else:
-        entries = _records_interval(norm, descs, vals, caps)
+    rows = [_scan_row(descs)]
+    items = _sorted_candidates(norm, caps)
+
+    def step(bits, last):
+        table, scale = _scaled_rows(rows, bits)
+        entries: list[RecordEntry] = []
+        cur_lo = None
+        cur_hi = None
+        idx = 0
+        while idx < len(items):
+            phi = items[idx][0]
+            group = []
+            while idx < len(items) and items[idx][0] == phi:
+                q = items[idx][2]
+                group.append((_max_dist(q, table, scale), q))
+                idx += 1
+            g_lo = min(d[0] for d, _ in group)
+            g_hi = min(d[1] for d, _ in group)
+            if cur_lo is not None and g_lo >= cur_hi:
+                continue  # certainly no improvement
+            pool = [(d, q) for d, q in group if d[0] <= g_hi]
+            # a group comes in witness_key order; zero-width candidates
+            # that tie are real ties, so the first of them wins
+            decided = len(pool) == 1 or all(lo == hi for (lo, hi), _ in pool)
+            if (cur_lo is not None and g_hi >= cur_lo) or not decided:
+                return None
+            value = RatInterval(Fraction(g_lo, scale), Fraction(g_hi, scale))
+            entries.append(RecordEntry(phi, value, pool[0][1]))
+            cur_lo, cur_hi = g_lo, g_hi
+        return entries
+
+    entries = _refine(
+        step, _START_BITS, _MAX_BITS,
+        "record comparison undecidable at {bits} bits; two candidate "
+        "distances may coincide exactly",
+    )
     return RecordSequence(norm, t_max, tuple(entries))
 
 
@@ -568,81 +568,6 @@ def _sorted_candidates(norm: NormSpec, caps: Sequence[int]):
         items.append((norm.phi(q), witness_key(q), q))
     items.sort(key=lambda it: (it[0], it[1]))
     return items
-
-
-def _records_exact(norm, caps, vals) -> list[RecordEntry]:
-    den = math.lcm(*(v.denominator for v in vals))
-    nums = [v.numerator * (den // v.denominator) % den for v in vals]
-    entries: list[RecordEntry] = []
-    best = None
-    idx = 0
-    items = _sorted_candidates(norm, caps)
-    while idx < len(items):
-        phi = items[idx][0]
-        g_n = None
-        g_key = None
-        g_q = None
-        while idx < len(items) and items[idx][0] == phi:
-            _, key, q = items[idx]
-            acc = 0
-            for c, a in zip(q, nums):
-                acc += c * a
-            r = acc % den
-            dn = r if 2 * r <= den else den - r
-            if g_n is None or dn < g_n or (dn == g_n and key < g_key):
-                g_n, g_key, g_q = dn, key, q
-            idx += 1
-        if best is None or g_n < best:
-            val = Fraction(g_n, den)
-            entries.append(RecordEntry(phi, RatInterval(val, val), g_q))
-            best = g_n
-    return entries
-
-
-def _records_interval(norm, descs, vals, caps) -> list[RecordEntry]:
-    items = _sorted_candidates(norm, caps)
-    bits = _START_BITS
-    while bits <= _MAX_BITS:
-        scale = 1 << bits
-        pairs = _scaled_pairs(descs, vals, bits)
-        entries: list[RecordEntry] = []
-        cur_lo = None
-        cur_hi = None
-        ambiguous = False
-        idx = 0
-        while idx < len(items) and not ambiguous:
-            phi = items[idx][0]
-            group = []
-            while idx < len(items) and items[idx][0] == phi:
-                _, key, q = items[idx]
-                lo, hi = _dot_interval(q, pairs)
-                group.append((_dist_scaled(lo, hi, scale), key, q))
-                idx += 1
-            g_lo = min(d[0] for d, _, _ in group)
-            g_hi = min(d[1] for d, _, _ in group)
-            pool = [(k, q) for d, k, q in group if d[0] <= g_hi]
-            if cur_lo is not None and g_lo >= cur_hi:
-                continue  # certainly no improvement
-            if (cur_lo is None or g_hi < cur_lo) and len(pool) == 1:
-                entries.append(
-                    RecordEntry(
-                        phi,
-                        RatInterval(
-                            Fraction(g_lo, scale), Fraction(g_hi, scale)
-                        ),
-                        pool[0][1],
-                    )
-                )
-                cur_lo, cur_hi = g_lo, g_hi
-            else:
-                ambiguous = True
-        if not ambiguous:
-            return entries
-        bits *= 2
-    raise PrecisionExhausted(
-        "record comparison undecidable at 4096 bits; two candidate "
-        "distances may coincide exactly"
-    )
 
 
 def exponent_estimate(seq: RecordSequence) -> tuple[Fraction, tuple[Fraction, ...]]:
@@ -762,19 +687,75 @@ class BadnessResult:
     height_cap: int
 
 
-def _power_table(w: Fraction, cap: int, bits: int) -> tuple[list, list, int]:
-    """Integer bounds on m**w, m = 0..cap, at the given scale (scale 1
-    and exact values when w is an integer)."""
+def _power_table(w: Fraction, cap: int, bits: int, exact: bool):
+    """Integer weights for m**w, m = 0..cap: (lo, hi, scale, e) such that
+    d**e * lo[m] and d**e * hi[m] order or bound the weighted distance
+    d * m**w.  An integer w gives exact powers with e = 1.  For w = a/b
+    on an exact distance, m**a with e = b orders d * m**w exactly.
+    Otherwise lo and hi bound m**w at scale 2**bits, with e = 1."""
     if w.denominator == 1:
-        e = int(w)
-        table = [m**e for m in range(cap + 1)]
-        return table, table, 1
-    scale = 1 << bits
+        table = [m ** int(w) for m in range(cap + 1)]
+        return table, table, 1, 1
+    if exact:
+        table = [m**w.numerator for m in range(cap + 1)]
+        return table, table, 1, w.denominator
     los = [0] * (cap + 1)
     his = [0] * (cap + 1)
     for m in range(1, cap + 1):
         los[m], his[m] = PowerValue(m, w).scaled_bounds(bits)
-    return los, his, scale
+    return los, his, 1 << bits, 1
+
+
+def _badness_scan(rows, caps, w: Fraction, bits: int):
+    """Enclosure of the minimum of |q|_inf**w * max_i <row_i . q> over
+    signed_box(caps), and the vector with the least upper end (least
+    witness_key among ties).  Exact on a rational target."""
+    table, scale = _scaled_rows(rows, bits)
+    exact = _is_rational(rows)
+    pw_lo, pw_hi, pw_scale, e = _power_table(w, max(caps), bits, exact)
+    min_lo = None
+    min_hi = None
+    best_key = None
+    best_q = None
+    for q in signed_box(caps):
+        d_lo, d_hi = _max_dist(q, table, scale)
+        m = max(abs(c) for c in q)
+        v_lo = d_lo**e * pw_lo[m]
+        v_hi = d_hi**e * pw_hi[m]
+        if min_lo is None or v_lo < min_lo:
+            min_lo = v_lo
+        if min_hi is None or v_hi < min_hi:
+            min_hi, best_key, best_q = v_hi, witness_key(q), q
+        elif v_hi == min_hi:
+            key = witness_key(q)
+            if key < best_key:
+                best_key, best_q = key, q
+    if e == 1:
+        total = scale * pw_scale
+        value = RatInterval(Fraction(min_lo, total), Fraction(min_hi, total))
+        return value, best_q
+    # an exact distance times an irrational power: evaluate the winner
+    dist = Fraction(_max_dist(best_q, table, scale)[0], scale)
+    if dist == 0:
+        return RatInterval(dist, dist), best_q
+    power = PowerValue(max(abs(c) for c in best_q), w).mul_fraction(dist)
+    f = power.as_fraction()
+    value = RatInterval(f, f) if f is not None else power.enclose(_START_BITS)
+    return value, best_q
+
+
+def _refine_badness(rows, caps, w: Fraction, bits: int):
+    """_badness_scan from `bits` up to 1024 bits, stopping early once
+    the lower end is positive or the enclosure is a point; at 1024 bits
+    the enclosure is reported as it stands."""
+
+    def step(b, last):
+        value, q = _badness_scan(rows, caps, w, b)
+        if value.lo > 0 or value.lo == value.hi or last:
+            return value, q
+        return None
+
+    return _refine(step, bits, 1024, "badness undecided at {bits} bits")
 
 
 def badness_infimum(
@@ -790,113 +771,21 @@ def badness_infimum(
     if height_cap < 1:
         raise UsageError("height cap must be at least 1")
     w = spec.exponent
-    rows = spec.augmented_rows()
-    k = spec.subspace_dim + 1
-    exact_rows = [[e.exact_value() for e in row] for row in rows]
-    col_exact = [
-        all(row[j] is not None for row in exact_rows) for j in range(k)
-    ]
-
-    zero_caps = [height_cap if col_exact[j] else 0 for j in range(k)]
-    if any(zero_caps):
-        z_key = None
-        z_q = None
-        for q in signed_box(zero_caps):
-            hit = True
-            for row in exact_rows:
-                acc = Fraction(0)
-                for c, v in zip(q, row):
-                    if c:
-                        acc += c * v
-                if nearest_int_dist(acc) != 0:
-                    hit = False
-                    break
-            if hit:
-                key = witness_key(q)
-                if z_key is None or key < z_key:
-                    z_key, z_q = key, q
-        if z_q is not None:
-            zero = RatInterval(Fraction(0), Fraction(0))
-            return BadnessResult(zero, z_q, w, height_cap)
-
-    if all(col_exact):
-        return _badness_exact(exact_rows, height_cap, w)
-
-    cur = bits
-    while True:
-        out = _badness_scan(rows, exact_rows, height_cap, w, cur)
-        if out.value.lo > 0 or cur >= 1024:
-            return out
-        cur *= 2
-
-
-def _weighted_value(dist: Fraction, m: int, w: Fraction):
-    if w.denominator == 1:
-        return dist * m ** int(w)
-    return PowerValue(m, w).mul_fraction(dist)
-
-
-def _badness_exact(exact_rows, cap: int, w: Fraction) -> BadnessResult:
-    best = None
-    best_key = None
-    best_q = None
-    k = len(exact_rows[0])
-    for q in signed_box([cap] * k):
-        dmax = Fraction(0)
-        for row in exact_rows:
-            acc = Fraction(0)
-            for c, v in zip(q, row):
-                if c:
-                    acc += c * v
-            d = nearest_int_dist(acc)
-            if d > dmax:
-                dmax = d
-        val = _weighted_value(dmax, max(abs(c) for c in q), w)
-        key = witness_key(q)
-        if best is None or val < best or (val == best and key < best_key):
-            best, best_key, best_q = val, key, q
-    if isinstance(best, Fraction):
-        iv = RatInterval(best, best)
-    else:
-        f = best.as_fraction()
-        iv = RatInterval(f, f) if f is not None else best.enclose(_START_BITS)
-    return BadnessResult(iv, best_q, w, cap)
-
-
-def _badness_scan(rows, exact_rows, cap, w, bits) -> BadnessResult:
-    scale = 1 << bits
-    row_pairs = [
-        _scaled_pairs(row, exact_rows[i], bits) for i, row in enumerate(rows)
-    ]
-    pw_lo, pw_hi, pw_scale = _power_table(w, cap, bits)
-    k = len(rows[0])
-    min_lo = None
-    min_hi = None
-    best_key = None
-    best_q = None
-    for q in signed_box([cap] * k):
-        d_lo = d_hi = 0
-        for pairs in row_pairs:
-            lo, hi = _dot_interval(q, pairs)
-            a, b = _dist_scaled(lo, hi, scale)
-            if a > d_lo:
-                d_lo = a
-            if b > d_hi:
-                d_hi = b
-        m = max(abs(c) for c in q)
-        v_lo = d_lo * pw_lo[m]
-        v_hi = d_hi * pw_hi[m]
-        if min_lo is None or v_lo < min_lo:
-            min_lo = v_lo
-        if min_hi is None or v_hi < min_hi:
-            min_hi, best_key, best_q = v_hi, witness_key(q), q
-        elif v_hi == min_hi:
-            key = witness_key(q)
-            if key < best_key:
-                best_key, best_q = key, q
-    total = scale * pw_scale
-    iv = RatInterval(Fraction(min_lo, total), Fraction(min_hi, total))
-    return BadnessResult(iv, best_q, w, cap)
+    rows = [_scan_row(row) for row in spec.augmented_rows()]
+    exact = [all(isinstance(x, Fraction) for x in col) for col in zip(*rows)]
+    # Exact zero is only certifiable on the all-rational columns, so scan
+    # that sub-box first, exactly.
+    if any(exact) and not all(exact):
+        sub = [
+            [x if ok else Fraction(0) for x, ok in zip(row, exact)]
+            for row in rows
+        ]
+        zero_caps = [height_cap if ok else 0 for ok in exact]
+        value, q = _badness_scan(sub, zero_caps, w, bits)
+        if value.hi == 0:
+            return BadnessResult(value, q, w, height_cap)
+    value, q = _refine_badness(rows, [height_cap] * len(exact), w, bits)
+    return BadnessResult(value, q, w, height_cap)
 
 
 def simultaneous_badness_min(
@@ -909,52 +798,9 @@ def simultaneous_badness_min(
     w = Fraction(w)
     if w <= 0:
         raise UsageError("exponent must be positive")
-    descs = [as_descriptor(v) for v in xi]
-    vals = [d.exact_value() for d in descs]
-    if all(v is not None for v in vals):
-        best = None
-        best_q = None
-        for q in range(1, height_cap + 1):
-            d = max(nearest_int_dist(q * v) for v in vals)
-            val = _weighted_value(d, q, w) if d else Fraction(0)
-            if best is None or val < best:
-                best, best_q = val, q
-        if isinstance(best, Fraction):
-            iv = RatInterval(best, best)
-        else:
-            f = best.as_fraction()
-            iv = RatInterval(f, f) if f is not None else best.enclose(_START_BITS)
-        return iv, best_q
-
-    cur = bits
-    while True:
-        scale = 1 << cur
-        pairs = _scaled_pairs(descs, vals, cur)
-        pw_lo, pw_hi, pw_scale = _power_table(w, height_cap, cur)
-        min_lo = None
-        min_hi = None
-        best_q = None
-        for q in range(1, height_cap + 1):
-            d_lo = d_hi = 0
-            for a, b in pairs:
-                clo, chi = _dist_scaled(q * a, q * b, scale)
-                if clo > d_lo:
-                    d_lo = clo
-                if chi > d_hi:
-                    d_hi = chi
-            v_lo = d_lo * pw_lo[q]
-            v_hi = d_hi * pw_hi[q]
-            if min_lo is None or v_lo < min_lo:
-                min_lo = v_lo
-            if min_hi is None or v_hi < min_hi:
-                min_hi, best_q = v_hi, q
-        if min_lo > 0 or cur >= 1024:
-            total = scale * pw_scale
-            return (
-                RatInterval(Fraction(min_lo, total), Fraction(min_hi, total)),
-                best_q,
-            )
-        cur *= 2
+    rows = [[x] for x in _scan_row([as_descriptor(v) for v in xi])]
+    value, (q,) = _refine_badness(rows, [height_cap], w, bits)
+    return value, q
 
 
 def lower_bound_check(
@@ -969,54 +815,34 @@ def lower_bound_check(
     if c <= 0:
         raise UsageError("the constant must be positive")
     w = spec.exponent
-    xi = lift_affine(spec, x)
-    vals = [d.exact_value() for d in xi]
+    rows = [[x] for x in _scan_row(lift_affine(spec, x))]
 
     def threshold(q: int):
         if w.denominator == 1:
             return c / Fraction(q) ** int(w)
         return PowerValue(q, -w).mul_fraction(c)
 
-    if all(v is not None for v in vals):
-        for q in range(1, height_cap + 1):
-            d = max(nearest_int_dist(q * v) for v in vals)
-            thr = threshold(q)
-            ok = d >= thr if isinstance(thr, Fraction) else thr <= d
-            if not ok:
-                return False, q
-        return True, None
-
     pending = list(range(1, height_cap + 1))
-    bits = _START_BITS
-    while pending:
-        if bits > _MAX_BITS:
-            raise PrecisionExhausted(
-                f"bound comparison undecidable at 4096 bits for q={pending[0]}"
-            )
-        scale = 1 << bits
-        pairs = _scaled_pairs(xi, vals, bits)
+
+    def step(bits, last):
+        nonlocal pending
+        table, scale = _scaled_rows(rows, bits)
         still = []
         for q in pending:
-            d_lo = d_hi = 0
-            for a, b in pairs:
-                clo, chi = _dist_scaled(q * a, q * b, scale)
-                if clo > d_lo:
-                    d_lo = clo
-                if chi > d_hi:
-                    d_hi = chi
+            d_lo, d_hi = _max_dist((q,), table, scale)
             thr = threshold(q)
-            f_lo = Fraction(d_lo, scale)
-            f_hi = Fraction(d_hi, scale)
-            holds = f_lo >= thr if isinstance(thr, Fraction) else thr <= f_lo
-            fails = f_hi < thr if isinstance(thr, Fraction) else thr > f_hi
-            if holds:
+            if thr <= Fraction(d_lo, scale):
                 continue
-            if fails:
+            if thr > Fraction(d_hi, scale):
                 return False, q
             still.append(q)
         pending = still
-        bits *= 2
-    return True, None
+        return None if pending else (True, None)
+
+    return _refine(
+        step, _START_BITS, _MAX_BITS,
+        "bound comparison undecidable at {bits} bits",
+    )
 
 
 # -- randomized pigeonhole suite ---------------------------------------
@@ -1037,49 +863,31 @@ class SuiteReport:
 def _dual_staircase(nums: Sequence[int], den: int, cap: int) -> list[int]:
     """best[m] = smallest distance numerator (over common denominator
     den) among nonzero q with |q|_inf = m, m = 1..cap.  Sentinel den
-    marks empty shells."""
+    marks empty shells.  Walks signed_box([cap] * n) coordinate by
+    coordinate, carrying the partial sum mod den and the partial height
+    so the last coordinate costs one multiply-add per vector."""
     n = len(nums)
     best = [den] * (cap + 1)
-    if n == 2:
-        a1, a2 = nums
-        for q1 in range(cap + 1):
-            b1 = q1 * a1 % den
-            lo2 = -cap if q1 else 1
-            for q2 in range(lo2, cap + 1):
-                r = (b1 + q2 * a2) % den
+
+    def walk(j: int, acc: int, m: int, lead: bool) -> None:
+        a = nums[j]
+        lo = 1 if lead else -cap  # first nonzero coordinate positive
+        if j == n - 1:
+            for c in range(lo, cap + 1):
+                r = (acc + c * a) % den
                 dn = r if 2 * r <= den else den - r
-                aq2 = -q2 if q2 < 0 else q2
-                m = q1 if q1 >= aq2 else aq2
-                if dn < best[m]:
-                    best[m] = dn
-        return best
-    if n == 3:
-        a1, a2, a3 = nums
-        for q1 in range(cap + 1):
-            b1 = q1 * a1 % den
-            lo2 = -cap if q1 else 0
-            for q2 in range(lo2, cap + 1):
-                b2 = (b1 + q2 * a2) % den
-                aq2 = -q2 if q2 < 0 else q2
-                m12 = q1 if q1 >= aq2 else aq2
-                lo3 = -cap if (q1 or q2) else 1
-                for q3 in range(lo3, cap + 1):
-                    r = (b2 + q3 * a3) % den
-                    dn = r if 2 * r <= den else den - r
-                    aq3 = -q3 if q3 < 0 else q3
-                    m = m12 if m12 >= aq3 else aq3
-                    if dn < best[m]:
-                        best[m] = dn
-        return best
-    for q in signed_box([cap] * n):
-        acc = 0
-        for c, a in zip(q, nums):
-            acc += c * a
-        r = acc % den
-        dn = r if 2 * r <= den else den - r
-        m = max(abs(c) for c in q)
-        if dn < best[m]:
-            best[m] = dn
+                ac = -c if c < 0 else c
+                h = m if m >= ac else ac
+                if dn < best[h]:
+                    best[h] = dn
+            return
+        if lead:
+            walk(j + 1, acc, m, True)
+        for c in range(lo, cap + 1):
+            ac = -c if c < 0 else c
+            walk(j + 1, (acc + c * a) % den, m if m >= ac else ac, False)
+
+    walk(0, 0, 0, True)
     return best
 
 

@@ -32,10 +32,11 @@ def rat(text: str) -> Fraction:
     """Parse 'p/q' or a decimal literal into an exact Fraction."""
     text = text.strip()
     _allow_digits(len(text))
-    if _RAT_RE.match(text):
-        return Fraction(text)
-    if _DEC_RE.match(text):
-        return Fraction(text)
+    if _RAT_RE.match(text) or _DEC_RE.match(text):
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise UsageError(f"zero denominator: {text!r}") from None
     raise UsageError(f"cannot parse rational: {text!r}")
 
 

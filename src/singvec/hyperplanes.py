@@ -57,10 +57,6 @@ class Hyperplane:
         return f"({self.m0}; {','.join(str(c) for c in self.mvec)})"
 
 
-def height(plane: Hyperplane) -> int:
-    return plane.height()
-
-
 def make_primitive(m0: int, mvec) -> Hyperplane:
     """Divide out the gcd and make the first nonzero coefficient positive."""
     mvec = tuple(int(c) for c in mvec)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .certificates import Certificate
-from .engine import psi, psi_enclosure
+from .engine import _refine, psi, psi_enclosure
 from .exact import Box, RatInterval
 from .hyperplanes import (
     coordinate_hyperplane,
@@ -110,16 +110,19 @@ def verify_certificate(
             flag("recorded box does not match its cylinders")
         if step.nu != idx + 1:
             flag(f"step index out of order (expected {idx + 1})")
-        if not 1 <= step.k <= n:
+        bad_k = not 1 <= step.k <= n
+        if bad_k:
             flag(f"coordinate {step.k} outside 1..{n}")
+        if step.q < 1:
+            flag("pin denominator must be positive")
+        if bad_k or step.q < 1:
+            # no pin to measure or place: skip the height and the plane
             step_reports.append(
                 StepReport(step.nu, False, False, False, False, False, False)
             )
             phis.append(None)
             planes.append(None)
             continue
-        if step.q < 1:
-            flag("pin denominator must be positive")
         if math.gcd(step.p, step.q) != 1:
             flag("pin p/q is not in lowest terms")
         qvec = tuple(step.q if j == step.k - 1 else 0 for j in range(n))
@@ -241,15 +244,15 @@ def verify_certificate(
             # two-sided bounds, so it settles the comparison unless the
             # bound lands inside the interval.  Only then pay for more
             # bits, with the exact scan as a last resort.
-            bits = 128
-            while True:
+            def spot(bits, last):
                 value = psi_enclosure(norm, midpoint, t, bits=bits)
                 if value.hi <= bound or value.lo > bound:
-                    break
-                if bits >= 1024:
-                    value, _witness = psi(norm, midpoint, t)
-                    break
-                bits *= 2
+                    return value
+                return psi(norm, midpoint, t)[0] if last else None
+
+            value = _refine(
+                spot, 128, 1024, "spot check undecided at {bits} bits"
+            )
             ok = value.hi <= bound
             spot_reports.append(SpotCheck(t, value, bound, ok))
             if not ok:

@@ -144,6 +144,34 @@ def test_certify_tampered_exit_4(tmp_path):
     assert "bound=FAIL" in out.stdout
 
 
+def test_certify_zero_denominator_exit_3(tmp_path):
+    path = build_cert(tmp_path, steps="3")
+    import json
+
+    obj = json.loads(path.read_text())
+    obj["steps"][1]["box"][0][0] = "1/0"
+    bad = tmp_path / "zero-den.json"
+    bad.write_text(json.dumps(obj))
+    out = run("certify", str(bad))
+    assert out.returncode == 3
+    assert "zero denominator" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_certify_zero_pin_denominator_exit_4(tmp_path):
+    path = build_cert(tmp_path, steps="3")
+    import json
+
+    obj = json.loads(path.read_text())
+    obj["steps"][1]["q"] = 0
+    bad = tmp_path / "zero-q.json"
+    bad.write_text(json.dumps(obj))
+    out = run("certify", str(bad))
+    assert out.returncode == 4
+    assert "pin denominator must be positive" in out.stdout
+    assert "Traceback" not in out.stderr
+
+
 def test_certify_missing_file_exit_1(tmp_path):
     out = run("certify", str(tmp_path / "does-not-exist.json"))
     assert out.returncode == 1
@@ -193,6 +221,13 @@ def test_psi_precision_exhausted_exit_5():
     assert out.returncode == 5
     assert "could not separate" in out.stderr
     assert "hint:" in out.stderr
+
+
+def test_psi_zero_denominator_is_usage_error():
+    out = run("psi", "--xi", "1/0", "--t", "3")
+    assert out.returncode == 1
+    assert "zero denominator" in out.stderr
+    assert "Traceback" not in out.stderr
 
 
 def test_psi_empty_range_is_usage_error():
@@ -294,9 +329,3 @@ def test_dirichlet_small_suite():
 def test_unknown_subcommand_is_usage_error():
     out = run("frobnicate")
     assert out.returncode == 1
-
-
-def test_threads_flag_accepted_everywhere():
-    out = run("--threads", "4", "psi", "--xi", "1/2", "--xi", "1/3", "--t", "3")
-    assert out.returncode == 0
-    assert "witness: (0, 3)" in out.stdout

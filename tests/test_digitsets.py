@@ -13,8 +13,6 @@ from singvec import (
     ProductSet,
     RatInterval,
     UsageError,
-    anchor_rational,
-    cylinder_interval,
     rationals_in,
 )
 
@@ -51,7 +49,6 @@ def test_anchors_frozen():
     assert root.child(2).anchor() == F(2, 3)
     base4 = DigitSystem(4, (1, 3))
     assert Cylinder.root(base4).child(1).anchor() == F(1, 3)
-    assert anchor_rational(root.child(2)) == F(2, 3)
 
 
 def test_depth2_anchor_set_frozen():
@@ -165,8 +162,3 @@ def test_product_set():
     assert ProductSet.from_json(prod.to_json()) == prod
     with pytest.raises(UsageError):
         ProductSet((THIRDS,))
-
-
-def test_cylinder_interval_alias():
-    cyl = Cylinder.root(THIRDS).child(0)
-    assert cylinder_interval(cyl) == cyl.hull()

@@ -1,6 +1,8 @@
 """Minimal-distance engine: exact rational paths, rigorous enclosures,
 records, affine families, weighted scans."""
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -33,6 +35,7 @@ from singvec import (
     simultaneous_badness_min,
     witness_key,
 )
+from singvec.engine import _dual_staircase
 
 F = Fraction
 W23 = NormSpec("weighted", (F(2, 3), F(1, 3)))
@@ -308,6 +311,18 @@ def test_records_agree_with_psi(xi, t_max):
     assert final == seq.entries[-1].value
 
 
+def test_records_zero_width_tie_is_decided():
+    # (0, 1, 1) and (0, 1, -1) both land exactly on an integer, and with
+    # dyadic rational coordinates both are zero-width at scale 2**bits:
+    # a real tie, settled by witness_key instead of refinement
+    seq = record_sequence(SUP_NORM, ("sqrt2", F(3, 2), F(1, 2)), 3)
+    assert len(seq.entries) == 1
+    (entry,) = seq.entries
+    assert entry.threshold.as_fraction() == 1
+    assert entry.value == RatInterval(F(0), F(0))
+    assert entry.witness == (0, 1, 1)
+
+
 def test_record_sequence_validation():
     one = RecordEntry(PowerValue(1), RatInterval(F(1, 4), F(1, 4)), (1,))
     worse = RecordEntry(PowerValue(2), RatInterval(F(1, 3), F(1, 3)), (2,))
@@ -477,3 +492,138 @@ def test_lower_bound_check():
     assert ok and bad is None
     with pytest.raises(UsageError):
         lower_bound_check(line, ("sqrt2",), 10, F(0))
+
+
+# -- brute-force oracles ---------------------------------------------------
+#
+# Each oracle enumerates the whole integer box with plain Fraction
+# arithmetic and shares no code with the engine's scan kernels.
+
+
+def _dist(x):
+    r = x % 1
+    return min(r, 1 - r)
+
+
+def _first_nonzero_positive(q):
+    return next(c for c in q if c != 0) > 0
+
+
+def _power_key(d, m, w):
+    """Exact sort key for d * m**w with w = a/b: d**b * m**a orders the
+    same way and is rational."""
+    return d**w.denominator * F(m) ** w.numerator
+
+
+def _brute_psi(xi, t):
+    best, best_key, best_q = None, None, None
+    for q in itertools.product(range(-t, t + 1), repeat=len(xi)):
+        if not any(q) or not _first_nonzero_positive(q):
+            continue
+        d = _dist(sum(c * x for c, x in zip(q, xi)))
+        if best is None or (d, witness_key(q)) < (best, best_key):
+            best, best_key, best_q = d, witness_key(q), q
+    return best, best_q
+
+
+def test_psi_n3_matches_naive_triple_loop():
+    rng = random.Random(31)
+    for _ in range(25):
+        den = rng.randint(2, 40)
+        xi = tuple(F(rng.randint(0, den), den) for _ in range(3))
+        t = rng.randint(1, 3)
+        value, q = psi(SUP_NORM, xi, t)
+        best, best_q = _brute_psi(xi, t)
+        assert value == RatInterval(best, best)
+        assert q == best_q
+
+
+def _brute_badness(rows, cap, w):
+    """Minimum of max_i <row_i . q> * |q|_inf**w over the box, exactly,
+    as (distance, height, witness)."""
+    best = None
+    for q in itertools.product(range(-cap, cap + 1), repeat=len(rows[0])):
+        if not any(q) or not _first_nonzero_positive(q):
+            continue
+        d = max(_dist(sum(c * x for c, x in zip(q, row))) for row in rows)
+        m = max(abs(c) for c in q)
+        key = (_power_key(d, m, w), witness_key(q))
+        if best is None or key < best[0]:
+            best = (key, d, m, q)
+    return best[1], best[2], best[3]
+
+
+def _assert_weighted_value(value, d, m, w):
+    """value encloses d * m**w; it is the exact point when that number
+    is rational."""
+    exact = PowerValue(m, w).mul_fraction(d).as_fraction() if d else F(0)
+    if exact is not None:
+        assert value == RatInterval(exact, exact)
+    else:
+        cube = _power_key(d, m, w)
+        assert value.lo > 0
+        assert value.lo**w.denominator <= cube <= value.hi**w.denominator
+
+
+def test_badness_rational_s1_n4_matches_brute_force():
+    rng = random.Random(47)
+    w = F(2, 3)
+    for _ in range(12):
+        den = rng.randint(5, 30)
+        shift = tuple(F(rng.randint(1, den - 1), den) for _ in range(3))
+        matrix = tuple((F(rng.randint(1, den - 1), den),) for _ in range(3))
+        spec = AffineSubspaceSpec(shift, matrix)
+        assert spec.exponent == w
+        cap = rng.randint(1, 6)
+        out = badness_infimum(spec, cap)
+        rows = tuple((s,) + r for s, r in zip(shift, matrix))
+        d, m, q = _brute_badness(rows, cap, w)
+        assert out.witness == q
+        _assert_weighted_value(out.value, d, m, w)
+
+
+def test_simultaneous_badness_w32_matches_brute_force():
+    rng = random.Random(58)
+    w = F(3, 2)
+    for _ in range(40):
+        den = rng.randint(3, 200)
+        xi = tuple(F(rng.randint(0, den), den) for _ in range(2))
+        cap = rng.randint(1, 40)
+        value, q = simultaneous_badness_min(xi, w, cap)
+        best = None
+        for k in range(1, cap + 1):
+            d = max(_dist(k * x) for x in xi)
+            key = _power_key(d, k, w)
+            if best is None or key < best[0]:
+                best = (key, d, k)
+        _, d, k = best
+        assert q == k
+        _assert_weighted_value(value, d, k, w)
+
+
+@pytest.mark.parametrize("n,cap", [(2, 9), (3, 5), (4, 3)])
+def test_dual_staircase_matches_brute_force(n, cap):
+    rng = random.Random(n * 100 + cap)
+    for _ in range(6):
+        den = rng.randrange(11, 300)
+        nums = [rng.randrange(0, den) for _ in range(n)]
+        want = [den] * (cap + 1)
+        for q in itertools.product(range(-cap, cap + 1), repeat=n):
+            if not any(q):
+                continue
+            r = sum(c * a for c, a in zip(q, nums)) % den
+            m = max(abs(c) for c in q)
+            want[m] = min(want[m], r, den - r)
+        assert _dual_staircase(nums, den, cap) == want
+
+
+def test_psi_mixed_two_exact_zeros_takes_smaller_witness():
+    # (0, 2) and (0, 4) both land exactly on an integer
+    value, q = psi(SUP_NORM, ("sqrt2", F(1, 2)), 4)
+    assert value == RatInterval(F(0), F(0))
+    assert q == (0, 2)
+    # (0, 1, 1) and its double (0, 2, 2) both hit zero, as do
+    # (0, 2, -1) and (0, 1, -2); the least witness_key wins
+    value, q = psi(SUP_NORM, ("sqrt2", F(1, 3), F(2, 3)), 2)
+    assert value == RatInterval(F(0), F(0))
+    assert q == (0, 1, 1)

@@ -21,7 +21,7 @@ def test_rat_parses_plain_forms():
     assert rat(" 7/9 ") == Fraction(7, 9)
 
 
-@pytest.mark.parametrize("bad", ["", "x", "1/2/3", "1e3", "--4", "1 / 2"])
+@pytest.mark.parametrize("bad", ["", "x", "1/2/3", "1e3", "--4", "1 / 2", "1/0"])
 def test_rat_rejects_junk(bad):
     with pytest.raises(UsageError):
         rat(bad)
