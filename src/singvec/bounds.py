@@ -103,12 +103,7 @@ def _subspace_poly(s: int, n: int) -> tuple[Poly, Fraction]:
     refines the linear exponent bound, with w divided out (w is always
     a root of the raw polynomial)."""
     w = badness_exponent(s, n)
-    coeffs = [Fraction(0)] * (n + 2)
-    coeffs[0] = w**n
-    coeffs[1] = -(w ** (n - 1)) * (1 + w)
-    coeffs[n + 1] = Fraction(1)
-    reduced = deflate_root(coeffs, w)
-    return reduced, w
+    return deflate_root(subspace_polynomial(s, n), w), w
 
 
 def refined_exponent_bound(s: int, n: int, tol) -> RatInterval:

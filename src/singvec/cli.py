@@ -478,10 +478,11 @@ def main(argv=None) -> int:
         return 4
     except PrecisionExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print(
-            "hint: loosen --tol or supply tighter input enclosures",
-            file=sys.stderr,
-        )
+        # only psi honours --tol
+        hint = "supply tighter input enclosures"
+        if args.func is _cmd_psi:
+            hint = "loosen --tol or " + hint
+        print(f"hint: {hint}", file=sys.stderr)
         return 5
     except SingvecError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,21 +8,28 @@ evaluating psi exactly (rational targets), enclosing it rigorously
 (algebraic targets), walking its record thresholds, and scanning
 weighted variants over affine families.
 
-The psi, record and badness scans share one scaled-integer kernel.
-Each target coordinate x becomes integers A <= scale * x <= B, and
-nearest-integer distances are bounded by exact interval arithmetic on
-those integers.  A target whose coordinates are all rational is a
-zero-width enclosure: the scale is the lcm of the denominators and
-A == B, so a single pass is exact and candidates that tie are real
-ties, broken by witness_key.  Any irrational coordinate puts the whole
-target at scale 2**bits.
+The scans share one scaled-integer kernel.  Each target coordinate x
+becomes integers A <= scale * x <= B, and nearest-integer distances are
+bounded by exact interval arithmetic on those integers.  A target whose
+coordinates are all rational is a zero-width enclosure: the scale is the
+lcm of the denominators and A == B, so a single pass is exact and
+candidates that tie are real ties, broken by witness_key.  Any
+irrational coordinate puts the whole target at scale 2**bits.
+
+Every minimum over candidate vectors is one loop, _scan.  Its pool
+keeps each candidate whose lower end reaches the final upper end of the
+minimum, since any of them may attain it; the witness is the least
+witness_key there.  A candidate whose lower end is above the running
+upper end can change nothing and costs one comparison.  Records group
+the candidates by an integer height key with the order and ties of
+norm.phi and run _scan once per equal-height group.
 
 Precision has one rule, _refine: bits double from a start value until
 the query is decided; a query still undecided at its cap raises
 PrecisionExhausted rather than ever guessing.  psi, records,
-psi_simultaneous and lower_bound_check go from 64 to 4096 bits; the
-badness scans go from their `bits` argument to 1024 and then report
-their honest enclosure.
+psi_simultaneous, dirichlet_check and lower_bound_check go from 64 to
+4096 bits; the badness scans go from their `bits` argument to 1024 and
+then report their honest enclosure.
 """
 from __future__ import annotations
 
@@ -326,43 +333,70 @@ def _max_dist(q: Sequence[int], table, scale: int) -> tuple[int, int]:
     return d_lo, d_hi
 
 
+def _scan(cands, table, scale: int, weights=None) -> tuple[int, int, list]:
+    """Integer bounds (min_lo, min_hi) on the least scale * max_i
+    <row_i . q> over nonempty cands, each value times m**w (m = |q|_inf)
+    when weights is a _power_table, and the pool of (lo, hi, q) in
+    candidate order, as the module docstring describes."""
+    if weights is not None:
+        pw_lo, pw_hi, _, e = weights
+    min_lo = min_hi = math.inf
+    pool = []
+    for q in cands:
+        lo, hi = _max_dist(q, table, scale)
+        if weights is not None:
+            m = max(abs(c) for c in q)
+            lo = lo**e * pw_lo[m]
+            hi = hi**e * pw_hi[m]
+        if lo > min_hi:
+            continue
+        if lo < min_lo:
+            min_lo = lo
+        if hi < min_hi:
+            min_hi = hi
+            pool = [p for p in pool if p[0] <= hi]
+        pool.append((lo, hi, q))
+    return min_lo, min_hi, pool
+
+
+_UNSEPARATED = (
+    "could not separate the minimal distance at {bits} bits; "
+    "the target may satisfy an exact integer relation"
+)
+
+
 def _min_dist(rows, caps: Sequence[int], tol) -> tuple[RatInterval, tuple]:
     """Least max_i <row_i . q> over signed_box(caps), with a minimizer:
-    the least witness_key among candidates whose lower end reaches the
-    upper end of the minimum.  Refinement stops once the enclosure is at
-    most tol wide or, with no tol, once that pool is a single vector; a
-    rational target is exact, so its first round answers, exact ties
-    included."""
+    the least witness_key in the pool of _scan.  Refinement stops once
+    the enclosure is at most tol wide or, with no tol, once that pool is
+    a single vector; a rational target is exact, so its first round
+    answers, exact ties included."""
     early_unique = tol is None
     tol = _DEFAULT_TOL if tol is None else Fraction(tol)
 
     def step(bits, last):
         table, scale = _scaled_rows(rows, bits)
-        min_lo = min_hi = None
-        pool = []  # candidates with lower end <= the running min_hi
-        for q in signed_box(caps):
-            dlo, dhi = _max_dist(q, table, scale)
-            if min_lo is None or dlo < min_lo:
-                min_lo = dlo
-            if min_hi is None or dhi < min_hi:
-                min_hi = dhi
-                pool = [p for p in pool if p[0] <= dhi]
-            if dlo <= min_hi:
-                pool.append((dlo, q))
+        min_lo, min_hi, pool = _scan(signed_box(caps), table, scale)
         narrow = Fraction(min_hi - min_lo, scale) <= tol
         if narrow or (early_unique and len(pool) == 1):
             value = RatInterval(Fraction(min_lo, scale), Fraction(min_hi, scale))
-            return value, min((q for _, q in pool), key=witness_key)
+            return value, min((q for _, _, q in pool), key=witness_key)
         return None
 
-    return _refine(
-        step, _START_BITS, _MAX_BITS,
-        "could not separate the minimal distance at {bits} bits; "
-        "the target may satisfy an exact integer relation",
-    )
+    return _refine(step, _START_BITS, _MAX_BITS, _UNSEPARATED)
 
 
 # -- psi ---------------------------------------------------------------
+
+
+def _height_caps(norm: NormSpec, n: int, t: Fraction) -> tuple[int, ...]:
+    """coordinate_caps of {Phi(q) <= t}, raising EmptyRange when that box
+    holds no nonzero vector."""
+    norm.check_dim(n)
+    caps = norm.coordinate_caps(t, n)
+    if all(c == 0 for c in caps):
+        raise EmptyRange(f"no nonzero integer vector has height <= {t}")
+    return caps
 
 
 def psi(
@@ -378,13 +412,9 @@ def psi(
     """
     t = Fraction(t)
     descs = [as_descriptor(x) for x in xi]
-    n = len(descs)
-    if n < 1:
+    if not descs:
         raise UsageError("target vector must have at least one coordinate")
-    norm.check_dim(n)
-    caps = norm.coordinate_caps(t, n)
-    if all(c == 0 for c in caps):
-        raise EmptyRange(f"no nonzero integer vector has height <= {t}")
+    caps = _height_caps(norm, len(descs), t)
     row = _scan_row(descs)
     # Exact zero is only certifiable on the rational coordinates, so
     # scan the rational sub-box first, exactly.
@@ -411,23 +441,10 @@ def psi_enclosure(norm: NormSpec, xi, t, bits: int = 128) -> RatInterval:
     """
     t = Fraction(t)
     descs = [as_descriptor(x) for x in xi]
-    n = len(descs)
-    norm.check_dim(n)
-    caps = norm.coordinate_caps(t, n)
-    if all(c == 0 for c in caps):
-        raise EmptyRange(f"no nonzero integer vector has height <= {t}")
+    caps = _height_caps(norm, len(descs), t)
     scale = 1 << bits
     table = [_fixed_pairs(_scan_row(descs), bits)]
-    min_lo = None
-    min_hi = None
-    for q in signed_box(caps):
-        dlo, dhi = _max_dist(q, table, scale)
-        if min_hi is None or dhi < min_hi:
-            min_hi = dhi
-            if min_hi == 0:
-                return RatInterval(Fraction(0), Fraction(0))
-        if min_lo is None or dlo < min_lo:
-            min_lo = dlo
+    min_lo, min_hi, _ = _scan(signed_box(caps), table, scale)
     return RatInterval(Fraction(min_lo, scale), Fraction(min_hi, scale))
 
 
@@ -456,25 +473,30 @@ def dirichlet_check(xi, t, mode: str = "dual") -> bool:
     t = Fraction(t)
     if t < 1:
         raise UsageError("threshold must be at least 1")
-    descs = [as_descriptor(x) for x in xi]
-    n = len(descs)
+    row = _scan_row([as_descriptor(x) for x in xi])
+    n = len(row)
+    if mode not in ("dual", "simultaneous"):
+        raise UsageError(f"unknown mode: {mode!r}")
+    if n < 1:
+        raise UsageError("target vector must have at least one coordinate")
+    cap = t.numerator // t.denominator
     if mode == "dual":
         threshold = t ** (-n)
-    elif mode == "simultaneous":
-        threshold = PowerValue(t, Fraction(-1, n))
+        rows, caps = [row], [cap] * n
     else:
-        raise UsageError(f"unknown mode: {mode!r}")
-    tol = Fraction(1, 10**12)
-    while True:
-        if mode == "dual":
-            iv, _ = psi(SUP_NORM, descs, t, tol)
-        else:
-            iv, _ = psi_simultaneous(descs, t, tol)
-        if threshold >= iv.hi:
+        threshold = PowerValue(t, Fraction(-1, n))
+        rows, caps = [[x] for x in row], [cap]
+
+    def step(bits, last):
+        table, scale = _scaled_rows(rows, bits)
+        min_lo, min_hi, _ = _scan(signed_box(caps), table, scale)
+        if threshold >= Fraction(min_hi, scale):
             return True
-        if threshold < iv.lo:
+        if threshold < Fraction(min_lo, scale):
             return False
-        tol /= 1 << 64  # forces deeper refinement; psi raises when capped
+        return None
+
+    return _refine(step, _START_BITS, _MAX_BITS, _UNSEPARATED)
 
 
 # -- record thresholds -------------------------------------------------
@@ -511,39 +533,33 @@ def record_sequence(
     its exact (or rigorously enclosed) new value and a witness."""
     t_max = Fraction(t_max)
     descs = [as_descriptor(x) for x in xi]
-    n = len(descs)
-    norm.check_dim(n)
-    caps = norm.coordinate_caps(t_max, n)
-    if all(c == 0 for c in caps):
-        raise EmptyRange(f"no nonzero integer vector has height <= {t_max}")
+    caps = _height_caps(norm, len(descs), t_max)
     rows = [_scan_row(descs)]
-    items = _sorted_candidates(norm, caps)
+    key = _height_key(norm)
+    by_height: dict[int, list] = {}
+    for q in signed_box(caps):
+        by_height.setdefault(key(q), []).append(q)
+    groups = [by_height[h] for h in sorted(by_height)]
 
     def step(bits, last):
         table, scale = _scaled_rows(rows, bits)
         entries: list[RecordEntry] = []
-        cur_lo = None
-        cur_hi = None
-        idx = 0
-        while idx < len(items):
-            phi = items[idx][0]
-            group = []
-            while idx < len(items) and items[idx][0] == phi:
-                q = items[idx][2]
-                group.append((_max_dist(q, table, scale), q))
-                idx += 1
-            g_lo = min(d[0] for d, _ in group)
-            g_hi = min(d[1] for d, _ in group)
-            if cur_lo is not None and g_lo >= cur_hi:
+        cur_lo = cur_hi = math.inf
+        for group in groups:
+            g_lo, g_hi, pool = _scan(group, table, scale)
+            if g_lo >= cur_hi:
                 continue  # certainly no improvement
-            pool = [(d, q) for d, q in group if d[0] <= g_hi]
-            # a group comes in witness_key order; zero-width candidates
-            # that tie are real ties, so the first of them wins
-            decided = len(pool) == 1 or all(lo == hi for (lo, hi), _ in pool)
-            if (cur_lo is not None and g_hi >= cur_lo) or not decided:
+            # zero-width candidates that tie are real ties, settled by
+            # witness_key
+            decided = len(pool) == 1 or all(lo == hi for lo, hi, _ in pool)
+            if g_hi >= cur_lo or not decided:
                 return None
             value = RatInterval(Fraction(g_lo, scale), Fraction(g_hi, scale))
-            entries.append(RecordEntry(phi, value, pool[0][1]))
+            # equal heights can print differently, (27)^(1/2) or
+            # (9)^(3/4); the group's least witness_key member fixes which
+            phi = norm.phi(min(group, key=witness_key))
+            witness = min((q for _, _, q in pool), key=witness_key)
+            entries.append(RecordEntry(phi, value, witness))
             cur_lo, cur_hi = g_lo, g_hi
         return entries
 
@@ -555,19 +571,15 @@ def record_sequence(
     return RecordSequence(norm, t_max, tuple(entries))
 
 
-def _sorted_candidates(norm: NormSpec, caps: Sequence[int]):
-    """Candidates sorted by (height, witness_key); sup heights sort as
-    plain integers to keep big scans cheap."""
-    items = []
+def _height_key(norm: NormSpec):
+    """An integer function of q with the order and ties of norm.phi:
+    |q|_inf for the sup norm; for weights s_j = a_j/b_j and
+    L = lcm(a_j), max_j |q_j|**(L*b_j/a_j), which is phi(q)**(n*L)."""
     if norm.kind == "sup":
-        for q in signed_box(caps):
-            items.append((max(abs(c) for c in q), witness_key(q), q))
-        items.sort(key=lambda it: (it[0], it[1]))
-        return [(PowerValue(m), k, q) for m, k, q in items]
-    for q in signed_box(caps):
-        items.append((norm.phi(q), witness_key(q), q))
-    items.sort(key=lambda it: (it[0], it[1]))
-    return items
+        return lambda q: max(abs(c) for c in q)
+    big_l = math.lcm(*(s.numerator for s in norm.weights))
+    exps = [big_l * s.denominator // s.numerator for s in norm.weights]
+    return lambda q: max(abs(c) ** e for c, e in zip(q, exps))
 
 
 def exponent_estimate(seq: RecordSequence) -> tuple[Fraction, tuple[Fraction, ...]]:
@@ -711,25 +723,10 @@ def _badness_scan(rows, caps, w: Fraction, bits: int):
     signed_box(caps), and the vector with the least upper end (least
     witness_key among ties).  Exact on a rational target."""
     table, scale = _scaled_rows(rows, bits)
-    exact = _is_rational(rows)
-    pw_lo, pw_hi, pw_scale, e = _power_table(w, max(caps), bits, exact)
-    min_lo = None
-    min_hi = None
-    best_key = None
-    best_q = None
-    for q in signed_box(caps):
-        d_lo, d_hi = _max_dist(q, table, scale)
-        m = max(abs(c) for c in q)
-        v_lo = d_lo**e * pw_lo[m]
-        v_hi = d_hi**e * pw_hi[m]
-        if min_lo is None or v_lo < min_lo:
-            min_lo = v_lo
-        if min_hi is None or v_hi < min_hi:
-            min_hi, best_key, best_q = v_hi, witness_key(q), q
-        elif v_hi == min_hi:
-            key = witness_key(q)
-            if key < best_key:
-                best_key, best_q = key, q
+    weights = _power_table(w, max(caps), bits, _is_rational(rows))
+    min_lo, min_hi, pool = _scan(signed_box(caps), table, scale, weights)
+    best_q = min((q for _, hi, q in pool if hi == min_hi), key=witness_key)
+    _, _, pw_scale, e = weights
     if e == 1:
         total = scale * pw_scale
         value = RatInterval(Fraction(min_lo, total), Fraction(min_hi, total))

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
+from .engine import signed_box
 from .errors import NotPrimitive, ZeroForm
 from .exact import Box, RatInterval
 
@@ -86,6 +87,19 @@ def coordinate_hyperplane(k: int, r, n: int) -> Hyperplane:
     return Hyperplane(r.numerator, mvec)
 
 
+def _form_range(mvec, box: Box) -> tuple[Fraction, Fraction]:
+    """Exact range of sum_j m_j x_j over a box."""
+    lo = hi = Fraction(0)
+    for c, side in zip(mvec, box.sides):
+        if c >= 0:
+            lo += c * side.lo
+            hi += c * side.hi
+        else:
+            lo += c * side.hi
+            hi += c * side.lo
+    return lo, hi
+
+
 def interval_linform(plane: Hyperplane, box: Box) -> RatInterval:
     """Tight range of sum_j m_j x_j - m0 over a box.
 
@@ -94,38 +108,8 @@ def interval_linform(plane: Hyperplane, box: Box) -> RatInterval:
     """
     if plane.dim != box.dim:
         raise ZeroForm("dimension mismatch between form and box")
-    lo = hi = -Fraction(plane.m0)
-    for c, side in zip(plane.mvec, box.sides):
-        if c >= 0:
-            lo += c * side.lo
-            hi += c * side.hi
-        else:
-            lo += c * side.hi
-            hi += c * side.lo
-    return RatInterval(lo, hi)
-
-
-def _primitive_vectors(n: int, bound: int) -> list[tuple[int, ...]]:
-    """Sign-normalized nonzero integer vectors with sup norm <= bound,
-    no common factor condition applied yet (that depends on m0)."""
-    out = []
-    rng = range(-bound, bound + 1)
-
-    def rec(prefix: tuple[int, ...]):
-        if len(prefix) == n:
-            if any(prefix):
-                out.append(prefix)
-            return
-        for c in rng:
-            rec(prefix + (c,))
-
-    rec(())
-    normalized = []
-    for v in out:
-        lead = next(c for c in v if c != 0)
-        if lead > 0:
-            normalized.append(v)
-    return sorted(normalized)
+    lo, hi = _form_range(plane.mvec, box)
+    return RatInterval(lo - plane.m0, hi - plane.m0)
 
 
 def enumerate_hyperplanes(n: int, height_bound: int, offset_bound: int) -> Iterator[Hyperplane]:
@@ -134,7 +118,7 @@ def enumerate_hyperplanes(n: int, height_bound: int, offset_bound: int) -> Itera
     """
     if height_bound < 1:
         raise ZeroForm("height bound must be at least 1")
-    for mvec in _primitive_vectors(n, height_bound):
+    for mvec in signed_box((height_bound,) * n):
         for m0 in range(-offset_bound, offset_bound + 1):
             if math.gcd(m0, *mvec) == 1:
                 yield Hyperplane(m0, mvec)
@@ -147,17 +131,8 @@ def hyperplanes_meeting(n: int, height_bound: int, box: Box) -> Iterator[Hyperpl
     """
     if height_bound < 1:
         raise ZeroForm("height bound must be at least 1")
-    for mvec in _primitive_vectors(n, height_bound):
-        lo = hi = Fraction(0)
-        for c, side in zip(mvec, box.sides):
-            if c >= 0:
-                lo += c * side.lo
-                hi += c * side.hi
-            else:
-                lo += c * side.hi
-                hi += c * side.lo
-        m0_lo = math.ceil(lo)
-        m0_hi = math.floor(hi)
-        for m0 in range(m0_lo, m0_hi + 1):
+    for mvec in signed_box((height_bound,) * n):
+        lo, hi = _form_range(mvec, box)
+        for m0 in range(math.ceil(lo), math.floor(hi) + 1):
             if math.gcd(m0, *mvec) == 1:
                 yield Hyperplane(m0, mvec)

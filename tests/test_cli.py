@@ -223,6 +223,15 @@ def test_psi_precision_exhausted_exit_5():
     assert "hint:" in out.stderr
 
 
+def test_records_exit_5_hint_does_not_name_tol():
+    # q and q + (0, 3) tie exactly, so refinement never separates them;
+    # records ignores --tol, so the hint must not name it
+    out = run("records", "--xi", "sqrt2", "--xi", "1/3", "--t-max", "2")
+    assert out.returncode == 5
+    assert "hint:" in out.stderr
+    assert "--tol" not in out.stderr
+
+
 def test_psi_zero_denominator_is_usage_error():
     out = run("psi", "--xi", "1/0", "--t", "3")
     assert out.returncode == 1

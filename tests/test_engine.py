@@ -35,7 +35,7 @@ from singvec import (
     simultaneous_badness_min,
     witness_key,
 )
-from singvec.engine import _dual_staircase
+from singvec.engine import _dual_staircase, _height_key
 
 F = Fraction
 W23 = NormSpec("weighted", (F(2, 3), F(1, 3)))
@@ -627,3 +627,112 @@ def test_psi_mixed_two_exact_zeros_takes_smaller_witness():
     value, q = psi(SUP_NORM, ("sqrt2", F(1, 3), F(2, 3)), 2)
     assert value == RatInterval(F(0), F(0))
     assert q == (0, 1, 1)
+
+
+# -- weighted records and height order against brute force ---------------
+
+
+def _records_oracle(norm, xi, t_max):
+    """Every nonzero vector in the caps with first nonzero coordinate
+    positive, sorted by (phi, witness_key) and grouped by equal phi,
+    with a running exact minimum of plain fractional-part distances.
+    A group's threshold is the phi of its first member."""
+    caps = norm.coordinate_caps(F(t_max), len(xi))
+    cands = []
+    for q in itertools.product(*(range(-c, c + 1) for c in caps)):
+        if not any(q) or next(c for c in q if c) < 0:
+            continue
+        phi = norm.phi(q)
+        assert phi <= t_max
+        r = sum(c * x for c, x in zip(q, xi)) % 1
+        cands.append((phi, witness_key(q), min(r, 1 - r), q))
+    cands.sort(key=lambda it: (it[0], it[1]))
+    out = []
+    best = None
+    i = 0
+    while i < len(cands):
+        j = i
+        while j < len(cands) and cands[j][0] == cands[i][0]:
+            j += 1
+        group = cands[i:j]
+        low = min(d for _, _, d, _ in group)
+        if best is None or low < best:
+            best = low
+            witness = next(q for _, _, d, q in group if d == low)
+            out.append((str(group[0][0]), RatInterval(low, low), witness))
+        i = j
+    return out
+
+
+@pytest.mark.parametrize(
+    "weights,t_values",
+    [
+        ((F(2, 3), F(1, 3)), (3, F(9, 2), 8, 13)),
+        ((F(1, 4), F(3, 4)), (2, 5, F(11, 2), 9)),
+        ((F(1, 6), F(1, 3), F(1, 2)), (2, 3, F(7, 2), 4)),
+    ],
+)
+def test_weighted_records_match_brute_force(weights, t_values):
+    norm = NormSpec("weighted", weights)
+    rng = random.Random(len(weights) * 1000 + weights[0].denominator)
+    for t_max in t_values:
+        for _ in range(3):
+            den = rng.randrange(2, 60)
+            xi = tuple(F(rng.randrange(0, den), den) for _ in weights)
+            seq = record_sequence(norm, xi, t_max)
+            got = [(str(e.threshold), e.value, e.witness) for e in seq.entries]
+            assert got == _records_oracle(norm, xi, t_max), (xi, t_max)
+
+
+def _phi_power(weights, q):
+    """phi(q)**(n*L) for weights a_j/b_j and L = lcm(a_j), as an integer:
+    max_j |q_j|**(L*b_j/a_j)."""
+    big_l = math.lcm(*(s.numerator for s in weights))
+    return max(
+        abs(c) ** (big_l * s.denominator // s.numerator)
+        for c, s in zip(q, weights)
+    )
+
+
+_weight_sets = st.sampled_from(
+    [
+        (F(1, 2), F(1, 2)),
+        (F(2, 3), F(1, 3)),
+        (F(1, 4), F(3, 4)),
+        (F(2, 5), F(3, 5)),
+        (F(1, 6), F(1, 3), F(1, 2)),
+        (F(2, 7), F(3, 7), F(2, 7)),
+    ]
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_weight_sets, st.data())
+def test_phi_power_orders_and_ties_like_phi(weights, data):
+    n = len(weights)
+    vec = st.tuples(*[st.integers(-40, 40)] * n).filter(any)
+    q = data.draw(vec)
+    r = data.draw(vec)
+    norm = NormSpec("weighted", weights)
+    big_l = math.lcm(*(s.numerator for s in weights))
+    kq, kr = _phi_power(weights, q), _phi_power(weights, r)
+    assert norm.phi(q).pow(n * big_l) == kq
+    assert (kq < kr) == (norm.phi(q) < norm.phi(r))
+    assert (kq == kr) == (norm.phi(q) == norm.phi(r))
+
+
+@pytest.mark.parametrize("xi", [("sqrt2", F(1, 2)), (F(1, 2), "sqrt2")])
+def test_dirichlet_check_mixed_target(xi):
+    # the pigeonhole bounds hold for every real target and every real
+    # t >= 1; the exact coordinate 1/2 gives exact zeros from t = 2 on
+    for t in (1, F(3, 2), 2, F(5, 2), 3, 5, 8):
+        assert dirichlet_check(xi, t, "dual")
+        assert dirichlet_check(xi, t, "simultaneous")
+
+
+@settings(deadline=None, max_examples=100)
+@given(_weight_sets, st.data())
+def test_height_key_is_phi_power(weights, data):
+    q = data.draw(st.tuples(*[st.integers(-40, 40)] * len(weights)).filter(any))
+    assert _height_key(NormSpec("weighted", weights))(q) == _phi_power(weights, q)
+    assert _height_key(SUP_NORM)(q) == max(abs(c) for c in q)
