@@ -165,10 +165,11 @@ def exponent_ratio_bound(n: int, omega_hat, tol) -> RatInterval:
     The value bounds how far the ordinary exponent can exceed the
     uniform one.  x = 1 is always a root and is divided out; the answer
     is exactly [1, 1] when a = 1/n, and otherwise satisfies the lower
-    bound (1/(1-a)) * (n-1)/n.
+    bound (1/(1-a)) * (n-1)/n.  n may be an int or an integral Fraction.
     """
-    if n < 2:
-        raise UsageError("need n >= 2")
+    if n < 2 or n.denominator != 1:
+        raise UsageError("need an integer n >= 2")
+    n = int(n)
     a = Fraction(omega_hat)
     if not Fraction(1, n) <= a < 1:
         raise UsageError("omega_hat must lie in [1/n, 1)")

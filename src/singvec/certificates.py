@@ -273,7 +273,7 @@ class AvoidedEntry:
     plane: Hyperplane
 
     def to_json(self) -> dict:
-        return {"nu": self.nu, "m0": self.plane.m0, "m": list(self.plane.mvec)}
+        return {"nu": self.nu, **self.plane.to_json()}
 
 
 @dataclass(frozen=True)
@@ -317,35 +317,47 @@ def _step_from_json(obj: dict, product: ProductSet) -> Step:
     )
 
 
-def certificate_from_json(obj) -> Certificate:
-    """Strict reader for the version-1 schema; any structural problem
-    is a SchemaError.  False claims are the verifier's business."""
+def _strict(reader, obj, what: str):
+    """reader(obj), with any structural problem raised as SchemaError."""
     try:
-        if not isinstance(obj, dict):
-            raise SchemaError("certificate must be a JSON object")
-        version = obj.get("version")
-        if version != SCHEMA_VERSION:
-            raise SchemaError(f"unsupported certificate version: {version!r}")
-        spec = ConstructionSpec.from_json(obj["spec"])
-        steps = tuple(_step_from_json(s, spec.product) for s in obj["steps"])
-        avoided = tuple(
-            AvoidedEntry(
-                int(a["nu"]),
-                Hyperplane(int(a["m0"]), tuple(int(c) for c in a["m"])),
-            )
-            for a in obj["avoided"]
-        )
-        final_box = box_from_json(obj["final_box"])
-        return Certificate(spec, steps, avoided, final_box)
+        return reader(obj)
     except SchemaError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError, UsageError) as exc:
-        raise SchemaError(f"malformed certificate: {exc}") from exc
+        raise SchemaError(f"malformed {what}: {exc}") from exc
 
 
-def certificate_loads(text: str) -> Certificate:
+def _loads(text: str, reader, what: str):
+    """_strict on the JSON document in text; text that is not JSON is a
+    SchemaError too."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not JSON: {exc}") from exc
-    return certificate_from_json(obj)
+    return _strict(reader, obj, what)
+
+
+def _certificate(obj) -> Certificate:
+    if not isinstance(obj, dict):
+        raise SchemaError("certificate must be a JSON object")
+    version = obj.get("version")
+    if version != SCHEMA_VERSION:
+        raise SchemaError(f"unsupported certificate version: {version!r}")
+    spec = ConstructionSpec.from_json(obj["spec"])
+    steps = tuple(_step_from_json(s, spec.product) for s in obj["steps"])
+    avoided = tuple(
+        AvoidedEntry(int(a["nu"]), Hyperplane.from_json(a))
+        for a in obj["avoided"]
+    )
+    final_box = box_from_json(obj["final_box"])
+    return Certificate(spec, steps, avoided, final_box)
+
+
+def certificate_from_json(obj) -> Certificate:
+    """Strict reader for the version-1 schema; any structural problem
+    is a SchemaError.  False claims are the verifier's business."""
+    return _strict(_certificate, obj, "certificate")
+
+
+def certificate_loads(text: str) -> Certificate:
+    return _loads(text, _certificate, "certificate")

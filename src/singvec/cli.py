@@ -5,15 +5,21 @@ dirichlet.  All machine-facing numbers are printed as exact rationals
 (or base^exp pairs when a value is irrational); decimals appear only as
 display renderings and never feed back into any check.
 
+Every flag is typed: argparse converts it with a library reader
+(NormSpec.parse, PhiSpec.parse, parse_real, int) or with one of the
+readers below, so a malformed flag is a usage error before any handler
+runs, and a handler passes values on to the library, which makes every
+other check.
+
 Exit codes: 0 success, 1 usage, 2 search depth exhausted, 3 malformed
-certificate schema, 4 verification failure, 5 precision exhausted.
+certificate or spec file, 4 verification failure, 5 precision
+exhausted; main returns the exit_code of the error class raised.
 Output is a deterministic function of the arguments.
 """
 from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import sys
 from decimal import Decimal
@@ -28,6 +34,7 @@ from .certificates import (
     Certificate,
     ConstructionSpec,
     PhiSpec,
+    _loads,
     certificate_loads,
     power_to_json,
 )
@@ -44,9 +51,7 @@ from .engine import (
     record_sequence,
 )
 from .errors import (
-    DepthExhausted,
     PrecisionExhausted,
-    SchemaError,
     SingvecError,
     UsageError,
     VerificationFailure,
@@ -66,40 +71,50 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_tol(text: str) -> Fraction:
+def _parse_number(text: str) -> Fraction:
+    """p/q, a decimal or an exponent form such as 1e-9, exactly.  The
+    decimal exponent is bounded so that no flag can demand a power of
+    ten with billions of digits."""
     try:
-        return Fraction(Decimal(text))
-    except (ValueError, ArithmeticError) as exc:
-        raise UsageError(f"cannot parse tolerance {text!r}") from exc
+        if "/" in text:
+            return Fraction(text)
+        dec = Decimal(text)
+        if dec.is_finite() and abs(dec.adjusted()) <= 10**4:
+            return Fraction(dec)
+    except (ValueError, ArithmeticError):
+        pass
+    raise UsageError(f"cannot parse number {text!r}")
 
 
-def _parse_rat(text: str) -> Fraction:
+def _parse_spots(text: str) -> tuple[Fraction, ...]:
+    """Spot-check thresholds T1,T2,...; 'none' disables them."""
+    if text.strip().lower() == "none":
+        return ()
+    return tuple(_parse_number(t) for t in text.split(","))
+
+
+def _parse_dims(text: str) -> tuple[int, ...]:
     try:
-        if "." in text or "e" in text.lower():
-            return Fraction(Decimal(text))
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError, ArithmeticError) as exc:
-        raise UsageError(f"cannot parse rational {text!r}") from exc
+        return tuple(int(d) for d in text.split(","))
+    except ValueError as exc:
+        raise UsageError(f"bad dimension list {text!r}") from exc
 
 
 def _parse_cantor(text: str) -> DigitSystem:
-    head, sep, tail = text.partition(":")
-    if not sep:
-        raise UsageError(
-            f"digit system {text!r} must look like base:d1,d2,..."
-        )
+    head, _, tail = text.partition(":")
     try:
         base = int(head)
         digits = tuple(int(d) for d in tail.split(","))
     except ValueError as exc:
-        raise UsageError(f"bad digit system {text!r}") from exc
+        raise UsageError(
+            f"digit system {text!r} must look like base:d1,d2,..."
+        ) from exc
     return DigitSystem(base, digits)
 
 
 def _fmt_value(value) -> str:
     """Exact rendering: rational, or base^exp for irrational powers."""
-    obj = power_to_json(value) if isinstance(value, (PowerValue, Fraction)) \
-        else str(value)
+    obj = power_to_json(value)
     if isinstance(obj, dict):
         coef = f"{obj['coef']}*" if "coef" in obj else ""
         return f"{coef}{obj['base']}^({obj['exp']})"
@@ -132,19 +147,14 @@ def _fmt_approx(value) -> str:
 def _cmd_construct(args) -> int:
     if args.spec is not None:
         with open(args.spec, "r", encoding="utf-8") as fh:
-            spec = ConstructionSpec.from_json(json.load(fh))
+            spec = _loads(fh.read(), ConstructionSpec.from_json, "spec")
+    elif not args.cantor:
+        raise UsageError("need --cantor factors or --spec file")
     else:
-        if not args.cantor:
-            raise UsageError("need --cantor factors or --spec file")
-        product = ProductSet(tuple(_parse_cantor(c) for c in args.cantor))
-        norm = NormSpec.parse(args.norm)
-        phi = PhiSpec.parse(args.phi)
-        if args.steps < 1:
-            raise UsageError("need at least 1 step")
         spec = ConstructionSpec(
-            product=product,
-            norm=norm,
-            phi=phi,
+            product=ProductSet(tuple(args.cantor)),
+            norm=args.norm,
+            phi=args.phi,
             steps=args.steps,
             max_depth=args.max_depth,
         )
@@ -178,13 +188,7 @@ def _cmd_construct(args) -> int:
 def _cmd_certify(args) -> int:
     with open(args.certificate, "r", encoding="utf-8") as fh:
         cert = certificate_loads(fh.read())
-    spots = None
-    if args.spot_checks:
-        if args.spot_checks.strip().lower() == "none":
-            spots = ()
-        else:
-            spots = tuple(_parse_rat(t) for t in args.spot_checks.split(","))
-    report = verify_certificate(cert, spots)
+    report = verify_certificate(cert, args.spot_checks)
     for step in report.steps:
         marks = " ".join(
             f"{name}={'ok' if value else 'FAIL'}"
@@ -217,22 +221,11 @@ def _cmd_certify(args) -> int:
 # -- psi ----------------------------------------------------------------
 
 
-def _xi_from_args(args) -> tuple:
-    if not args.xi:
-        raise UsageError("need at least one --xi coordinate")
-    return tuple(parse_real(x) for x in args.xi)
-
-
 def _cmd_psi(args) -> int:
-    xi = _xi_from_args(args)
-    t = _parse_rat(args.t)
-    tol = _parse_tol(args.tol) if args.tol else None
     if args.simultaneous:
-        value, witness = psi_simultaneous(xi, t, tol)
+        value, witness = psi_simultaneous(args.xi, args.t, args.tol)
     else:
-        norm = NormSpec.parse(args.norm)
-        norm.check_dim(len(xi))
-        value, witness = psi(norm, xi, t, tol)
+        value, witness = psi(args.norm, args.xi, args.t, args.tol)
     print(f"value_lo: {rat_str(value.lo)}")
     print(f"value_hi: {rat_str(value.hi)}")
     print(f"value: {dec_str(value.hi)}")
@@ -244,12 +237,7 @@ def _cmd_psi(args) -> int:
 
 
 def _cmd_records(args) -> int:
-    xi = _xi_from_args(args)
-    norm = NormSpec.parse(args.norm)
-    norm.check_dim(len(xi))
-    t_max = _parse_rat(args.t_max)
-    tol = _parse_tol(args.tol) if args.tol else None
-    seq = record_sequence(norm, xi, t_max, tol)
+    seq = record_sequence(args.norm, args.xi, args.t_max, args.tol)
     rows = [
         (
             _fmt_value(entry.threshold),
@@ -289,10 +277,10 @@ def _print_enclosure(label: str, enclosure, note: str = "") -> None:
 
 
 def _cmd_roots(args) -> int:
-    tol = _parse_tol(args.tol)
-    ran = False
+    if not (args.examples or args.W or args.H or args.G):
+        raise UsageError("pick at least one of --W, --H, --G, --examples")
+    tol = args.tol
     if args.examples:
-        ran = True
         _print_enclosure(
             "W(1,2)", refined_exponent_bound(1, 2, tol), "= sqrt(3) - 1"
         )
@@ -303,22 +291,16 @@ def _cmd_roots(args) -> int:
             "= (sqrt(5) - 1)/2",
         )
     if args.W:
-        ran = True
-        s, n = (int(x) for x in args.W)
+        s, n = args.W
         _print_enclosure(f"W({s},{n})", refined_exponent_bound(s, n, tol))
     if args.H:
-        ran = True
-        n, d = (int(x) for x in args.H)
+        n, d = args.H
         _print_enclosure(f"H({n},{d})", hypersurface_exponent_bound(n, d, tol))
     if args.G:
-        ran = True
-        n = int(args.G[0])
-        omega = _parse_rat(args.G[1])
+        n, omega = args.G
         _print_enclosure(
             f"G({n},{rat_str(omega)})", exponent_ratio_bound(n, omega, tol)
         )
-    if not ran:
-        raise UsageError("pick at least one of --W, --H, --G, --examples")
     return 0
 
 
@@ -326,22 +308,20 @@ def _cmd_roots(args) -> int:
 
 
 def _cmd_badness(args) -> int:
-    theta = parse_real(args.theta)
     spec = AffineSubspaceSpec(
-        shift=(theta,), matrix=((ProductReal(theta, theta),),)
+        shift=(args.theta,), matrix=((ProductReal(args.theta, args.theta),),)
     )
-    cap = args.Q
-    if cap < 1:
-        raise UsageError("--Q must be at least 1")
     caps = []
     power = 10
-    while power < cap:
+    while power < args.Q:
         caps.append(power)
         power *= 10
-    caps.append(cap)
+    caps.append(args.Q)
+    # every cap is scanned before the table starts, so a bad --Q leaves
+    # stdout empty
+    results = [badness_infimum(spec, q_cap) for q_cap in caps]
     print("Q  value_lo  value_hi  value  witness")
-    for q_cap in caps:
-        result = badness_infimum(spec, q_cap)
+    for q_cap, result in zip(caps, results):
         print(
             f"{q_cap}  {rat_str(result.value.lo)}  "
             f"{rat_str(result.value.hi)}  {dec_str(result.value.lo, 9)}  "
@@ -354,9 +334,8 @@ def _cmd_badness(args) -> int:
 
 
 def _cmd_dirichlet(args) -> int:
-    dims = tuple(int(d) for d in args.dims.split(","))
     report = dirichlet_suite(
-        count=args.count, dims=dims, t_max=args.t_max, seed=args.seed
+        count=args.count, dims=args.dims, t_max=args.t_max, seed=args.seed
     )
     print(f"vectors checked: {report.vectors}")
     print(f"thresholds: t <= {report.t_max}")
@@ -391,14 +370,21 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--cantor",
         action="append",
+        type=_parse_cantor,
         default=[],
         metavar="BASE:D1,D2,...",
         help="one digit-system factor per flag (need n >= 2)",
     )
     p.add_argument("--spec", help="ConstructionSpec JSON file instead of flags")
-    p.add_argument("--phi", default="pow:3", help="decay bound, e.g. pow:5")
+    p.add_argument(
+        "--phi", type=PhiSpec.parse, default="pow:3",
+        help="decay bound, e.g. pow:5",
+    )
     p.add_argument("--steps", type=int, default=4)
-    p.add_argument("--norm", default="sup", help="sup or weighted:s1,s2,...")
+    p.add_argument(
+        "--norm", type=NormSpec.parse, default="sup",
+        help="sup or weighted:s1,s2,...",
+    )
     p.add_argument("--max-depth", type=int, default=64)
     p.add_argument("-o", "--output", help="certificate path (default stdout)")
     p.set_defaults(func=_cmd_construct)
@@ -407,24 +393,31 @@ def build_parser() -> _Parser:
     p.add_argument("certificate")
     p.add_argument(
         "--spot-checks",
+        type=_parse_spots,
         metavar="T1,T2,...",
         help="thresholds for value-function spot checks ('none' disables)",
     )
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("psi", help="value function at one threshold")
-    p.add_argument("--xi", action="append", default=[], metavar="COORD")
-    p.add_argument("--t", required=True)
-    p.add_argument("--norm", default="sup")
+    p.add_argument(
+        "--xi", action="append", type=parse_real, required=True,
+        metavar="COORD",
+    )
+    p.add_argument("--t", type=_parse_number, required=True)
+    p.add_argument("--norm", type=NormSpec.parse, default="sup")
     p.add_argument("--simultaneous", action="store_true")
-    p.add_argument("--tol")
+    p.add_argument("--tol", type=_parse_number)
     p.set_defaults(func=_cmd_psi)
 
     p = sub.add_parser("records", help="record sequence up to a threshold")
-    p.add_argument("--xi", action="append", default=[], metavar="COORD")
-    p.add_argument("--t-max", required=True)
-    p.add_argument("--norm", default="sup")
-    p.add_argument("--tol")
+    p.add_argument(
+        "--xi", action="append", type=parse_real, required=True,
+        metavar="COORD",
+    )
+    p.add_argument("--t-max", type=_parse_number, required=True)
+    p.add_argument("--norm", type=NormSpec.parse, default="sup")
+    p.add_argument("--tol", type=_parse_number)
     p.add_argument(
         "--csv",
         help="also write the table as CSV "
@@ -433,10 +426,10 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_records)
 
     p = sub.add_parser("roots", help="root-isolated exponent bounds")
-    p.add_argument("--W", nargs=2, metavar=("S", "N"))
-    p.add_argument("--H", nargs=2, metavar=("N", "D"))
-    p.add_argument("--G", nargs=2, metavar=("N", "OMEGA"))
-    p.add_argument("--tol", default="1e-9")
+    p.add_argument("--W", nargs=2, type=int, metavar=("S", "N"))
+    p.add_argument("--H", nargs=2, type=int, metavar=("N", "D"))
+    p.add_argument("--G", nargs=2, type=_parse_number, metavar=("N", "OMEGA"))
+    p.add_argument("--tol", type=_parse_number, default="1e-9")
     p.add_argument(
         "--examples",
         action="store_true",
@@ -445,13 +438,13 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_roots)
 
     p = sub.add_parser("badness", help="badness infimum for (theta, theta^2)")
-    p.add_argument("--theta", required=True)
+    p.add_argument("--theta", type=parse_real, required=True)
     p.add_argument("--Q", type=int, required=True)
     p.set_defaults(func=_cmd_badness)
 
     p = sub.add_parser("dirichlet", help="pigeonhole-bound property suite")
     p.add_argument("--count", type=int, default=100)
-    p.add_argument("--dims", default="2,3")
+    p.add_argument("--dims", type=_parse_dims, default="2,3")
     p.add_argument("--t-max", type=int, default=50)
     p.add_argument("--seed", type=int, default=20260819)
     p.set_defaults(func=_cmd_dirichlet)
@@ -461,35 +454,19 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    args = None  # stays None when a flag reader raises inside parse_args
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except (SingvecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DepthExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except VerificationFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except PrecisionExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        # only psi honours --tol
-        hint = "supply tighter input enclosures"
-        if args.func is _cmd_psi:
-            hint = "loosen --tol or " + hint
-        print(f"hint: {hint}", file=sys.stderr)
-        return 5
-    except SingvecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        if isinstance(exc, PrecisionExhausted):
+            # only psi honours --tol
+            hint = "supply tighter input enclosures"
+            if args is not None and args.func is _cmd_psi:
+                hint = "loosen --tol or " + hint
+            print(f"hint: {hint}", file=sys.stderr)
+        return getattr(exc, "exit_code", UsageError.exit_code)
 
 
 if __name__ == "__main__":

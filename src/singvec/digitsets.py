@@ -83,11 +83,14 @@ class DigitSystem:
         text = text.strip()
         if not text:
             return ()
-        if "," in text:
-            return tuple(int(x) for x in text.split(","))
-        if base > 10:
-            return (int(text),)
-        return tuple(int(ch) for ch in text)
+        try:
+            if "," in text:
+                return tuple(int(x) for x in text.split(","))
+            if base > 10:
+                return (int(text),)
+            return tuple(int(ch) for ch in text)
+        except ValueError as exc:
+            raise UsageError(f"bad digit string: {text!r}") from exc
 
 
 class Cylinder:

@@ -28,8 +28,8 @@ Precision has one rule, _refine: bits double from a start value until
 the query is decided; a query still undecided at its cap raises
 PrecisionExhausted rather than ever guessing.  psi, records,
 psi_simultaneous, dirichlet_check and lower_bound_check go from 64 to
-4096 bits; the badness scans go from their `bits` argument to 1024 and
-then report their honest enclosure.
+4096 bits; the badness scans go from 64 to 1024 bits and then report
+their honest enclosure.
 """
 from __future__ import annotations
 
@@ -47,8 +47,8 @@ from .errors import (
     PrecisionExhausted,
     UsageError,
 )
-from .exact import RatInterval, rat_str
-from .powers import PowerValue
+from .exact import RatInterval, rat, rat_str
+from .powers import PowerValue, iroot
 from .realdesc import (
     ExactReal,
     LinearCombinationReal,
@@ -102,13 +102,13 @@ class NormSpec:
     def coordinate_caps(self, t: Fraction, n: int) -> tuple[int, ...]:
         """Per-coordinate bound T_j such that Phi(q) <= t iff
         |q_j| <= T_j for every j."""
+        self.check_dim(n)
         t = Fraction(t)
         if t <= 0:
             return (0,) * n
         if self.kind == "sup":
             cap = t.numerator // t.denominator
             return (cap,) * n
-        self.check_dim(n)
         return tuple(power_floor(t, n * s) for s in self.weights)
 
     def phi(self, q: Sequence[int]) -> PowerValue:
@@ -143,9 +143,7 @@ class NormSpec:
         if obj.get("kind") == "sup":
             return NormSpec("sup")
         if obj.get("kind") == "weighted":
-            return NormSpec(
-                "weighted", tuple(Fraction(w) for w in obj["weights"])
-            )
+            return NormSpec("weighted", tuple(rat(w) for w in obj["weights"]))
         raise UsageError(f"unknown norm kind: {obj.get('kind')!r}")
 
     @staticmethod
@@ -155,7 +153,7 @@ class NormSpec:
             return NormSpec("sup")
         if text.startswith("weighted:"):
             parts = text[len("weighted:"):].split(",")
-            return NormSpec("weighted", tuple(Fraction(p) for p in parts))
+            return NormSpec("weighted", tuple(rat(p) for p in parts))
         raise UsageError(f"cannot parse norm: {text!r}")
 
 
@@ -172,21 +170,8 @@ def power_floor(t: Fraction, e: Fraction) -> int:
     if t <= 0:
         return 0
     num, den = e.numerator, e.denominator
-    big_p = t.numerator**num
-    big_r = t.denominator**num
-    # m <= t**e  <=>  m**den * big_r <= big_p
-    if big_r > big_p:
-        return 0
-    lo, hi = 1, 2
-    while hi**den * big_r <= big_p:
-        lo, hi = hi, hi * 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if mid**den * big_r <= big_p:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    # t**num = P/R, so m <= t**e iff m**den * R <= P iff m**den <= P // R
+    return iroot(t.numerator**num // t.denominator**num, den)
 
 
 # -- candidate vectors -------------------------------------------------
@@ -264,15 +249,18 @@ def _refine(step, start: int, cap: int, what: str):
         bits *= 2
 
 
-def _scan_row(descs: Sequence[RealDescriptor]) -> list:
-    """Each coordinate as its exact value when it is rational, else its
-    descriptor: decided once per query, so every round of refinement
-    scans the same target."""
-    out = []
-    for d in descs:
+def _scan_row(xi) -> list:
+    """The target vector xi, at least one coordinate, each as its exact
+    value when it is rational, else its descriptor: decided once per
+    query, so every round of refinement scans the same target."""
+    row = []
+    for x in xi:
+        d = as_descriptor(x)
         v = d.exact_value()
-        out.append(d if v is None else v)
-    return out
+        row.append(d if v is None else v)
+    if not row:
+        raise UsageError("target vector must have at least one coordinate")
+    return row
 
 
 def _fixed_pairs(row: Sequence, bits: int) -> list[tuple[int, int]]:
@@ -392,7 +380,6 @@ def _min_dist(rows, caps: Sequence[int], tol) -> tuple[RatInterval, tuple]:
 def _height_caps(norm: NormSpec, n: int, t: Fraction) -> tuple[int, ...]:
     """coordinate_caps of {Phi(q) <= t}, raising EmptyRange when that box
     holds no nonzero vector."""
-    norm.check_dim(n)
     caps = norm.coordinate_caps(t, n)
     if all(c == 0 for c in caps):
         raise EmptyRange(f"no nonzero integer vector has height <= {t}")
@@ -411,11 +398,8 @@ def psi(
     width drops below tol when one is supplied.
     """
     t = Fraction(t)
-    descs = [as_descriptor(x) for x in xi]
-    if not descs:
-        raise UsageError("target vector must have at least one coordinate")
-    caps = _height_caps(norm, len(descs), t)
-    row = _scan_row(descs)
+    row = _scan_row(xi)
+    caps = _height_caps(norm, len(row), t)
     # Exact zero is only certifiable on the rational coordinates, so
     # scan the rational sub-box first, exactly.
     zero_caps = [
@@ -440,10 +424,10 @@ def psi_enclosure(norm: NormSpec, xi, t, bits: int = 128) -> RatInterval:
     targets too are enclosed at scale 2**bits here.
     """
     t = Fraction(t)
-    descs = [as_descriptor(x) for x in xi]
-    caps = _height_caps(norm, len(descs), t)
+    row = _scan_row(xi)
+    caps = _height_caps(norm, len(row), t)
     scale = 1 << bits
-    table = [_fixed_pairs(_scan_row(descs), bits)]
+    table = [_fixed_pairs(row, bits)]
     min_lo, min_hi, _ = _scan(signed_box(caps), table, scale)
     return RatInterval(Fraction(min_lo, scale), Fraction(min_hi, scale))
 
@@ -453,15 +437,13 @@ def psi_simultaneous(xi, t, tol=None) -> tuple[RatInterval, int]:
     nearest-integer distance of q * xi, with the smallest minimizing q.
     """
     t = Fraction(t)
-    descs = [as_descriptor(x) for x in xi]
-    if not descs:
-        raise UsageError("target vector must have at least one coordinate")
+    row = _scan_row(xi)
     cap = t.numerator // t.denominator if t > 0 else 0
     if cap < 1:
         raise EmptyRange(f"no positive integer is at most {t}")
     # one row per coordinate; candidates (q,) in witness_key order are
     # q = 1, 2, ..., so the least key is the smallest q
-    value, (q,) = _min_dist([[x] for x in _scan_row(descs)], [cap], tol)
+    value, (q,) = _min_dist([[x] for x in row], [cap], tol)
     return value, q
 
 
@@ -473,12 +455,10 @@ def dirichlet_check(xi, t, mode: str = "dual") -> bool:
     t = Fraction(t)
     if t < 1:
         raise UsageError("threshold must be at least 1")
-    row = _scan_row([as_descriptor(x) for x in xi])
+    row = _scan_row(xi)
     n = len(row)
     if mode not in ("dual", "simultaneous"):
         raise UsageError(f"unknown mode: {mode!r}")
-    if n < 1:
-        raise UsageError("target vector must have at least one coordinate")
     cap = t.numerator // t.denominator
     if mode == "dual":
         threshold = t ** (-n)
@@ -532,9 +512,9 @@ def record_sequence(
     """All thresholds up to t_max where psi strictly improves, each with
     its exact (or rigorously enclosed) new value and a witness."""
     t_max = Fraction(t_max)
-    descs = [as_descriptor(x) for x in xi]
-    caps = _height_caps(norm, len(descs), t_max)
-    rows = [_scan_row(descs)]
+    row = _scan_row(xi)
+    caps = _height_caps(norm, len(row), t_max)
+    rows = [row]
     key = _height_key(norm)
     by_height: dict[int, list] = {}
     for q in signed_box(caps):
@@ -741,8 +721,8 @@ def _badness_scan(rows, caps, w: Fraction, bits: int):
     return value, best_q
 
 
-def _refine_badness(rows, caps, w: Fraction, bits: int):
-    """_badness_scan from `bits` up to 1024 bits, stopping early once
+def _refine_badness(rows, caps, w: Fraction):
+    """_badness_scan from 64 up to 1024 bits, stopping early once
     the lower end is positive or the enclosure is a point; at 1024 bits
     the enclosure is reported as it stands."""
 
@@ -752,12 +732,10 @@ def _refine_badness(rows, caps, w: Fraction, bits: int):
             return value, q
         return None
 
-    return _refine(step, bits, 1024, "badness undecided at {bits} bits")
+    return _refine(step, _START_BITS, 1024, "badness undecided at {bits} bits")
 
 
-def badness_infimum(
-    spec: AffineSubspaceSpec, height_cap: int, bits: int = _START_BITS
-) -> BadnessResult:
+def badness_infimum(spec: AffineSubspaceSpec, height_cap: int) -> BadnessResult:
     """Minimum over nonzero integer q, |q|_inf <= height_cap, of
     ||q||_inf**w * max_i <[shift | matrix]_i . q>, enclosed rigorously.
 
@@ -778,16 +756,14 @@ def badness_infimum(
             for row in rows
         ]
         zero_caps = [height_cap if ok else 0 for ok in exact]
-        value, q = _badness_scan(sub, zero_caps, w, bits)
+        value, q = _badness_scan(sub, zero_caps, w, _START_BITS)
         if value.hi == 0:
             return BadnessResult(value, q, w, height_cap)
-    value, q = _refine_badness(rows, [height_cap] * len(exact), w, bits)
+    value, q = _refine_badness(rows, [height_cap] * len(exact), w)
     return BadnessResult(value, q, w, height_cap)
 
 
-def simultaneous_badness_min(
-    xi, w, height_cap: int, bits: int = _START_BITS
-) -> tuple[RatInterval, int]:
+def simultaneous_badness_min(xi, w, height_cap: int) -> tuple[RatInterval, int]:
     """Minimum over 1 <= q <= height_cap of
     q**w * max_j <q * xi_j>, with the smallest attaining q."""
     if height_cap < 1:
@@ -795,8 +771,8 @@ def simultaneous_badness_min(
     w = Fraction(w)
     if w <= 0:
         raise UsageError("exponent must be positive")
-    rows = [[x] for x in _scan_row([as_descriptor(v) for v in xi])]
-    value, (q,) = _refine_badness(rows, [height_cap], w, bits)
+    rows = [[x] for x in _scan_row(xi)]
+    value, (q,) = _refine_badness(rows, [height_cap], w)
     return value, q
 
 
@@ -899,6 +875,8 @@ def dirichlet_suite(
     simultaneous inequality, all checked exactly."""
     if count < 1 or t_max < 1:
         raise UsageError("count and t_max must be positive")
+    if not dims or min(dims) < 1:
+        raise UsageError("need at least one dimension, each at least 1")
     rng = random.Random(seed)
     dual_bad = []
     sim_bad = []

@@ -1,21 +1,26 @@
 """Exception types shared across the package.
 
-Each maps to a distinct process exit code in the command line driver so
-that batch scripts can tell configuration mistakes apart from genuine
-mathematical failures.
+Each class names its process exit code in its exit_code attribute, the
+one the command line returns, so that batch scripts can tell
+configuration mistakes apart from genuine mathematical failures.
+Subclasses inherit the code of their base.
 """
 
 
 class SingvecError(Exception):
     """Base class for all package-specific errors."""
 
+    exit_code = 1
+
 
 class UsageError(SingvecError):
-    """Bad arguments or malformed input syntax.  Exit code 1."""
+    """Bad arguments or malformed input syntax."""
 
 
 class DepthExhausted(SingvecError):
-    """A bounded search ran out of subdivision depth.  Exit code 2."""
+    """A bounded search ran out of subdivision depth."""
+
+    exit_code = 2
 
     def __init__(self, message: str, depth: int):
         super().__init__(message)
@@ -23,11 +28,15 @@ class DepthExhausted(SingvecError):
 
 
 class SchemaError(SingvecError):
-    """A certificate file violates the expected JSON layout.  Exit code 3."""
+    """A certificate or spec file violates the expected JSON layout."""
+
+    exit_code = 3
 
 
 class VerificationFailure(SingvecError):
-    """A certificate parsed fine but one of its claims is false.  Exit code 4."""
+    """A certificate parsed fine but one of its claims is false."""
+
+    exit_code = 4
 
     def __init__(self, message: str, step: int | None = None):
         super().__init__(message)
@@ -35,10 +44,9 @@ class VerificationFailure(SingvecError):
 
 
 class PrecisionExhausted(SingvecError):
-    """An enclosure could not be tightened enough to decide a comparison.
+    """An enclosure could not be tightened enough to decide a comparison."""
 
-    Exit code 5.
-    """
+    exit_code = 5
 
 
 class NonIsolating(UsageError):

@@ -274,7 +274,10 @@ def parse_real(text: str) -> RealDescriptor:
         parts = text.split(":")
         if len(parts) != 4:
             raise UsageError(f"bad cylinder descriptor: {text!r}")
-        nums = [int(x) for x in parts[1].split(",")]
+        try:
+            nums = [int(x) for x in parts[1].split(",")]
+        except ValueError as exc:
+            raise UsageError(f"bad cylinder descriptor: {text!r}") from exc
         if len(nums) < 3:
             raise UsageError("cylinder system needs a base and >= 2 digits")
         system = DigitSystem(nums[0], tuple(nums[1:]))

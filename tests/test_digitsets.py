@@ -145,6 +145,9 @@ def test_parse_digits():
     assert DigitSystem.parse_digits(3, "0,2") == (0, 2)
     assert DigitSystem.parse_digits(16, "10,15") == (10, 15)
     assert DigitSystem.parse_digits(3, "") == ()
+    for base, text in ((3, "0x"), (3, "0,x"), (16, "a")):
+        with pytest.raises(UsageError):
+            DigitSystem.parse_digits(base, text)
     assert DigitSystem.digits_str(3, (0, 2)) == "02"
     assert DigitSystem.digits_str(16, (10, 15)) == "10,15"
 

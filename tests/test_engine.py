@@ -94,10 +94,13 @@ def test_norm_serialization():
     for norm in (SUP_NORM, W23):
         assert NormSpec.from_json(norm.to_json()) == norm
         assert NormSpec.parse(norm.label()) == norm
-    with pytest.raises(UsageError):
-        NormSpec.parse("taxicab")
+    for text in ("taxicab", "weighted:a,b", "weighted:1/0,1"):
+        with pytest.raises(UsageError):
+            NormSpec.parse(text)
     with pytest.raises(UsageError):
         NormSpec.from_json({"kind": "taxicab"})
+    with pytest.raises(UsageError):
+        NormSpec.from_json({"kind": "weighted", "weights": ["1/0", "1"]})
 
 
 def test_power_floor_frozen():
@@ -161,6 +164,24 @@ def test_psi_empty_range():
         psi(SUP_NORM, (F(1, 2),), F(1, 2))
     with pytest.raises(UsageError):
         psi(SUP_NORM, (), 3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: psi(SUP_NORM, (), 5),
+        lambda: psi_enclosure(SUP_NORM, (), 5),
+        lambda: psi_simultaneous((), 5),
+        lambda: dirichlet_check((), 5),
+        lambda: record_sequence(SUP_NORM, (), 5),
+        lambda: simultaneous_badness_min((), 1, 5),
+    ],
+    ids=["psi", "psi_enclosure", "simultaneous", "dirichlet", "records",
+         "badness"],
+)
+def test_empty_target_is_usage_error(call):
+    with pytest.raises(UsageError, match="at least one coordinate"):
+        call()
 
 
 def test_psi_irrational_enclosure():
@@ -279,8 +300,9 @@ def test_dirichlet_suite_small_run():
     assert (rep.vectors, rep.t_max) == (6, 12)
     again = dirichlet_suite(count=6, t_max=12, seed=7)
     assert again == rep
-    with pytest.raises(UsageError):
-        dirichlet_suite(count=0)
+    for bad in ({"count": 0}, {"dims": ()}, {"dims": (2, 0)}):
+        with pytest.raises(UsageError):
+            dirichlet_suite(**bad)
 
 
 # -- records -------------------------------------------------------------

@@ -158,6 +158,8 @@ def test_parse_real_grammar():
         "cyl:3,0,2:02",  # missing policy
         "cyl:3:02:min",  # no digits
         "cyl:3,0,2:02:spiral",  # unknown policy
+        "cyl:3,x,2:02:min",  # digit that is not an integer
+        "cyl:3,0,2:0x:min",  # prefix digit that is not an integer
         "one half",
     ],
 )
