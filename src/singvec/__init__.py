@@ -71,7 +71,7 @@ from .errors import (
     VerificationFailure,
     ZeroForm,
 )
-from .exact import Box, RatInterval, box_from_pairs, dist_interval, nearest_int_dist
+from .exact import Box, RatInterval, dist_interval, nearest_int_dist
 from .hyperplanes import (
     Hyperplane,
     coordinate_hyperplane,
@@ -83,12 +83,10 @@ from .hyperplanes import (
 from .powers import PowerValue, iroot
 from .realdesc import (
     AlgebraicReal,
-    CylinderPointReal,
     ExactReal,
     LinearCombinationReal,
     ProductReal,
     RealDescriptor,
-    descriptor_from_json,
     parse_real,
 )
 from .verifier import (

@@ -27,6 +27,12 @@ from .powers import PowerValue
 
 SCHEMA_VERSION = 1
 
+# Work budgets, checked before any exact power or plane enumeration:
+# the coefficient vectors hyperplanes_meeting walks at the largest
+# avoidance height, and the numerator and denominator of a pow exponent.
+MAX_PLANE_DIRECTIONS = 10**5
+MAX_PHI_EXPONENT = 10**4
+
 
 # -- decay bound -------------------------------------------------------
 
@@ -49,6 +55,12 @@ class PhiSpec:
             object.__setattr__(self, "exponent", Fraction(self.exponent))
             if self.exponent <= 0:
                 raise UsageError("decay exponent must be positive")
+            e = self.exponent
+            if max(e.numerator, e.denominator) > MAX_PHI_EXPONENT:
+                raise UsageError(
+                    f"decay exponent {rat_str(e)} is over budget: numerator "
+                    f"and denominator must be at most {MAX_PHI_EXPONENT}"
+                )
             return
         if self.kind != "table":
             raise UsageError(f"unknown bound kind: {self.kind!r}")
@@ -82,12 +94,6 @@ class PhiSpec:
             else:
                 break
         return value
-
-    def label(self) -> str:
-        if self.kind == "pow":
-            return f"pow:{rat_str(self.exponent)}"
-        body = ",".join(f"{rat_str(t)}={rat_str(v)}" for t, v in self.rows)
-        return f"table:{body}"
 
     def to_json(self) -> dict:
         if self.kind == "pow":
@@ -197,7 +203,14 @@ class ConstructionSpec:
             raise UsageError("avoidance heights must be positive")
         if any(a > b for a, b in zip(heights, heights[1:])):
             raise UsageError("avoidance heights must be non-decreasing")
-        self.norm.check_dim(self.product.dim)
+        n = self.product.dim
+        if ((2 * heights[-1] + 1) ** n - 1) // 2 > MAX_PLANE_DIRECTIONS:
+            raise UsageError(
+                f"avoidance height {heights[-1]} is over budget: it walks "
+                f"more than {MAX_PLANE_DIRECTIONS} plane directions in "
+                f"dimension {n}"
+            )
+        self.norm.check_dim(n)
 
     @property
     def dim(self) -> int:
@@ -243,11 +256,6 @@ class Step:
     bound_used: PowerValue | None
     cylinders: tuple[Cylinder, ...]
     box: Box
-
-    def pin_hyperplane(self) -> Hyperplane:
-        mvec = [0] * self.box.dim
-        mvec[self.k - 1] = self.q
-        return Hyperplane(self.p, tuple(mvec))
 
     def to_json(self) -> dict:
         return {

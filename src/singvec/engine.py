@@ -128,11 +128,6 @@ class NormSpec:
         assert best is not None
         return best.pow(Fraction(1, len(q)))
 
-    def label(self) -> str:
-        if self.kind == "sup":
-            return "sup"
-        return "weighted:" + ",".join(rat_str(w) for w in self.weights)
-
     def to_json(self) -> dict:
         if self.kind == "sup":
             return {"kind": "sup"}

@@ -11,7 +11,6 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .errors import UsageError
 
@@ -92,9 +91,6 @@ class RatInterval:
     def contains(self, x: Fraction) -> bool:
         return self.lo <= x <= self.hi
 
-    def contains_strict(self, x: Fraction) -> bool:
-        return self.lo < x < self.hi
-
     def contains_interval(self, other: "RatInterval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 
@@ -150,19 +146,9 @@ class Box:
     def dim(self) -> int:
         return len(self.sides)
 
-    def contains_point(self, pt: Sequence[Fraction]) -> bool:
-        return len(pt) == self.dim and all(
-            s.contains(x) for s, x in zip(self.sides, pt)
-        )
-
     def contains_interior(self, other: "Box") -> bool:
         return self.dim == other.dim and all(
             a.contains_interior(b) for a, b in zip(self.sides, other.sides)
-        )
-
-    def contains_box(self, other: "Box") -> bool:
-        return self.dim == other.dim and all(
-            a.contains_interval(b) for a, b in zip(self.sides, other.sides)
         )
 
     @property
@@ -171,7 +157,3 @@ class Box:
 
     def __str__(self) -> str:
         return " x ".join(str(s) for s in self.sides)
-
-
-def box_from_pairs(pairs: Iterable[tuple[Fraction, Fraction]]) -> Box:
-    return Box(tuple(RatInterval(lo, hi) for lo, hi in pairs))

@@ -98,9 +98,6 @@ class PowerValue:
             raise ValueError("scale must be positive")
         return PowerValue(self.base, self.exp, self.coef * f)
 
-    def reciprocal(self) -> "PowerValue":
-        return PowerValue(self.base, -self.exp, 1 / self.coef)
-
     # -- enclosures --------------------------------------------------
 
     def scaled_bounds(self, bits: int) -> tuple[int, int]:

@@ -1,11 +1,13 @@
 """Descriptors for the real numbers the toolkit works with.
 
 A descriptor names a single real number and can produce a rational
-interval of any requested positive width around it.  Three primitive
-kinds exist: exact rationals, algebraic numbers given by a polynomial
-and an isolating bracket, and points of a digit-restricted set given by
-a prefix plus a deterministic tail policy.  Two composites (linear
+interval of any requested positive width around it.  Two primitive
+kinds exist: exact rationals, and algebraic numbers given by a
+polynomial and an isolating bracket.  Two composites (linear
 combination, product) support lifting points onto affine subspaces.
+A point of a digit-restricted set, given by a prefix plus a periodic
+tail policy, is always rational: parse_real returns it as an exact
+rational.
 
 The string grammar accepted by parse_real:
 
@@ -24,7 +26,7 @@ from fractions import Fraction
 
 from .digitsets import Cylinder, DigitSystem
 from .errors import NonIsolating, PrecisionExhausted, UsageError
-from .exact import RatInterval, rat, rat_str
+from .exact import RatInterval, rat
 from .polys import (
     Poly,
     bisect_root,
@@ -48,12 +50,6 @@ class RealDescriptor(ABC):
     @abstractmethod
     def exact_value(self) -> Fraction | None:
         """The exact rational value, or None if irrational/unknown."""
-
-    def to_float(self) -> float:
-        v = self.exact_value()
-        if v is not None:
-            return float(v)
-        return float(self.enclose(Fraction(1, 2**60)).mid)
 
 
 def _check_width(width: Fraction) -> Fraction:
@@ -80,9 +76,6 @@ class ExactReal(RealDescriptor):
 
     def __repr__(self):
         return f"ExactReal({self.value})"
-
-    def to_json(self) -> dict:
-        return {"kind": "exact", "value": rat_str(self.value)}
 
 
 class AlgebraicReal(RealDescriptor):
@@ -130,66 +123,6 @@ class AlgebraicReal(RealDescriptor):
 
     def __repr__(self):
         return f"AlgebraicReal({self.coeffs}, {self._bracket})"
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "algebraic",
-            "coeffs": [rat_str(c) for c in self.coeffs],
-            "bracket": [rat_str(self._bracket.lo), rat_str(self._bracket.hi)],
-        }
-
-
-class CylinderPointReal(RealDescriptor):
-    """A point of a digit-restricted set: finite prefix, deterministic tail.
-
-    Policies: "min" (all smallest digits), "max" (all largest), or a
-    repeating digit pattern.  Every such point is rational; the value
-    comes from the geometric series of the repeating tail.
-    """
-
-    def __init__(self, cylinder: Cylinder, policy="min", pattern=()):
-        self.cylinder = cylinder
-        sysm = cylinder.system
-        if policy == "min":
-            pattern = (min(sysm.digits),)
-        elif policy == "max":
-            pattern = (max(sysm.digits),)
-        elif policy != "rep":
-            raise UsageError(f"unknown tail policy: {policy!r}")
-        if not pattern or any(d not in sysm.digits for d in pattern):
-            raise UsageError("tail pattern must be nonempty allowed digits")
-        self.policy = policy
-        self.pattern = tuple(pattern)
-        b = sysm.base
-        m = len(self.pattern)
-        tail_num = sum(d * b ** (m - 1 - i) for i, d in enumerate(self.pattern))
-        # value = prefix value + unit * (repeating tail as geometric series)
-        self.value = cylinder.prefix_value + cylinder.unit * Fraction(
-            tail_num, b**m - 1
-        )
-
-    def enclose(self, width: Fraction) -> RatInterval:
-        _check_width(width)
-        return RatInterval(self.value, self.value)
-
-    def exact_value(self) -> Fraction | None:
-        return self.value
-
-    def __repr__(self):
-        return f"CylinderPointReal({self.cylinder!r}, {self.policy!r})"
-
-    def to_json(self) -> dict:
-        out = {
-            "kind": "cylinder",
-            "system": self.cylinder.system.to_json(),
-            "prefix": self.cylinder.prefix_str(),
-            "policy": self.policy,
-        }
-        if self.policy == "rep":
-            out["pattern"] = DigitSystem.digits_str(
-                self.cylinder.system.base, self.pattern
-            )
-        return out
 
 
 class LinearCombinationReal(RealDescriptor):
@@ -285,29 +218,16 @@ def parse_real(text: str) -> RealDescriptor:
         cyl = Cylinder.root(system).extend(prefix)
         policy = parts[3]
         if policy in ("min", "max"):
-            return CylinderPointReal(cyl, policy)
-        if policy.startswith("rep"):
+            pattern = (system.dmin,) if policy == "min" else (system.dmax,)
+        elif policy.startswith("rep"):
             pattern = DigitSystem.parse_digits(system.base, policy[3:])
-            return CylinderPointReal(cyl, "rep", pattern)
-        raise UsageError(f"unknown tail policy: {policy!r}")
+        else:
+            raise UsageError(f"unknown tail policy: {policy!r}")
+        if not pattern or any(d not in system.digits for d in pattern):
+            raise UsageError("tail pattern must be nonempty allowed digits")
+        # value = prefix value + unit * (repeating tail as geometric series)
+        b, m = system.base, len(pattern)
+        tail = sum(d * b ** (m - 1 - i) for i, d in enumerate(pattern))
+        return ExactReal(cyl.prefix_value + cyl.unit * Fraction(tail, b**m - 1))
     return ExactReal(rat(text))
 
-
-def descriptor_from_json(obj: dict) -> RealDescriptor:
-    kind = obj.get("kind")
-    if kind == "exact":
-        return ExactReal(rat(obj["value"]))
-    if kind == "algebraic":
-        lo, hi = obj["bracket"]
-        return AlgebraicReal(
-            [rat(c) for c in obj["coeffs"]], RatInterval(rat(lo), rat(hi))
-        )
-    if kind == "cylinder":
-        system = DigitSystem.from_json(obj["system"])
-        prefix = DigitSystem.parse_digits(system.base, obj["prefix"])
-        cyl = Cylinder.root(system).extend(prefix)
-        if obj["policy"] == "rep":
-            pattern = DigitSystem.parse_digits(system.base, obj["pattern"])
-            return CylinderPointReal(cyl, "rep", pattern)
-        return CylinderPointReal(cyl, obj["policy"])
-    raise UsageError(f"unknown descriptor kind: {kind!r}")

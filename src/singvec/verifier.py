@@ -19,9 +19,8 @@ bound at the midpoint of the final box.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .certificates import Certificate
@@ -190,7 +189,7 @@ def verify_certificate(
                     f"next box (|form| reaches {reach})"
                 )
         if not ok:
-            step_reports[idx] = _with(step_reports[idx], bound_chain=False)
+            step_reports[idx] = replace(step_reports[idx], bound_chain=False)
 
     # avoidance: listed separations hold, and nothing low meets the box
     by_step: dict[int, list] = {}
@@ -223,11 +222,11 @@ def verify_certificate(
                 f"{plane.height()} <= {height} meets the box"
             )
         if not ok:
-            step_reports[idx] = _with(step_reports[idx], avoidance=False)
+            step_reports[idx] = replace(step_reports[idx], avoidance=False)
 
     if hulls and cert.final_box != hulls[-1]:
         failures.append("final box does not match the last step")
-        step_reports[-1] = _with(step_reports[-1], integrity=False)
+        step_reports[-1] = replace(step_reports[-1], integrity=False)
     if not cert.steps:
         failures.append("certificate has no steps")
 
@@ -265,7 +264,3 @@ def verify_certificate(
     return VerificationReport(
         report_ok, tuple(step_reports), tuple(spot_reports), tuple(failures)
     )
-
-
-def _with(report: StepReport, **kw) -> StepReport:
-    return dataclasses.replace(report, **kw)

@@ -91,9 +91,9 @@ def test_norm_caps_and_phi_frozen():
 
 
 def test_norm_serialization():
-    for norm in (SUP_NORM, W23):
+    for text, norm in (("sup", SUP_NORM), ("weighted:2/3,1/3", W23)):
+        assert NormSpec.parse(text) == norm
         assert NormSpec.from_json(norm.to_json()) == norm
-        assert NormSpec.parse(norm.label()) == norm
     for text in ("taxicab", "weighted:a,b", "weighted:1/0,1"):
         with pytest.raises(UsageError):
             NormSpec.parse(text)

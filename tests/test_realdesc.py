@@ -1,5 +1,5 @@
 """Real-number descriptors: enclosure contracts, exact values, the
-string grammar, JSON round trips."""
+string grammar."""
 import math
 from fractions import Fraction
 
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from singvec import (
     AlgebraicReal,
     Cylinder,
-    CylinderPointReal,
     DigitSystem,
     ExactReal,
     LinearCombinationReal,
@@ -19,7 +18,6 @@ from singvec import (
     ProductReal,
     RatInterval,
     UsageError,
-    descriptor_from_json,
     parse_real,
 )
 
@@ -34,7 +32,6 @@ def test_exact_real_is_a_point():
     assert d.exact_value() == F(3, 7)
     iv = d.enclose(F(1, 1000))
     assert iv.lo == iv.hi == F(3, 7)
-    assert d.to_float() == pytest.approx(3 / 7)
 
 
 def test_enclosure_width_must_be_positive():
@@ -79,27 +76,27 @@ def test_algebraic_multiple_root_polynomial():
 
 
 def test_cylinder_point_policies():
-    thirds = DigitSystem(3, (0, 2))
-    cyl = Cylinder.root(thirds).extend((0, 2))
+    hull = Cylinder.root(DigitSystem(3, (0, 2))).extend((0, 2)).hull()
     # prefix 0.02, tail all zeros -> 2/9
-    assert CylinderPointReal(cyl, "min").exact_value() == F(2, 9)
+    lo = parse_real("cyl:3,0,2:02:min")
+    assert isinstance(lo, ExactReal) and lo.exact_value() == F(2, 9)
     # tail all twos -> 2/9 + (1/9) * (2/3)/(1 - 1/3) = 2/9 + 1/9 = 3/9
-    assert CylinderPointReal(cyl, "max").exact_value() == F(1, 3)
+    hi = parse_real("cyl:3,0,2:02:max")
+    assert hi.exact_value() == F(1, 3)
     # repeating "20": 0.02 202020... = 2/9 + (1/9) * 6/8
-    rep = CylinderPointReal(cyl, "rep", (2, 0))
+    rep = parse_real("cyl:3,0,2:02:rep20")
     assert rep.exact_value() == F(2, 9) + F(1, 9) * F(6, 8)
-    hull = cyl.hull()
-    for d in (CylinderPointReal(cyl, "min"), CylinderPointReal(cyl, "max"), rep):
+    for d in (lo, hi, rep):
         assert hull.contains(d.exact_value())
 
 
 def test_cylinder_point_rejects_bad_pattern():
-    thirds = DigitSystem(3, (0, 2))
-    cyl = Cylinder.root(thirds)
     with pytest.raises(UsageError):
-        CylinderPointReal(cyl, "rep", (1,))  # digit 1 not allowed
+        parse_real("cyl:3,0,2::rep1")  # digit 1 not allowed
     with pytest.raises(UsageError):
-        CylinderPointReal(cyl, "spiral")
+        parse_real("cyl:3,0,2::rep")  # empty pattern
+    with pytest.raises(UsageError):
+        parse_real("cyl:3,0,2::spiral")
 
 
 def test_linear_combination():
@@ -166,15 +163,3 @@ def test_parse_real_grammar():
 def test_parse_real_rejects(bad):
     with pytest.raises(UsageError):
         parse_real(bad)
-
-
-def test_descriptor_json_round_trip():
-    for text in ("3/4", "sqrt2", "cyl:3,0,2:02:min", "cyl:3,0,2:02:rep20"):
-        d = parse_real(text)
-        back = descriptor_from_json(d.to_json())
-        if d.exact_value() is not None:
-            assert back.exact_value() == d.exact_value()
-        else:
-            a = d.enclose(F(1, 10**9))
-            b = back.enclose(F(1, 10**9))
-            assert a.intersects(b)
