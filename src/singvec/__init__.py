@@ -1,5 +1,5 @@
 """Exact-arithmetic toolkit for Diophantine approximation decay on
-digit-set products: brute-force value functions, nested-box
+digit-set products: exact value-function scans, nested-box
 constructions with machine-checkable certificates, and root-isolated
 exponent bounds."""
 

@@ -29,7 +29,8 @@ SCHEMA_VERSION = 1
 
 # Work budgets, checked before any exact power or plane enumeration:
 # the coefficient vectors hyperplanes_meeting walks at the largest
-# avoidance height, and the numerator and denominator of a pow exponent.
+# avoidance height, and the numerator and denominator of a pow exponent
+# or of a recorded power's exponent.
 MAX_PLANE_DIRECTIONS = 10**5
 MAX_PHI_EXPONENT = 10**4
 
@@ -146,11 +147,20 @@ def power_to_json(value: PowerValue | Fraction):
 
 
 def power_from_json(obj) -> PowerValue:
+    """The exact value of a recorded height or bound.  An exponent whose
+    numerator or denominator is above MAX_PHI_EXPONENT is refused before
+    any power is taken."""
     if isinstance(obj, str):
         return PowerValue(rat(obj))
     if isinstance(obj, dict):
         coef = rat(obj["coef"]) if "coef" in obj else Fraction(1)
-        return PowerValue(rat(obj["base"]), rat(obj["exp"]), coef)
+        exp = rat(obj["exp"])
+        if max(abs(exp.numerator), exp.denominator) > MAX_PHI_EXPONENT:
+            raise SchemaError(
+                f"exponent {rat_str(exp)} is over budget: numerator and "
+                f"denominator must be at most {MAX_PHI_EXPONENT}"
+            )
+        return PowerValue(rat(obj["base"]), exp, coef)
     raise SchemaError(f"cannot read exact value from {obj!r}")
 
 

@@ -360,8 +360,8 @@ def build_parser() -> _Parser:
         description=(
             "Exact-arithmetic toolkit for approximation decay on "
             "digit-set products: nested-box constructions with "
-            "machine-checkable certificates, value-function brute "
-            "force, and root-isolated exponent bounds."
+            "machine-checkable certificates, exact value-function "
+            "scans, and root-isolated exponent bounds."
         ),
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)

@@ -20,9 +20,21 @@ Every minimum over candidate vectors is one loop, _scan.  Its pool
 keeps each candidate whose lower end reaches the final upper end of the
 minimum, since any of them may attain it; the witness is the least
 witness_key there.  A candidate whose lower end is above the running
-upper end can change nothing and costs one comparison.  Records group
-the candidates by an integer height key with the order and ties of
-norm.phi and run _scan once per equal-height group.
+upper end can change nothing and costs one comparison.  So the minimum,
+both of its ends and the pool as a set do not depend on which other
+candidates are seen, or in which order.
+
+_scan takes its candidates from one of two sources.  A box of one
+column, and each group of a record walk, is every vector of
+signed_box.  A whole box of two or more columns is _sorted_box: the
+scaled residues of the last column are sorted once, and each prefix of
+the other columns visits only the sorted neighbours of its own target
+that can still reach the running minimum.  By the three-distance
+theorem those residues are spread evenly, so a box of caps T costs
+about T**(n-1) log T steps instead of T**n.  Records group the
+candidates by an integer height key with the order and ties of
+norm.phi and run _scan once per equal-height group.  MAX_SCAN_WORK
+bounds the steps of either source before a scan starts.
 
 Precision has one rule, _refine: bits double from a start value until
 the query is decided; a query still undecided at its cap raises
@@ -35,9 +47,10 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from typing import Iterator, Sequence
 
 from .bounds import badness_exponent
@@ -60,6 +73,11 @@ from .realdesc import (
 _START_BITS = 64
 _MAX_BITS = 4096
 _DEFAULT_TOL = Fraction(1, 10**30)
+
+# Steps one scan may take, checked before it allocates anything: the
+# vectors of signed_box, or the prefixes plus the sorted last column of
+# _sorted_box.
+MAX_SCAN_WORK = 10**7
 
 
 # -- heights -----------------------------------------------------------
@@ -320,11 +338,15 @@ def _scan(cands, table, scale: int, weights=None) -> tuple[int, int, list]:
     """Integer bounds (min_lo, min_hi) on the least scale * max_i
     <row_i . q> over nonempty cands, each value times m**w (m = |q|_inf)
     when weights is a _power_table, and the pool of (lo, hi, q) in
-    candidate order, as the module docstring describes."""
+    candidate order, as the module docstring describes.  cands is an
+    iterable of vectors, or a source such as _sorted_box: a function
+    that takes a getter of the running min_hi and returns one."""
     if weights is not None:
         pw_lo, pw_hi, _, e = weights
     min_lo = min_hi = math.inf
     pool = []
+    if callable(cands):
+        cands = cands(lambda: min_hi)
     for q in cands:
         lo, hi = _max_dist(q, table, scale)
         if weights is not None:
@@ -340,6 +362,91 @@ def _scan(cands, table, scale: int, weights=None) -> tuple[int, int, list]:
             pool = [p for p in pool if p[0] <= hi]
         pool.append((lo, hi, q))
     return min_lo, min_hi, pool
+
+
+def _sorted_box(caps: Sequence[int], table, scale: int, weights=None):
+    """Candidate source for _scan over signed_box(caps), two or more
+    columns: a superset of the vectors whose lower end reaches the
+    final min_hi.
+
+    Take row 0 of the table, (A, B) the enclosure of the last column and
+    c its cap.  For a prefix p with scaled interval [p_lo, p_hi], the
+    vector (p, v) has a scaled interval that holds u = p_lo + v*A and is
+    no wider than slack = (p_hi - p_lo) + c*(B - A).  So its distance
+    lower end is at most r only if v*A mod scale lies within r + slack
+    of -p_lo mod scale, circularly.  The residues v*A mod scale,
+    |v| <= c, are sorted once, each packed with v into one int.  Each
+    prefix walks outward from its target in that order, nearest first,
+    and stops past r + slack, with r the running min_hi, or for a
+    _power_table the e-th root of min_hi // pw_lo[max(|p|_inf, 1)],
+    since |q|_inf >= |p|_inf.  The max over the rows is at least row
+    0's distance, so row 0 alone sets the window.  The zero prefix
+    takes only v >= 1."""
+    *head, c = caps
+    pairs = table[0]
+    a_last, b_last = pairs[-1]
+    width = 2 * c + 1
+    keys = sorted(
+        (v * a_last % scale) * width + v + c for v in range(-c, c + 1)
+    )
+    tail_slack = c * (b_last - a_last)
+    if weights is not None:
+        pw_lo, _, _, e = weights
+
+    def radius(bound, floor, slack):
+        if bound == math.inf or not floor:
+            return math.inf
+        if weights is not None:
+            bound = iroot(bound // floor, e)
+        return bound + slack
+
+    def source(running):
+        for p in chain([(0,) * len(head)], signed_box(head)):
+            p_lo = p_hi = 0
+            for x, (a, b) in zip(p, pairs):
+                if x > 0:
+                    p_lo += x * a
+                    p_hi += x * b
+                elif x < 0:
+                    p_lo += x * b
+                    p_hi += x * a
+            slack = p_hi - p_lo + tail_slack
+            floor = 1 if weights is None else pw_lo[max(max(map(abs, p)), 1)]
+            least = -c if any(p) else 1
+            target = -p_lo % scale
+            right = bisect_left(keys, target * width)
+            left = right - 1
+            limit = radius(running(), floor, slack)
+            for _ in range(width):
+                key_r = keys[right % width]
+                key_l = keys[left]
+                d_r = (key_r // width - target) % scale
+                d_l = (target - key_l // width) % scale
+                if d_r <= d_l:
+                    if d_r > limit:
+                        break
+                    key = key_r
+                    right += 1
+                else:
+                    if d_l > limit:
+                        break
+                    key = key_l
+                    left -= 1
+                v = key % width - c
+                if v >= least:
+                    yield p + (v,)
+                    limit = radius(running(), floor, slack)
+
+    return source
+
+
+def _box_scan(caps: Sequence[int], table, scale: int, weights=None):
+    """_scan over the whole of signed_box(caps), fed by _sorted_box when
+    the box has two or more columns."""
+    if len(caps) < 2:
+        return _scan(signed_box(caps), table, scale, weights)
+    source = _sorted_box(caps, table, scale, weights)
+    return _scan(source, table, scale, weights)
 
 
 _UNSEPARATED = (
@@ -359,7 +466,7 @@ def _min_dist(rows, caps: Sequence[int], tol) -> tuple[RatInterval, tuple]:
 
     def step(bits, last):
         table, scale = _scaled_rows(rows, bits)
-        min_lo, min_hi, pool = _scan(signed_box(caps), table, scale)
+        min_lo, min_hi, pool = _box_scan(caps, table, scale)
         narrow = Fraction(min_hi - min_lo, scale) <= tol
         if narrow or (early_unique and len(pool) == 1):
             value = RatInterval(Fraction(min_lo, scale), Fraction(min_hi, scale))
@@ -372,13 +479,34 @@ def _min_dist(rows, caps: Sequence[int], tol) -> tuple[RatInterval, tuple]:
 # -- psi ---------------------------------------------------------------
 
 
-def _height_caps(norm: NormSpec, n: int, t: Fraction) -> tuple[int, ...]:
+def _height_caps(
+    norm: NormSpec, n: int, t: Fraction, grouped: bool = False
+) -> tuple[int, ...]:
     """coordinate_caps of {Phi(q) <= t}, raising EmptyRange when that box
-    holds no nonzero vector."""
+    holds no nonzero vector and UsageError when scanning it is over
+    budget (_check_work; grouped for a record walk)."""
     caps = norm.coordinate_caps(t, n)
     if all(c == 0 for c in caps):
         raise EmptyRange(f"no nonzero integer vector has height <= {t}")
+    _check_work(caps, grouped)
     return caps
+
+
+def _check_work(caps: Sequence[int], grouped: bool = False) -> None:
+    """Raise UsageError when a scan of signed_box(caps) takes more than
+    MAX_SCAN_WORK steps: every vector of the box for one column or for
+    record groups, else the prefixes and the sorted last column that
+    _sorted_box walks."""
+    if grouped or len(caps) < 2:
+        work = (math.prod(2 * c + 1 for c in caps) - 1) // 2
+    else:
+        prefixes = (math.prod(2 * c + 1 for c in caps[:-1]) + 1) // 2
+        work = prefixes + 2 * caps[-1] + 1
+    if work > MAX_SCAN_WORK:
+        raise UsageError(
+            f"scan over budget: caps {list(caps)} take {work} steps, "
+            f"at most {MAX_SCAN_WORK} are allowed"
+        )
 
 
 def psi(
@@ -410,20 +538,23 @@ def psi(
 
 def psi_enclosure(norm: NormSpec, xi, t, bits: int = 128) -> RatInterval:
     """Sound enclosure of the minimal distance at one fixed working
-    precision, skipping witness resolution.
+    precision of bits >= 1, skipping witness resolution.
 
-    A single pass over the candidate box: both ends are outer bounds,
+    A single _scan of the candidate box: both ends are outer bounds,
     so .hi is always a true upper bound for the value and .lo a true
-    lower bound.  Meant for bulk checks (certificate spot checks) where
-    the exact scan would grind on huge rational targets, so rational
-    targets too are enclosed at scale 2**bits here.
+    lower bound.  Meant for bulk checks (certificate spot checks) on
+    targets whose exact scale would be huge, such as the midpoint of a
+    final box, so rational targets too are enclosed at scale 2**bits
+    here.
     """
+    if bits < 1:
+        raise UsageError("working precision must be at least 1 bit")
     t = Fraction(t)
     row = _scan_row(xi)
     caps = _height_caps(norm, len(row), t)
     scale = 1 << bits
     table = [_fixed_pairs(row, bits)]
-    min_lo, min_hi, _ = _scan(signed_box(caps), table, scale)
+    min_lo, min_hi, _ = _box_scan(caps, table, scale)
     return RatInterval(Fraction(min_lo, scale), Fraction(min_hi, scale))
 
 
@@ -436,6 +567,7 @@ def psi_simultaneous(xi, t, tol=None) -> tuple[RatInterval, int]:
     cap = t.numerator // t.denominator if t > 0 else 0
     if cap < 1:
         raise EmptyRange(f"no positive integer is at most {t}")
+    _check_work([cap])
     # one row per coordinate; candidates (q,) in witness_key order are
     # q = 1, 2, ..., so the least key is the smallest q
     value, (q,) = _min_dist([[x] for x in row], [cap], tol)
@@ -461,10 +593,11 @@ def dirichlet_check(xi, t, mode: str = "dual") -> bool:
     else:
         threshold = PowerValue(t, Fraction(-1, n))
         rows, caps = [[x] for x in row], [cap]
+    _check_work(caps)
 
     def step(bits, last):
         table, scale = _scaled_rows(rows, bits)
-        min_lo, min_hi, _ = _scan(signed_box(caps), table, scale)
+        min_lo, min_hi, _ = _box_scan(caps, table, scale)
         if threshold >= Fraction(min_hi, scale):
             return True
         if threshold < Fraction(min_lo, scale):
@@ -508,7 +641,7 @@ def record_sequence(
     its exact (or rigorously enclosed) new value and a witness."""
     t_max = Fraction(t_max)
     row = _scan_row(xi)
-    caps = _height_caps(norm, len(row), t_max)
+    caps = _height_caps(norm, len(row), t_max, grouped=True)
     rows = [row]
     key = _height_key(norm)
     by_height: dict[int, list] = {}
@@ -699,7 +832,7 @@ def _badness_scan(rows, caps, w: Fraction, bits: int):
     witness_key among ties).  Exact on a rational target."""
     table, scale = _scaled_rows(rows, bits)
     weights = _power_table(w, max(caps), bits, _is_rational(rows))
-    min_lo, min_hi, pool = _scan(signed_box(caps), table, scale, weights)
+    min_lo, min_hi, pool = _box_scan(caps, table, scale, weights)
     best_q = min((q for _, hi, q in pool if hi == min_hi), key=witness_key)
     _, _, pw_scale, e = weights
     if e == 1:
@@ -743,6 +876,7 @@ def badness_infimum(spec: AffineSubspaceSpec, height_cap: int) -> BadnessResult:
     w = spec.exponent
     rows = [_scan_row(row) for row in spec.augmented_rows()]
     exact = [all(isinstance(x, Fraction) for x in col) for col in zip(*rows)]
+    _check_work([height_cap] * len(exact))
     # Exact zero is only certifiable on the all-rational columns, so scan
     # that sub-box first, exactly.
     if any(exact) and not all(exact):
@@ -766,6 +900,7 @@ def simultaneous_badness_min(xi, w, height_cap: int) -> tuple[RatInterval, int]:
     w = Fraction(w)
     if w <= 0:
         raise UsageError("exponent must be positive")
+    _check_work([height_cap])
     rows = [[x] for x in _scan_row(xi)]
     value, (q,) = _refine_badness(rows, [height_cap], w)
     return value, q
@@ -782,6 +917,7 @@ def lower_bound_check(
     c = Fraction(c)
     if c <= 0:
         raise UsageError("the constant must be positive")
+    _check_work([height_cap])
     w = spec.exponent
     rows = [[x] for x in _scan_row(lift_affine(spec, x))]
 

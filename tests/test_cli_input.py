@@ -1,6 +1,6 @@
 """Command line: malformed flags and spec files end in their documented
-exit code, never in a traceback; an over-budget certificate is refused
-at once; a certificate's spec rebuilds it."""
+exit code, never in a traceback; an over-budget certificate or scan is
+refused at once; a certificate's spec rebuilds it."""
 import json
 import subprocess
 import sys
@@ -99,6 +99,36 @@ def test_over_budget_certificate_is_refused_at_once(tmp_path, cert_blob, field, 
     path.write_text(json.dumps(blob))
     out = run("certify", str(path), "--spot-checks", "none", timeout=20)
     assert out.returncode == 3
+    assert "over budget" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("field", ["phi_of_q", "bound_used"])
+def test_over_budget_recorded_power_is_refused_at_once(tmp_path, cert_blob, field):
+    # comparing an exact power of that size with the recomputed one
+    # never finishes
+    blob = json.loads(json.dumps(cert_blob))
+    blob["steps"][0][field] = {"base": "3", "exp": "999999999999/2"}
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(blob))
+    out = run("certify", str(path), timeout=20)
+    assert out.returncode == 3
+    assert "over budget" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("psi", "--xi", "sqrt2", "--xi", "cbrt2", "--t", "1e9"),
+        ("psi", "--xi", "sqrt2", "--xi", "cbrt2", "--t", "1e40"),
+        ("records", "--xi", "sqrt2", "--xi", "cbrt2", "--t-max", "1e40"),
+    ],
+    ids=["psi-1e9", "psi-1e40", "records-1e40"],
+)
+def test_over_budget_scan_is_refused_at_once(argv):
+    out = run(*argv, timeout=20)
+    assert out.returncode == 1
     assert "over budget" in out.stderr
     assert "Traceback" not in out.stderr
 

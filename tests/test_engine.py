@@ -1,8 +1,11 @@
 """Minimal-distance engine: exact rational paths, rigorous enclosures,
 records, affine families, weighted scans."""
+import ast
 import itertools
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -35,7 +38,17 @@ from singvec import (
     simultaneous_badness_min,
     witness_key,
 )
-from singvec.engine import _dual_staircase, _height_key
+from singvec.engine import (
+    _check_work,
+    _dual_staircase,
+    _height_key,
+    _is_rational,
+    _power_table,
+    _scan,
+    _scan_row,
+    _scaled_rows,
+    _sorted_box,
+)
 
 F = Fraction
 W23 = NormSpec("weighted", (F(2, 3), F(1, 3)))
@@ -758,3 +771,91 @@ def test_height_key_is_phi_power(weights, data):
     q = data.draw(st.tuples(*[st.integers(-40, 40)] * len(weights)).filter(any))
     assert _height_key(NormSpec("weighted", weights))(q) == _phi_power(weights, q)
     assert _height_key(SUP_NORM)(q) == max(abs(c) for c in q)
+
+
+# -- sorted-neighbour candidate source -----------------------------------
+
+_sorted_targets = st.sampled_from(
+    [
+        (F(1, 2), F(1, 2)),
+        ("cbrt2", "cbrt2"),
+        (F(2, 7), F(5, 11)),
+        (F(-3, 4), F(9, 5), F(1, 6)),
+        ("sqrt2", "cbrt2"),
+        ("sqrt2", "cbrt2", "alg:-3,0,1:1,2"),
+        ("sqrt2", F(1, 3)),
+        (F(1, 3), "sqrt2"),
+        ("cbrt2", F(0), "sqrt2"),
+        (F(0), F(0)),
+    ]
+)
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(
+    _sorted_targets,
+    st.sampled_from([None, F(1, 3), "sqrt2"]),
+    st.sampled_from([1, 3, 64]),
+    st.sampled_from([None, F(1), F(2), F(1, 2), F(3, 2)]),
+    st.data(),
+)
+def test_sorted_source_matches_signed_box(xi, second, bits, w, data):
+    # signed_box is the oracle: the same minimum, both ends, and the same
+    # pool as a set, at the lcm scale of a rational target and at 2**bits
+    n = len(xi)
+    cap = st.integers(0, 9 if n == 2 else 4)
+    caps = data.draw(st.lists(cap, min_size=n, max_size=n))
+    rows = [_scan_row(xi)]
+    if second is not None:
+        rows.append(_scan_row((second,) * n))
+    table, scale = _scaled_rows(rows, bits)
+    weights = None
+    if w is not None and any(caps):
+        weights = _power_table(w, max(caps), bits, _is_rational(rows))
+    want = _scan(signed_box(caps), table, scale, weights)
+    got = _scan(_sorted_box(caps, table, scale, weights), table, scale, weights)
+    assert got[:2] == want[:2]
+    assert len(got[2]) == len(want[2])
+    assert set(got[2]) == set(want[2])
+
+
+def test_sorted_source_scans_a_big_box_in_time():
+    # a scan of all 2 * 10**10 vectors would never finish in the timeout
+    code = (
+        "from singvec import SUP_NORM, psi\n"
+        "print(psi(SUP_NORM, ('sqrt2', 'cbrt2'), 10**5)[1])\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    q = ast.literal_eval(out.stdout.strip())
+    assert len(q) == 2 and max(abs(c) for c in q) <= 10**5
+
+
+def test_scan_work_budget():
+    caps = SUP_NORM.coordinate_caps(F(10**40), 2)
+    with pytest.raises(UsageError, match="over budget"):
+        _check_work(caps)
+    with pytest.raises(UsageError, match="over budget"):
+        psi(SUP_NORM, ("sqrt2", "cbrt2"), 10**40)
+    with pytest.raises(UsageError, match="over budget"):
+        record_sequence(SUP_NORM, ("sqrt2", "cbrt2"), 10**40)
+    with pytest.raises(UsageError, match="over budget"):
+        psi_simultaneous(("sqrt2",), 10**40)
+    # the sorted source walks prefixes and one sorted column; records
+    # group every vector of the box
+    _check_work((10**6, 10**6))
+    with pytest.raises(UsageError, match="over budget"):
+        _check_work((10**6, 10**6), grouped=True)
+
+
+def test_psi_enclosure_needs_a_bit():
+    # the value is 3 - 2 * sqrt2 = 0.17157...; at scale 1 the tent
+    # function has no room and the enclosure would read [0, 0]
+    iv = psi_enclosure(SUP_NORM, ("sqrt2",), 3, bits=1)
+    assert iv.lo <= F(1715, 10000) and iv.hi >= F(1716, 10000)
+    for bits in (0, -1):
+        with pytest.raises(UsageError):
+            psi_enclosure(SUP_NORM, ("sqrt2",), 3, bits=bits)
