@@ -146,6 +146,17 @@ def power_to_json(value: PowerValue | Fraction):
     return out
 
 
+def check_exponent(exp: Fraction, error=SchemaError) -> Fraction:
+    """The exponent of a recorded power, refused with error when its
+    numerator or denominator is above MAX_PHI_EXPONENT."""
+    if max(abs(exp.numerator), exp.denominator) > MAX_PHI_EXPONENT:
+        raise error(
+            f"exponent {rat_str(exp)} is over budget: numerator and "
+            f"denominator must be at most {MAX_PHI_EXPONENT}"
+        )
+    return exp
+
+
 def power_from_json(obj) -> PowerValue:
     """The exact value of a recorded height or bound.  An exponent whose
     numerator or denominator is above MAX_PHI_EXPONENT is refused before
@@ -154,12 +165,7 @@ def power_from_json(obj) -> PowerValue:
         return PowerValue(rat(obj))
     if isinstance(obj, dict):
         coef = rat(obj["coef"]) if "coef" in obj else Fraction(1)
-        exp = rat(obj["exp"])
-        if max(abs(exp.numerator), exp.denominator) > MAX_PHI_EXPONENT:
-            raise SchemaError(
-                f"exponent {rat_str(exp)} is over budget: numerator and "
-                f"denominator must be at most {MAX_PHI_EXPONENT}"
-            )
+        exp = check_exponent(rat(obj["exp"]))
         return PowerValue(rat(obj["base"]), exp, coef)
     raise SchemaError(f"cannot read exact value from {obj!r}")
 

@@ -22,7 +22,7 @@ import argparse
 import csv
 import math
 import sys
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .bounds import (
@@ -122,23 +122,25 @@ def _fmt_value(value) -> str:
 
 
 def _fmt_approx(value) -> str:
-    """Display rendering that survives astronomically large values."""
-    if isinstance(value, PowerValue):
-        log10 = value.log_float() / math.log(10)
-    else:
-        value = Fraction(value)
-        if value == 0:
-            return "0"
-        log10 = math.log10(abs(value.numerator)) - math.log10(
-            value.denominator
+    """Display rendering of a value >= 0 that survives astronomically
+    large ones: ~10^x outside 1e-15..1e15, else 12 significant digits of
+    a 40-digit decimal evaluation, whose cost does not grow with the
+    exponent."""
+    if value == 0:
+        return "0"
+    if not isinstance(value, PowerValue):
+        value = PowerValue(value)
+    log10 = value.log_float() / math.log(10)
+    if abs(log10) >= 15:
+        return f"~10^{log10:.2f}"
+    with localcontext(prec=40) as ctx:
+        coef, base, exp = (
+            Decimal(f.numerator) / f.denominator
+            for f in (value.coef, value.base, value.exp)
         )
-    if abs(log10) < 15:
-        f = (
-            value.to_float() if isinstance(value, PowerValue)
-            else float(value)
-        )
-        return f"{f:.12g}"
-    return f"~10^{log10:.2f}"
+        d = coef * (exp * base.ln()).exp()
+        ctx.prec = 12
+        return f"{float(+d):.12g}"
 
 
 # -- construct ----------------------------------------------------------
@@ -237,7 +239,7 @@ def _cmd_psi(args) -> int:
 
 
 def _cmd_records(args) -> int:
-    seq = record_sequence(args.norm, args.xi, args.t_max, args.tol)
+    seq = record_sequence(args.norm, args.xi, args.t_max)
     rows = [
         (
             _fmt_value(entry.threshold),
@@ -417,7 +419,6 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--t-max", type=_parse_number, required=True)
     p.add_argument("--norm", type=NormSpec.parse, default="sup")
-    p.add_argument("--tol", type=_parse_number)
     p.add_argument(
         "--csv",
         help="also write the table as CSV "

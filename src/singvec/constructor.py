@@ -24,7 +24,9 @@ from .certificates import (
     Certificate,
     ConstructionSpec,
     Step,
+    check_exponent,
     default_avoidance_heights,
+    power_to_json,
 )
 from .digitsets import Cylinder, rationals_in
 from .errors import DepthExhausted, NoRationalFound, SingvecError, UsageError
@@ -69,6 +71,13 @@ def _pick_pin(cyl: Cylinder, norm, k: int, n: int, prev_phi):
             continue
         return anchor.numerator, q, phi, sub
     raise NoRationalFound(f"pin enumeration exhausted in coordinate {k}", cap)
+
+
+def _check_recordable(value) -> None:
+    """Refuse with UsageError a value that the certificate would record
+    with an exponent that certificate_loads refuses."""
+    if isinstance(power_to_json(value), dict):
+        check_exponent(value.exp, UsageError)
 
 
 def _narrow_detach(cyl: Cylinder, p: int, q: int, eps) -> Cylinder:
@@ -161,8 +170,10 @@ def construct(spec: ConstructionSpec) -> Certificate:
         prev_box = _box(cyls)
         p, q, phi, sub = _pick_pin(cyls[k - 1], spec.norm, k, n, prev_phi)
         cyls[k - 1] = sub
+        _check_recordable(phi)
         eps = spec.phi.value_at(phi)
         if steps:
+            _check_recordable(eps)
             steps[-1] = dataclasses.replace(steps[-1], bound_used=eps)
         if prev_pin is not None:
             pp, pq, pk = prev_pin

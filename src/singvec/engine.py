@@ -36,6 +36,10 @@ candidates by an integer height key with the order and ties of
 norm.phi and run _scan once per equal-height group.  MAX_SCAN_WORK
 bounds the steps of either source before a scan starts.
 
+The pigeonhole suite checks psi and psi_simultaneous themselves.  They
+do not increase with t, so one value settles every threshold up to the
+last one its bound holds at, and the suite calls them only past it.
+
 Precision has one rule, _refine: bits double from a start value until
 the query is decided; a query still undecided at its cap raises
 PrecisionExhausted rather than ever guessing.  psi, records,
@@ -634,9 +638,7 @@ class RecordSequence:
                 raise ValueError("record values must strictly decrease")
 
 
-def record_sequence(
-    norm: NormSpec, xi, t_max, tol=None
-) -> RecordSequence:
+def record_sequence(norm: NormSpec, xi, t_max) -> RecordSequence:
     """All thresholds up to t_max where psi strictly improves, each with
     its exact (or rigorously enclosed) new value and a witness."""
     t_max = Fraction(t_max)
@@ -964,35 +966,26 @@ class SuiteReport:
         return not self.dual_violations and not self.simultaneous_violations
 
 
-def _dual_staircase(nums: Sequence[int], den: int, cap: int) -> list[int]:
-    """best[m] = smallest distance numerator (over common denominator
-    den) among nonzero q with |q|_inf = m, m = 1..cap.  Sentinel den
-    marks empty shells.  Walks signed_box([cap] * n) coordinate by
-    coordinate, carrying the partial sum mod den and the partial height
-    so the last coordinate costs one multiply-add per vector."""
-    n = len(nums)
-    best = [den] * (cap + 1)
-
-    def walk(j: int, acc: int, m: int, lead: bool) -> None:
-        a = nums[j]
-        lo = 1 if lead else -cap  # first nonzero coordinate positive
-        if j == n - 1:
-            for c in range(lo, cap + 1):
-                r = (acc + c * a) % den
-                dn = r if 2 * r <= den else den - r
-                ac = -c if c < 0 else c
-                h = m if m >= ac else ac
-                if dn < best[h]:
-                    best[h] = dn
-            return
-        if lead:
-            walk(j + 1, acc, m, True)
-        for c in range(lo, cap + 1):
-            ac = -c if c < 0 else c
-            walk(j + 1, (acc + c * a) % den, m if m >= ac else ac, False)
-
-    walk(0, 0, 0, True)
-    return best
+def _failing_thresholds(value, e: Fraction, t_max: int) -> list:
+    """(t, value(t)) for each integer 1 <= t <= t_max where the
+    non-increasing value(t) breaks the pigeonhole bound value <=
+    (1/t)**(1/e), i.e. t > power_floor(1/value(t), e).  A value v that
+    meets the bound meets it up to power_floor(1/v, e), so value is only
+    called where the running minimum may stop meeting it; value 0
+    settles every threshold left."""
+    failing = []
+    t = 1
+    while t <= t_max:
+        v = value(t)
+        if v == 0:
+            break
+        reach = power_floor(1 / v, e)
+        if reach >= t:
+            t = reach + 1
+        else:
+            failing.append((t, v))
+            t += 1
+    return failing
 
 
 def dirichlet_suite(
@@ -1001,42 +994,29 @@ def dirichlet_suite(
     t_max: int = 50,
     seed: int = 20260819,
 ) -> SuiteReport:
-    """Pigeonhole stress test: `count` seeded pseudo-random rational
-    targets, every integer threshold up to t_max, both the dual and the
-    simultaneous inequality, all checked exactly."""
+    """Pigeonhole stress test of the engine: `count` seeded pseudo-random
+    rational targets, and at every integer threshold up to t_max both
+    psi(t) <= t**(-n) (sup norm) and psi_simultaneous(t) <= t**(-1/n),
+    all checked exactly.  A violation gives the value as num / den."""
     if count < 1 or t_max < 1:
         raise UsageError("count and t_max must be positive")
     if not dims or min(dims) < 1:
         raise UsageError("need at least one dimension, each at least 1")
     rng = random.Random(seed)
-    dual_bad = []
-    sim_bad = []
+    dual_bad: list[dict] = []
+    sim_bad: list[dict] = []
     for idx in range(count):
         n = dims[idx % len(dims)]
         den = rng.randrange(11, 1000)
-        nums = [rng.randrange(0, den) for _ in range(n)]
-        best = _dual_staircase(nums, den, t_max)
-        run = den
-        for t in range(1, t_max + 1):
-            if best[t] < run:
-                run = best[t]
-            if run * t**n > den:
-                dual_bad.append(
-                    {"vector": idx, "t": t, "num": run, "den": den, "n": n}
-                )
-        run = den
-        big_d = den**n
-        for q in range(1, t_max + 1):
-            mx = 0
-            for a in nums:
-                r = q * a % den
-                dn = r if 2 * r <= den else den - r
-                if dn > mx:
-                    mx = dn
-            if mx < run:
-                run = mx
-            if run**n * q > big_d:
-                sim_bad.append(
-                    {"vector": idx, "t": q, "num": run, "den": den, "n": n}
+        xi = [Fraction(rng.randrange(0, den), den) for _ in range(n)]
+        halves = (
+            (dual_bad, lambda t: psi(SUP_NORM, xi, t)[0].hi, Fraction(1, n)),
+            (sim_bad, lambda t: psi_simultaneous(xi, t)[0].hi, Fraction(n)),
+        )
+        for bad, value, e in halves:
+            for t, v in _failing_thresholds(value, e, t_max):
+                bad.append(
+                    {"vector": idx, "t": t, "num": int(v * den), "den": den,
+                     "n": n}
                 )
     return SuiteReport(count, t_max, tuple(dual_bad), tuple(sim_bad))

@@ -132,19 +132,6 @@ class PowerValue:
         t = 1 << bits
         return RatInterval(Fraction(lo, t), Fraction(hi, t))
 
-    def to_float(self) -> float:
-        f = self.as_fraction()
-        if f is not None:
-            try:
-                return float(f)
-            except OverflowError:
-                return math.inf if f > 0 else 0.0
-        lo, hi = self.scaled_bounds(64)
-        try:
-            return float(Fraction(lo + hi, 2 << 64))
-        except OverflowError:
-            return math.inf
-
     def log_float(self) -> float:
         """Natural log as a float; immune to overflow of the value itself."""
         out = math.log(self.coef.numerator) - math.log(self.coef.denominator)

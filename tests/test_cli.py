@@ -3,8 +3,12 @@ byte-level determinism."""
 import csv
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+
+from singvec import PowerValue
+from singvec.cli import _fmt_approx
 
 CMD = [sys.executable, "-m", "singvec"]
 
@@ -225,7 +229,7 @@ def test_psi_precision_exhausted_exit_5():
 
 def test_records_exit_5_hint_does_not_name_tol():
     # q and q + (0, 3) tie exactly, so refinement never separates them;
-    # records ignores --tol, so the hint must not name it
+    # records has no --tol, so the hint must not name it
     out = run("records", "--xi", "sqrt2", "--xi", "1/3", "--t-max", "2")
     assert out.returncode == 5
     assert "hint:" in out.stderr
@@ -318,6 +322,16 @@ def test_badness_table():
 def test_badness_rejects_bad_cap():
     out = run("badness", "--theta", "1/5", "--Q", "0")
     assert out.returncode == 1
+
+
+def test_display_digits_of_an_irrational_power():
+    # 2**(-55/2) = 5.2683560638606...e-9
+    assert _fmt_approx(PowerValue(2, Fraction(-55, 2))) == "5.26835606386e-09"
+    assert _fmt_approx(PowerValue(2, Fraction(1, 2))) == "1.41421356237"
+    assert _fmt_approx(PowerValue(4, Fraction(1, 2))) == "2"
+    assert _fmt_approx(PowerValue(10, Fraction(-40))) == "~10^-40.00"
+    assert _fmt_approx(Fraction(1, 3)) == "0.333333333333"
+    assert _fmt_approx(Fraction(0)) == "0"
 
 
 # -- dirichlet ----------------------------------------------------------

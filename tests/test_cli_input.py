@@ -45,12 +45,14 @@ PSI = ("psi", "--xi", "1/2", "--xi", "1/3", "--t", "3")
         (("construct", "--spec", SPEC), "{}", 3),
         (("construct", "--cantor", "3:0,2", "--cantor", "3:0,2",
           "--phi", "pow:100000"), None, 1),
+        (("records", "--xi", "1/2", "--t-max", "3", "--tol", "1e-3"),
+         None, 1),
     ],
     ids=[
         "norm-not-rational", "norm-zero-denominator", "dims-not-integer",
         "dims-empty", "dims-zero", "W-not-integer", "G-not-integer",
         "cylinder-not-integer", "spec-not-json", "spec-empty-object",
-        "phi-over-budget",
+        "phi-over-budget", "records-has-no-tol",
     ],
 )
 def test_malformed_input_has_its_exit_code(tmp_path, argv, spec, code):
@@ -123,14 +125,58 @@ def test_over_budget_recorded_power_is_refused_at_once(tmp_path, cert_blob, fiel
         ("psi", "--xi", "sqrt2", "--xi", "cbrt2", "--t", "1e9"),
         ("psi", "--xi", "sqrt2", "--xi", "cbrt2", "--t", "1e40"),
         ("records", "--xi", "sqrt2", "--xi", "cbrt2", "--t-max", "1e40"),
+        ("dirichlet", "--dims", "20", "--count", "1"),
     ],
-    ids=["psi-1e9", "psi-1e40", "records-1e40"],
+    ids=["psi-1e9", "psi-1e40", "records-1e40", "dirichlet-dims-20"],
 )
 def test_over_budget_scan_is_refused_at_once(argv):
     out = run(*argv, timeout=20)
     assert out.returncode == 1
     assert "over budget" in out.stderr
     assert "Traceback" not in out.stderr
+
+
+def test_dirichlet_suite_in_five_dimensions_answers():
+    # a walk of the whole box at t = 50 visits about 5 * 10**9 vectors;
+    # the suite asks psi only where the running minimum may break the
+    # bound, a few thresholds below 5
+    out = run("dirichlet", "--dims", "5", "--count", "1", timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert "all bounds hold" in out.stdout
+
+
+CONSTRUCT_W23 = (
+    "construct", "--cantor", "3:0,2", "--cantor", "3:0,2",
+    "--norm", "weighted:2/3,1/3", "--steps", "2",
+)
+
+
+def test_construct_refuses_a_power_certify_would_refuse(tmp_path):
+    # the bound at the second pin is a power with exponent -9999/20000
+    cert = tmp_path / "cert.json"
+    out = run(*CONSTRUCT_W23, "--phi", "pow:9999/10000", "-o", str(cert))
+    assert out.returncode == 1
+    assert "over budget" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert not cert.exists()
+    # pow:9999 records rational powers only, and its certificate loads
+    out = run(*CONSTRUCT_W23, "--phi", "pow:9999", "-o", str(cert))
+    assert out.returncode == 0, out.stderr
+    out = run("certify", str(cert))
+    assert out.returncode == 0, out.stderr
+
+
+def test_construct_table_prints_at_once(tmp_path):
+    # heights and bounds with exponent denominators near 10**4 used to
+    # take a root of that order of a million-bit integer per cell
+    cert = tmp_path / "cert.json"
+    out = run(
+        "construct", "--cantor", "3:0,2", "--cantor", "3:0,2",
+        "--phi", "pow:9999/10000", "--steps", "2", "-o", str(cert),
+        timeout=20,
+    )
+    assert out.returncode == 0, out.stderr
+    assert "final box widths:" in out.stdout
 
 
 def test_construct_spec_rebuilds_certificate(tmp_path):

@@ -38,9 +38,10 @@ from singvec import (
     simultaneous_badness_min,
     witness_key,
 )
+from singvec import engine
 from singvec.engine import (
     _check_work,
-    _dual_staircase,
+    _failing_thresholds,
     _height_key,
     _is_rational,
     _power_table,
@@ -636,20 +637,61 @@ def test_simultaneous_badness_w32_matches_brute_force():
         _assert_weighted_value(value, d, k, w)
 
 
-@pytest.mark.parametrize("n,cap", [(2, 9), (3, 5), (4, 3)])
-def test_dual_staircase_matches_brute_force(n, cap):
-    rng = random.Random(n * 100 + cap)
-    for _ in range(6):
-        den = rng.randrange(11, 300)
-        nums = [rng.randrange(0, den) for _ in range(n)]
-        want = [den] * (cap + 1)
-        for q in itertools.product(range(-cap, cap + 1), repeat=n):
-            if not any(q):
-                continue
-            r = sum(c * a for c, a in zip(q, nums)) % den
-            m = max(abs(c) for c in q)
-            want[m] = min(want[m], r, den - r)
-        assert _dual_staircase(nums, den, cap) == want
+def _breaks_bound(v, t, e):
+    # v > (1/t)**(1/e): v * t**n > 1 for e = 1/n, v**n * t > 1 for e = n
+    if e.denominator == 1:
+        return v**e.numerator * t > 1
+    return v * t**e.denominator > 1
+
+
+def test_failing_thresholds_match_every_threshold():
+    rng = random.Random(20261018)
+    failures = jumps = zeros = 0
+    for _ in range(600):
+        n = rng.randint(1, 4)
+        e = rng.choice([F(1, n), F(n)])
+        t_max = rng.randint(1, 60)
+        # a non-increasing staircase near the bound: flat runs and steps
+        # above it break the bound, and it may drop to zero
+        stair, v = [], F(1)
+        for t in range(1, t_max + 1):
+            if rng.random() < 0.02:
+                v = F(0)
+            elif rng.random() < 0.5:
+                near = F(1, max(1, round(t ** float(1 / e))))
+                v = min(v, near * F(rng.randint(5, 20), 10))
+            stair.append(v)
+        calls = []
+
+        def value(t):
+            calls.append(t)
+            return stair[t - 1]
+
+        want = [
+            (t, v) for t, v in enumerate(stair, 1) if _breaks_bound(v, t, e)
+        ]
+        assert _failing_thresholds(value, e, t_max) == want
+        failures += len(want)
+        jumps += len(calls) < t_max
+        zeros += F(0) in stair
+    assert failures and jumps and zeros
+
+
+def test_dirichlet_suite_reports_what_the_kernel_gives(monkeypatch):
+    # no real target breaks the bound, so hand the suite a kernel that
+    # does: distance 1 at every threshold fails every t >= 2
+    one = (RatInterval(F(1), F(1)), None)
+    monkeypatch.setattr(engine, "psi", lambda norm, xi, t: one)
+    monkeypatch.setattr(engine, "psi_simultaneous", lambda xi, t: one)
+    rep = dirichlet_suite(count=3, dims=(1, 2), t_max=4, seed=5)
+    assert not rep.ok
+    for got in (rep.dual_violations, rep.simultaneous_violations):
+        dens = [item["den"] for item in got[::3]]
+        assert got == tuple(
+            {"vector": idx, "t": t, "num": den, "den": den, "n": 1 + idx % 2}
+            for idx, den in enumerate(dens)
+            for t in (2, 3, 4)
+        )
 
 
 def test_psi_mixed_two_exact_zeros_takes_smaller_witness():
