@@ -24,17 +24,15 @@ upper end can change nothing and costs one comparison.  So the minimum,
 both of its ends and the pool as a set do not depend on which other
 candidates are seen, or in which order.
 
-_scan takes its candidates from one of two sources.  A box of one
-column, and each group of a record walk, is every vector of
-signed_box.  A whole box of two or more columns is _sorted_box: the
-scaled residues of the last column are sorted once, and each prefix of
-the other columns visits only the sorted neighbours of its own target
-that can still reach the running minimum.  By the three-distance
-theorem those residues are spread evenly, so a box of caps T costs
-about T**(n-1) log T steps instead of T**n.  Records group the
-candidates by an integer height key with the order and ties of
-norm.phi and run _scan once per equal-height group.  MAX_SCAN_WORK
-bounds the steps of either source before a scan starts.
+_scan takes a whole box from _sorted_box: the scaled residues of the
+last column are sorted once, and each prefix of the other columns (the
+empty one alone, for one column) visits only the sorted neighbours of
+its own target that can still reach the running minimum.  By the
+three-distance theorem those residues are spread evenly, so a box of
+caps T costs about T**(n-1) log T steps instead of T**n.  Records group
+the candidates by an integer height key with the order and ties of
+norm.phi and run _scan on every vector of each equal-height group.
+MAX_SCAN_WORK bounds the steps of either walk before a scan starts.
 
 The pigeonhole suite checks psi and psi_simultaneous themselves.  They
 do not increase with t, so one value settles every threshold up to the
@@ -79,8 +77,8 @@ _MAX_BITS = 4096
 _DEFAULT_TOL = Fraction(1, 10**30)
 
 # Steps one scan may take, checked before it allocates anything: the
-# vectors of signed_box, or the prefixes plus the sorted last column of
-# _sorted_box.
+# prefixes plus the sorted last column of _sorted_box, or every vector
+# of signed_box for a walk that visits each one.
 MAX_SCAN_WORK = 10**7
 
 
@@ -317,11 +315,25 @@ def _scaled_rows(rows: Sequence[Sequence], bits: int) -> tuple[list, int]:
     return table, scale
 
 
+def _dot_range(q: Sequence[int], pairs) -> tuple[int, int]:
+    """Exact range of sum_j q_j x_j over the integer pairs (A_j, B_j)."""
+    lo = hi = 0
+    for c, (a, b) in zip(q, pairs):
+        if c > 0:
+            lo += c * a
+            hi += c * b
+        elif c < 0:
+            lo += c * b
+            hi += c * a
+    return lo, hi
+
+
 def _max_dist(q: Sequence[int], table, scale: int) -> tuple[int, int]:
     """Integer bounds on scale * max_i <row_i . q> from the enclosures
     of _scaled_rows."""
     d_lo = d_hi = 0
     for row in table:
+        # _dot_range inlined: calling it per candidate slows scan-exact ~9%
         lo = hi = 0
         for c, (a, b) in zip(q, row):
             if c > 0:
@@ -369,9 +381,8 @@ def _scan(cands, table, scale: int, weights=None) -> tuple[int, int, list]:
 
 
 def _sorted_box(caps: Sequence[int], table, scale: int, weights=None):
-    """Candidate source for _scan over signed_box(caps), two or more
-    columns: a superset of the vectors whose lower end reaches the
-    final min_hi.
+    """Candidate source for _scan over signed_box(caps): a superset of
+    the vectors whose lower end reaches the final min_hi.
 
     Take row 0 of the table, (A, B) the enclosure of the last column and
     c its cap.  For a prefix p with scaled interval [p_lo, p_hi], the
@@ -384,15 +395,15 @@ def _sorted_box(caps: Sequence[int], table, scale: int, weights=None):
     and stops past r + slack, with r the running min_hi, or for a
     _power_table the e-th root of min_hi // pw_lo[max(|p|_inf, 1)],
     since |q|_inf >= |p|_inf.  The max over the rows is at least row
-    0's distance, so row 0 alone sets the window.  The zero prefix
-    takes only v >= 1."""
+    0's distance, so row 0 alone sets the window.  The zero prefix takes
+    only v >= 1; a box of one column has no other, so sorts only those."""
     *head, c = caps
     pairs = table[0]
     a_last, b_last = pairs[-1]
     width = 2 * c + 1
-    keys = sorted(
-        (v * a_last % scale) * width + v + c for v in range(-c, c + 1)
-    )
+    vs = range(-c if head else 1, c + 1)
+    keys = sorted((v * a_last % scale) * width + v + c for v in vs)
+    count = len(keys)
     tail_slack = c * (b_last - a_last)
     if weights is not None:
         pw_lo, _, _, e = weights
@@ -406,23 +417,16 @@ def _sorted_box(caps: Sequence[int], table, scale: int, weights=None):
 
     def source(running):
         for p in chain([(0,) * len(head)], signed_box(head)):
-            p_lo = p_hi = 0
-            for x, (a, b) in zip(p, pairs):
-                if x > 0:
-                    p_lo += x * a
-                    p_hi += x * b
-                elif x < 0:
-                    p_lo += x * b
-                    p_hi += x * a
+            p_lo, p_hi = _dot_range(p, pairs)
             slack = p_hi - p_lo + tail_slack
-            floor = 1 if weights is None else pw_lo[max(max(map(abs, p)), 1)]
+            floor = 1 if weights is None else pw_lo[max([1, *map(abs, p)])]
             least = -c if any(p) else 1
             target = -p_lo % scale
             right = bisect_left(keys, target * width)
             left = right - 1
             limit = radius(running(), floor, slack)
-            for _ in range(width):
-                key_r = keys[right % width]
+            for _ in range(count):
+                key_r = keys[right % count]
                 key_l = keys[left]
                 d_r = (key_r // width - target) % scale
                 d_l = (target - key_l // width) % scale
@@ -445,10 +449,7 @@ def _sorted_box(caps: Sequence[int], table, scale: int, weights=None):
 
 
 def _box_scan(caps: Sequence[int], table, scale: int, weights=None):
-    """_scan over the whole of signed_box(caps), fed by _sorted_box when
-    the box has two or more columns."""
-    if len(caps) < 2:
-        return _scan(signed_box(caps), table, scale, weights)
+    """_scan over the whole of signed_box(caps), fed by _sorted_box."""
     source = _sorted_box(caps, table, scale, weights)
     return _scan(source, table, scale, weights)
 
@@ -498,14 +499,13 @@ def _height_caps(
 
 def _check_work(caps: Sequence[int], grouped: bool = False) -> None:
     """Raise UsageError when a scan of signed_box(caps) takes more than
-    MAX_SCAN_WORK steps: every vector of the box for one column or for
-    record groups, else the prefixes and the sorted last column that
-    _sorted_box walks."""
-    if grouped or len(caps) < 2:
+    MAX_SCAN_WORK steps: the prefixes and sorted keys of _sorted_box,
+    or with grouped every vector (records, lower bounds)."""
+    if grouped:
         work = (math.prod(2 * c + 1 for c in caps) - 1) // 2
     else:
         prefixes = (math.prod(2 * c + 1 for c in caps[:-1]) + 1) // 2
-        work = prefixes + 2 * caps[-1] + 1
+        work = prefixes + (2 * caps[-1] + 1 if len(caps) > 1 else caps[-1])
     if work > MAX_SCAN_WORK:
         raise UsageError(
             f"scan over budget: caps {list(caps)} take {work} steps, "
@@ -919,7 +919,7 @@ def lower_bound_check(
     c = Fraction(c)
     if c <= 0:
         raise UsageError("the constant must be positive")
-    _check_work([height_cap])
+    _check_work([height_cap], grouped=True)
     w = spec.exponent
     rows = [[x] for x in _scan_row(lift_affine(spec, x))]
 

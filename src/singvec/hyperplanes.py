@@ -4,7 +4,9 @@ integer coefficients.
 The height is the sup norm of the coefficient part (m0 excluded); it is
 the quantity the avoidance schedule ramps up.  Enumeration is bounded
 both in height and in the constant term, since only hyperplanes whose
-constant is compatible with a bounded box can meet it.
+constant is compatible with a bounded box can meet it.  Form ranges are
+exact integer ranges over one denominator, the lcm of the box's
+endpoint denominators, taken by the engine's _dot_range.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .engine import signed_box
+from .engine import _dot_range, signed_box
 from .errors import NotPrimitive, ZeroForm
 from .exact import Box, RatInterval
 
@@ -87,17 +89,15 @@ def coordinate_hyperplane(k: int, r, n: int) -> Hyperplane:
     return Hyperplane(r.numerator, mvec)
 
 
-def _form_range(mvec, box: Box) -> tuple[Fraction, Fraction]:
-    """Exact range of sum_j m_j x_j over a box."""
-    lo = hi = Fraction(0)
-    for c, side in zip(mvec, box.sides):
-        if c >= 0:
-            lo += c * side.lo
-            hi += c * side.hi
-        else:
-            lo += c * side.hi
-            hi += c * side.lo
-    return lo, hi
+def _scaled_box(box: Box, n: int) -> tuple[int, list[tuple[int, int]]]:
+    """The n-dimensional box as one denominator den, the lcm of its
+    endpoints' denominators, and one pair (den * lo, den * hi) per side."""
+    if box.dim != n:
+        raise ZeroForm("dimension mismatch between form and box")
+    ends = [x for side in box.sides for x in (side.lo, side.hi)]
+    den = math.lcm(*(x.denominator for x in ends))
+    nums = [x.numerator * (den // x.denominator) for x in ends]
+    return den, list(zip(nums[::2], nums[1::2]))
 
 
 def interval_linform(plane: Hyperplane, box: Box) -> RatInterval:
@@ -106,10 +106,10 @@ def interval_linform(plane: Hyperplane, box: Box) -> RatInterval:
     Coordinatewise monotone, so the extremes are sums of per-coordinate
     extremes.
     """
-    if plane.dim != box.dim:
-        raise ZeroForm("dimension mismatch between form and box")
-    lo, hi = _form_range(plane.mvec, box)
-    return RatInterval(lo - plane.m0, hi - plane.m0)
+    den, pairs = _scaled_box(box, plane.dim)
+    lo, hi = _dot_range(plane.mvec, pairs)
+    m0 = plane.m0
+    return RatInterval(Fraction(lo, den) - m0, Fraction(hi, den) - m0)
 
 
 def enumerate_hyperplanes(n: int, height_bound: int, offset_bound: int) -> Iterator[Hyperplane]:
@@ -131,8 +131,9 @@ def hyperplanes_meeting(n: int, height_bound: int, box: Box) -> Iterator[Hyperpl
     """
     if height_bound < 1:
         raise ZeroForm("height bound must be at least 1")
+    den, pairs = _scaled_box(box, n)
     for mvec in signed_box((height_bound,) * n):
-        lo, hi = _form_range(mvec, box)
-        for m0 in range(math.ceil(lo), math.floor(hi) + 1):
+        lo, hi = _dot_range(mvec, pairs)
+        for m0 in range(-(-lo // den), hi // den + 1):
             if math.gcd(m0, *mvec) == 1:
                 yield Hyperplane(m0, mvec)

@@ -180,9 +180,9 @@ class PowerValue:
 
     def __hash__(self):
         f = self.as_fraction()
-        if f is not None:
-            return hash(f)
-        return hash((self.coef, self.base, self.exp))
+        # an irrational value hashes its floor, which equal values share
+        # however they are written
+        return hash(f if f is not None else self.scaled_bounds(0)[0])
 
     def __repr__(self):
         if self.exp == 0:

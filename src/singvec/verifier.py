@@ -76,8 +76,7 @@ class VerificationReport:
 def default_spot_checks(cert: Certificate) -> tuple[Fraction, ...]:
     """Thresholds at the recorded heights from the second pin on, kept
     to exact rational values up to SPOT_CHECK_CAP.  psi_enclosure scans
-    each one whole; with two or more coordinates its sorted-neighbour
-    source costs about T**(n-1) log T steps at threshold T."""
+    each one whole in about T**(n-1) log T steps at threshold T."""
     out = []
     for step in cert.steps[1:]:
         value = step.phi_of_q.as_fraction()

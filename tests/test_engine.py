@@ -861,6 +861,30 @@ def test_sorted_source_matches_signed_box(xi, second, bits, w, data):
     assert set(got[2]) == set(want[2])
 
 
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(
+    _sorted_targets,
+    st.sampled_from([1, 3, 64]),
+    st.sampled_from([None, F(1), F(2), F(1, 2), F(3, 2)]),
+    st.data(),
+)
+def test_sorted_source_matches_signed_box_one_column(xi, bits, w, data):
+    # the same oracle on a box of one column with one row per coordinate
+    # of a prefix of xi: the shape of psi_simultaneous and, with weights,
+    # of simultaneous_badness_min
+    rows = [_scan_row((x,)) for x in xi[: data.draw(st.integers(1, len(xi)))]]
+    caps = [data.draw(st.integers(0, 60))]
+    table, scale = _scaled_rows(rows, bits)
+    weights = None
+    if w is not None and any(caps):
+        weights = _power_table(w, max(caps), bits, _is_rational(rows))
+    want = _scan(signed_box(caps), table, scale, weights)
+    got = _scan(_sorted_box(caps, table, scale, weights), table, scale, weights)
+    assert got[:2] == want[:2]
+    assert len(got[2]) == len(want[2])
+    assert set(got[2]) == set(want[2])
+
+
 def test_sorted_source_scans_a_big_box_in_time():
     # a scan of all 2 * 10**10 vectors would never finish in the timeout
     code = (
@@ -886,11 +910,18 @@ def test_scan_work_budget():
         record_sequence(SUP_NORM, ("sqrt2", "cbrt2"), 10**40)
     with pytest.raises(UsageError, match="over budget"):
         psi_simultaneous(("sqrt2",), 10**40)
-    # the sorted source walks prefixes and one sorted column; records
-    # group every vector of the box
+    # the sorted source walks prefixes and one sorted column, for one
+    # column the empty prefix and its c keys of v >= 1; records group
+    # every vector of the box
     _check_work((10**6, 10**6))
     with pytest.raises(UsageError, match="over budget"):
         _check_work((10**6, 10**6), grouped=True)
+    _check_work((10**7 - 1,))
+    with pytest.raises(UsageError, match="over budget"):
+        _check_work((10**7,))
+    _check_work((10**7,), grouped=True)
+    with pytest.raises(UsageError, match="over budget"):
+        _check_work((10**7 + 1,), grouped=True)
 
 
 def test_psi_enclosure_needs_a_bit():

@@ -1,14 +1,17 @@
 """Rational hyperplanes: primitivity, heights, exact form ranges,
 bounded enumeration."""
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singvec import (
     Box,
+    Cylinder,
+    DigitSystem,
     Hyperplane,
     NotPrimitive,
     RatInterval,
@@ -141,3 +144,76 @@ def test_hyperplanes_meeting_small_box_misses_far_planes():
     hit = list(hyperplanes_meeting(2, 1, box))
     # x = 0 style planes do not cross a box separated from the axes
     assert all(p.m0 == 0 for p in hit)
+
+
+def test_hyperplanes_meeting_refuses_a_box_of_another_dimension():
+    box = Box((RatInterval(F(0), F(1)), RatInterval(F(0), F(1))))
+    with pytest.raises(ZeroForm):
+        list(hyperplanes_meeting(3, 1, box))
+    with pytest.raises(ZeroForm):
+        list(hyperplanes_meeting(1, 1, box))
+
+
+# -- exact form ranges on big denominators --------------------------------
+
+
+@st.composite
+def _sides(draw):
+    """A side with a large endpoint denominator, or a cylinder hull of
+    base 3, 5 or 10 up to depth 60, shifted so it may be negative or
+    start at an integer."""
+    kind = draw(st.sampled_from(["cylinder", "big", "integral"]))
+    shift = F(draw(st.integers(-2, 1)))
+    if kind == "cylinder":
+        base = draw(st.sampled_from([3, 5, 10]))
+        digit = st.integers(0, base - 1)
+        digits = draw(st.lists(digit, min_size=2, max_size=4, unique=True))
+        prefix = draw(st.lists(st.sampled_from(digits), max_size=60))
+        cyl = Cylinder(DigitSystem(base, tuple(digits), offset=shift), prefix)
+        return cyl.hull()
+    lo = shift
+    if kind == "big":
+        den = draw(st.integers(1, 2**80))
+        lo += F(draw(st.integers(0, den)), den)
+    width = F(draw(st.integers(0, 2**70)), draw(st.integers(1, 2**72)))
+    return RatInterval(lo, lo + min(width, F(1)))
+
+
+@st.composite
+def _boxes(draw):
+    """Boxes of 1..3 sides; half of them get a corner exactly on a
+    plane of height at most 2, with the other sides left as drawn."""
+    n = draw(st.integers(1, 3))
+    sides = [draw(_sides()) for _ in range(n)]
+    if draw(st.booleans()):
+        last = st.sampled_from([-2, -1, 1, 2])
+        mvec = draw(st.tuples(*[st.integers(-2, 2)] * (n - 1), last))
+        picks = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        corner = [s.hi if pick else s.lo for s, pick in zip(sides, picks)]
+        dot = sum(c * x for c, x in zip(mvec, corner[:-1]))
+        m0 = math.floor(dot) + draw(st.integers(-1, 1))
+        x = F(m0 - dot) / mvec[-1]
+        w = sides[-1].width
+        lo = x - w if picks[-1] else x
+        sides[-1] = RatInterval(lo, lo + w)
+    return Box(tuple(sides))
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(_boxes(), st.integers(1, 2))
+def test_form_ranges_are_exact_on_big_denominators(box, height):
+    # oracles: form_at at the 2**n corners, and the whole enumeration
+    # filtered by the range that contains 0
+    n = box.dim
+    height = min(height, 4 - n)  # n = 3 at height 2 is 62 directions
+    big = max(max(abs(s.lo), abs(s.hi)) for s in box.sides)
+    reach = height * n * math.ceil(big)
+    corners = list(itertools.product(*((s.lo, s.hi) for s in box.sides)))
+    want = []
+    for p in enumerate_hyperplanes(n, height, reach + 1):
+        iv = interval_linform(p, box)
+        values = [p.form_at(c) for c in corners]
+        assert (iv.lo, iv.hi) == (min(values), max(values))
+        if iv.contains(F(0)):
+            want.append(p)
+    assert list(hyperplanes_meeting(n, height, box)) == want

@@ -1,6 +1,8 @@
 """Exact coef * base**exp values: normalization, comparisons,
 enclosures, integer roots."""
+import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -73,6 +75,57 @@ def test_ordering_without_rounding():
     # nonpositive rationals sort below any value
     assert PowerValue(2, Fraction(1, 2)) > Fraction(0)
     assert PowerValue(2, Fraction(1, 2)) > Fraction(-5)
+
+
+def test_equal_values_hash_equal():
+    # each group is one value written several ways
+    F = Fraction
+    groups = [
+        # 3^(3/2)
+        [PowerValue(27, F(1, 2)), PowerValue(9, F(3, 4)),
+         PowerValue(3, F(3, 2)), PowerValue(3, F(1, 2), coef=3)],
+        # 2 * 2^(1/2)
+        [PowerValue(2, F(1, 2), coef=2), PowerValue(8, F(1, 2)),
+         PowerValue(4, F(3, 4)), PowerValue(F(1, 2), F(-3, 2))],
+        # 3^(-2/3)
+        [PowerValue(3, F(1, 3), coef=F(1, 3)), PowerValue(F(1, 9), F(1, 3)),
+         PowerValue(3, F(-2, 3))],
+        # 2
+        [PowerValue(4, F(1, 2)), PowerValue(8, F(1, 3)), F(2), 2],
+        # 2 * 3^(1/9999): an exponent denominator near the certificate
+        # budget of 10**4, which an enclosure at 64 bits takes far too
+        # long to root
+        [PowerValue(3, F(1, 9999), coef=2), PowerValue(2**9999 * 3, F(1, 9999)),
+         PowerValue(2**19998 * 9, F(1, 19998))],
+    ]
+    start = time.perf_counter()
+    for group in groups:
+        for a, b in itertools.combinations(group, 2):
+            assert a == b
+            assert hash(a) == hash(b)
+        assert len(set(group)) == 1
+    assert len({group[0] for group in groups}) == len(groups)
+    assert time.perf_counter() - start < 5
+
+
+@given(
+    st.integers(min_value=2, max_value=30),
+    st.fractions(
+        min_value=Fraction(-3), max_value=Fraction(3), max_denominator=12
+    ).filter(lambda e: e.denominator > 1),
+    st.integers(min_value=2, max_value=4),
+    st.integers(min_value=1, max_value=20),
+)
+def test_hash_follows_value(base, exp, k, coef):
+    # base**exp == (base**k)**(exp/k), and coef * base**(1/d) ==
+    # (coef**d * base)**(1/d)
+    a = PowerValue(base, exp)
+    b = PowerValue(base**k, exp / k)
+    assert a == b and hash(a) == hash(b)
+    d = exp.denominator
+    c = PowerValue(base, Fraction(1, d), coef=coef)
+    e = PowerValue(coef**d * base, Fraction(1, d))
+    assert c == e and hash(c) == hash(e)
 
 
 def test_pow_and_reciprocal():
