@@ -17,6 +17,7 @@ rules.  Running the same spec twice yields byte-identical certificates.
 from __future__ import annotations
 
 import dataclasses
+import math
 from fractions import Fraction
 
 from .certificates import (
@@ -37,6 +38,7 @@ from .hyperplanes import (
     hyperplanes_meeting,
     interval_linform,
 )
+from .powers import PowerValue
 
 # Pins live at most this many levels below the current cylinder; the
 # search is breadth-first so in practice the first or second level
@@ -80,28 +82,59 @@ def _check_recordable(value) -> None:
         check_exponent(value.exp, UsageError)
 
 
+def _log(x) -> float:
+    """Natural log of a positive Fraction or PowerValue, as a float."""
+    if isinstance(x, PowerValue):
+        return x.log_float()
+    return math.log(x.numerator) - math.log(x.denominator)
+
+
+def _narrow_depth(need: Fraction, base: int, eps) -> int:
+    """The smallest depth L >= 0 with need / base**L < eps.
+
+    Float logs estimate L; they are right unless need / eps lies within
+    rounding error of a power of base.  The estimate is then settled
+    exactly: L must fit and L - 1 must not.  A wrong estimate is
+    corrected by galloping away from it to a bracket and bisecting.
+    """
+
+    def fits(levels: int) -> bool:
+        return need / base**levels < eps
+
+    est = math.floor((_log(need) - _log(eps)) / math.log(base)) + 1
+    # invariant once bracketed: fits(hi), and lo == -1 or not fits(lo)
+    lo = hi = max(est, 0)
+    step = 1
+    if fits(hi):
+        lo = hi - 1
+        while lo >= 0 and fits(lo):
+            hi, lo = lo, max(lo - step, -1)
+            step *= 2
+    else:
+        hi = lo + 1
+        while not fits(hi):
+            lo, hi = hi, hi + step
+            step *= 2
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        if fits(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def _narrow_detach(cyl: Cylinder, p: int, q: int, eps) -> Cylinder:
     """Shrink around the anchor p/q until |q*x - p| < eps holds on the
     whole hull, then step off the anchor (second-smallest digit) and
     take one smallest-digit level so both hull endpoints move strictly
-    inward relative to the starting hull."""
-    width = cyl.hull().width
-    need = q * width  # |q*x - p| <= q*width on [p/q, p/q + width]
-    base = cyl.system.base
-    levels = 0
-    if not need * Fraction(1, base**0) < eps:
-        levels = 1
-        while not need * Fraction(1, base**levels) < eps:
-            levels *= 2
-        lo, hi = levels // 2, levels
-        while lo + 1 < hi:
-            mid = (lo + hi) // 2
-            if need * Fraction(1, base**mid) < eps:
-                hi = mid
-            else:
-                lo = mid
-        levels = hi
-    narrowed = cyl.descend_min(levels)
+    inward relative to the starting hull.
+
+    The shrink takes the smallest-digit path to the least depth L with
+    q * width / base**L < eps (strictly), checked exactly at L and
+    L - 1; see _narrow_depth."""
+    need = q * cyl.hull().width  # |q*x - p| <= q*width on [p/q, p/q + width]
+    narrowed = cyl.descend_min(_narrow_depth(need, cyl.system.base, eps))
     second = cyl.system.digits[1]
     return narrowed.child(second).descend_min(1)
 

@@ -74,9 +74,7 @@ class DigitSystem:
 
     @staticmethod
     def digits_str(base: int, digits: tuple[int, ...]) -> str:
-        if base <= 10:
-            return "".join(str(d) for d in digits)
-        return ",".join(str(d) for d in digits)
+        return ("" if base <= 10 else ",").join(map(str, digits))
 
     @staticmethod
     def parse_digits(base: int, text: str) -> tuple[int, ...]:
@@ -85,12 +83,34 @@ class DigitSystem:
             return ()
         try:
             if "," in text:
-                return tuple(int(x) for x in text.split(","))
+                return tuple(map(int, text.split(",")))
             if base > 10:
                 return (int(text),)
-            return tuple(int(ch) for ch in text)
+            return tuple(map(int, text))
         except ValueError as exc:
             raise UsageError(f"bad digit string: {text!r}") from exc
+
+
+# Prefixes at most this long take a plain Horner loop in _digits_value.
+_HORNER_LEAF = 64
+
+
+def _digits_value(digits: tuple[int, ...], base: int) -> int:
+    """The integer whose base-`base` digits are `digits`.
+
+    A Horner loop over a long prefix is quadratic, since its
+    accumulator grows with every digit.  Splitting in halves as
+    high * base**len(low) + low leaves the work to a few large
+    products instead, which is subquadratic.
+    """
+    if len(digits) <= _HORNER_LEAF:
+        acc = 0
+        for d in digits:
+            acc = acc * base + d
+        return acc
+    mid = len(digits) // 2
+    high, low = digits[:mid], digits[mid:]
+    return _digits_value(high, base) * base ** len(low) + _digits_value(low, base)
 
 
 class Cylinder:
@@ -112,12 +132,9 @@ class Cylinder:
         bad = [d for d in self.prefix if d not in system.digits]
         if bad:
             raise UsageError(f"digits {bad} are not allowed in this system")
-        # Integer Horner pass, then one Fraction: linear in the prefix
-        # length even for prefixes tens of thousands of digits deep.
+        # One integer for the whole prefix, then one Fraction.
         b = system.base
-        acc = 0
-        for d in self.prefix:
-            acc = acc * b + d
+        acc = _digits_value(self.prefix, b)
         denom = b ** len(self.prefix)
         self.prefix_value = system.offset + system.scale * Fraction(acc, denom)
         self.unit = system.scale * Fraction(1, denom)

@@ -1,15 +1,21 @@
 """The nested-box construction: step invariants, determinism, schedule
 extension."""
+import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from singvec import (
     ConstructionSpec,
+    Cylinder,
     DepthExhausted,
     DigitSystem,
     NormSpec,
     PhiSpec,
+    PowerValue,
     ProductSet,
     UsageError,
     construct,
@@ -17,6 +23,7 @@ from singvec import (
     interval_linform,
     refine_point,
 )
+from singvec import constructor
 
 F = Fraction
 THIRDS = DigitSystem(3, (0, 2))
@@ -145,3 +152,69 @@ def test_weighted_construction_runs():
     cert = construct(spec)
     assert len(cert.steps) == 2
     assert cert.steps[0].box.contains_interior(cert.steps[1].box)
+
+
+def _brute_depth(need, base, eps):
+    depth = 0
+    while not need / base**depth < eps:
+        depth += 1
+    return depth
+
+
+@st.composite
+def narrow_case(draw):
+    """A cylinder with its anchor, a bound and a log bias.
+
+    The bound sits within a few levels of a drawn depth: a Fraction (as
+    under the sup norm), a PowerValue with exponent denominator 2-4 (as
+    under weights), or exactly need / base**depth in either form, where
+    the strict < must pick one level deeper.  A nonzero bias shifts the
+    log estimate by that many levels, so the exact correction runs.
+    """
+    system = draw(st.sampled_from((THIRDS, DigitSystem(5, (1, 2, 4)))))
+    prefix = draw(st.lists(st.sampled_from(system.digits), max_size=6))
+    cyl = Cylinder(system, tuple(prefix))
+    need = cyl.anchor().denominator * cyl.hull().width
+    level = need / system.base ** draw(st.integers(0, 40))
+    kind = draw(st.sampled_from(("fraction", "power", "tie", "power-tie")))
+    if kind == "fraction":
+        eps = level * Fraction(draw(st.integers(1, 200)), draw(st.integers(1, 200)))
+    elif kind == "power":
+        c = draw(st.integers(2, 4))
+        a = draw(st.integers(-2 * c, 2 * c))
+        x = Fraction(draw(st.integers(1, 30)), draw(st.integers(1, 30)))
+        eps = PowerValue(x, Fraction(a, c)).mul_fraction(level)
+    elif kind == "tie":
+        eps = level
+    else:
+        c = draw(st.integers(2, 4))
+        eps = PowerValue(level**c, Fraction(1, c))
+    bias = draw(st.sampled_from((0, 0, 0, 1, -1, 2, -3, 17, -40)))
+    return cyl, need, eps, bias
+
+
+@settings(deadline=None)
+@given(narrow_case())
+@example((Cylinder(THIRDS, ()), Fraction(1), Fraction(2), 0))  # depth 0
+@example((Cylinder(THIRDS, ()), Fraction(1), Fraction(1), 0))  # tie at 0
+@example((Cylinder(THIRDS, ()), Fraction(1), Fraction(1, 3**5), -9))
+@example((Cylinder(THIRDS, ()), Fraction(1), Fraction(10**6), 17))
+def test_narrow_depth_is_least_exact(case):
+    cyl, need, eps, bias = case
+    base = cyl.system.base
+    anchor = cyl.anchor()
+    true_log = constructor._log
+
+    def biased_log(x):
+        shift = bias * math.log(base) if x is not eps else 0.0
+        return true_log(x) + shift
+
+    with mock.patch.object(constructor, "_log", biased_log):
+        depth = constructor._narrow_depth(need, base, eps)
+        out = constructor._narrow_detach(
+            cyl, anchor.numerator, anchor.denominator, eps
+        )
+    assert depth == _brute_depth(need, base, eps)
+    # the narrowed prefix: depth smallest digits, then the two detach levels
+    assert out.prefix[: cyl.depth + depth] == cyl.prefix + (cyl.system.dmin,) * depth
+    assert out.depth == cyl.depth + depth + 2

@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from singvec import (
@@ -15,9 +15,11 @@ from singvec import (
     UsageError,
     rationals_in,
 )
+from singvec.digitsets import _HORNER_LEAF
 
 F = Fraction
 THIRDS = DigitSystem(3, (0, 2))
+HEX = DigitSystem(16, (0, 7, 15), offset=F(-1, 5), scale=F(3, 2))
 
 
 def test_system_validation():
@@ -98,16 +100,41 @@ def test_rejected_digits():
 digit_strat = st.lists(st.sampled_from((0, 2)), max_size=12)
 
 
-@given(digit_strat)
-def test_horner_value_matches_incremental(prefix):
-    direct = Cylinder(THIRDS, tuple(prefix))
-    walked = Cylinder.root(THIRDS).extend(prefix)
+@st.composite
+def system_prefix(draw):
+    """A digit system and a prefix whose length lies on either side of
+    the Horner leaf, or several splits past it."""
+    system = draw(st.sampled_from((THIRDS, HEX)))
+    size = draw(
+        st.sampled_from((_HORNER_LEAF, _HORNER_LEAF + 1, 2 * _HORNER_LEAF + 1))
+        | st.integers(0, 5 * _HORNER_LEAF)
+    )
+    digits = st.sampled_from(system.digits)
+    return system, tuple(draw(st.lists(digits, min_size=size, max_size=size)))
+
+
+@settings(deadline=None)
+@given(system_prefix())
+@example((THIRDS, ()))
+@example((HEX, (15,) * (4 * _HORNER_LEAF + 3)))
+def test_horner_value_matches_incremental(case):
+    system, prefix = case
+    direct = Cylinder(system, prefix)
+    walked = Cylinder.root(system).extend(prefix)
     assert direct.prefix_value == walked.prefix_value
     assert direct.unit == walked.unit
     # the prefix value is the hull with an all-zero tail
-    assert direct.prefix_value == sum(
-        F(d, 3 ** (i + 1)) for i, d in enumerate(prefix)
+    b = system.base
+    assert direct.prefix_value == system.offset + system.scale * sum(
+        F(d, b ** (i + 1)) for i, d in enumerate(prefix)
     )
+
+
+def test_deep_prefix_value_closed_form():
+    # 300k digits stay cheap only while the prefix value is subquadratic
+    deep = Cylinder(THIRDS, (2,) * 300_000)
+    assert deep.prefix_value == 1 - F(1, 3**300_000)
+    assert deep.unit == F(1, 3**300_000)
 
 
 @given(digit_strat, st.sampled_from((0, 2)))
@@ -150,6 +177,12 @@ def test_parse_digits():
             DigitSystem.parse_digits(base, text)
     assert DigitSystem.digits_str(3, (0, 2)) == "02"
     assert DigitSystem.digits_str(16, (10, 15)) == "10,15"
+    assert DigitSystem.digits_str(10, (9, 0, 3)) == "903"
+    assert DigitSystem.digits_str(11, (10, 0)) == "10,0"
+    assert DigitSystem.digits_str(3, ()) == ""
+    for base, digits in ((3, (2, 0, 0, 2)), (16, (0, 15, 7)), (16, (11,))):
+        text = DigitSystem.digits_str(base, digits)
+        assert DigitSystem.parse_digits(base, text) == digits
 
 
 def test_system_json_round_trip():
