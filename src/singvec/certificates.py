@@ -308,12 +308,19 @@ class Certificate:
     final_box: Box
 
     def to_json(self) -> dict:
+        steps = [s.to_json() for s in self.steps]
+        # The final box is the last step's box, and holds the largest
+        # endpoints of all: copy that rendering rather than redo it.
+        if self.steps and self.final_box == self.steps[-1].box:
+            final_box = [list(side) for side in steps[-1]["box"]]
+        else:
+            final_box = box_to_json(self.final_box)
         return {
             "version": SCHEMA_VERSION,
             "spec": self.spec.to_json(),
-            "steps": [s.to_json() for s in self.steps],
+            "steps": steps,
             "avoided": [a.to_json() for a in self.avoided],
-            "final_box": box_to_json(self.final_box),
+            "final_box": final_box,
         }
 
     def dumps(self) -> str:
@@ -373,7 +380,11 @@ def _certificate(obj) -> Certificate:
         AvoidedEntry(int(a["nu"]), Hyperplane.from_json(a))
         for a in obj["avoided"]
     )
-    final_box = box_from_json(obj["final_box"])
+    # Equal text parses to an equal box: reuse the last step's.
+    if steps and obj["final_box"] == obj["steps"][-1]["box"]:
+        final_box = steps[-1].box
+    else:
+        final_box = box_from_json(obj["final_box"])
     return Certificate(spec, steps, avoided, final_box)
 
 

@@ -492,7 +492,9 @@ def _height_caps(
     budget (_check_work; grouped for a record walk)."""
     caps = norm.coordinate_caps(t, n)
     if all(c == 0 for c in caps):
-        raise EmptyRange(f"no nonzero integer vector has height <= {t}")
+        raise EmptyRange(
+            f"no nonzero integer vector has height <= {rat_str(t)}"
+        )
     _check_work(caps, grouped)
     return caps
 
@@ -570,7 +572,7 @@ def psi_simultaneous(xi, t, tol=None) -> tuple[RatInterval, int]:
     row = _scan_row(xi)
     cap = t.numerator // t.denominator if t > 0 else 0
     if cap < 1:
-        raise EmptyRange(f"no positive integer is at most {t}")
+        raise EmptyRange(f"no positive integer is at most {rat_str(t)}")
     _check_work([cap])
     # one row per coordinate; candidates (q,) in witness_key order are
     # q = 1, 2, ..., so the least key is the smallest q

@@ -7,8 +7,8 @@ in convenience accessors that callers explicitly ask for.
 """
 from __future__ import annotations
 
+import decimal
 import re
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,37 +17,93 @@ from .errors import UsageError
 _RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 _DEC_RE = re.compile(r"^[+-]?(\d+\.\d*|\.\d+|\d+)$")
 
+# CPython's own str(int) and int(str) are quadratic, and refuse more
+# than 4300 digits by default.  Integers up to _LEAF_BITS bits and digit
+# strings up to _LEAF_DIGITS characters take them as they are.  Larger
+# ones split at leaf << k, the largest such width below their size, so
+# every leaf stays far under the interpreter's guard and the products
+# that join the halves are subquadratic.
+_LEAF_BITS = 2048
+_LEAF_DIGITS = 600
 
-def _allow_digits(count: int) -> None:
-    # Certificates legitimately carry rationals with tens of thousands
-    # of decimal digits; grow the interpreter's str<->int guard rather
-    # than fail.  Never shrinks, and leaves an unlimited setting alone.
-    limit = sys.get_int_max_str_digits()
-    if 0 < limit <= count:
-        sys.set_int_max_str_digits(count + 16)
+# Exact decimal arithmetic: integers of any size, never rounded.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact]
+)
+# _POW2[k] is 2**(_LEAF_BITS << k) as a Decimal and _POW10[k] is
+# 10**(_LEAF_DIGITS << k), each grown by squaring on demand.  They are
+# indexed by width alone, so they are the same for any input.
+_POW2 = [decimal.Decimal(1 << _LEAF_BITS)]
+_POW10 = [10**_LEAF_DIGITS]
+
+
+def _split(size: int, leaf: int) -> int:
+    """k such that leaf << k is the largest such width below size."""
+    return ((size - 1) // leaf).bit_length() - 1
+
+
+def _to_decimal(n: int) -> decimal.Decimal:
+    """A nonnegative int as an exact Decimal: hi * 2**w + lo."""
+    if n.bit_length() <= _LEAF_BITS:
+        return decimal.Decimal(n)
+    k = _split(n.bit_length(), _LEAF_BITS)
+    while len(_POW2) <= k:
+        _POW2.append(_EXACT.multiply(_POW2[-1], _POW2[-1]))
+    w = _LEAF_BITS << k
+    hi = n >> w
+    return _EXACT.fma(_to_decimal(hi), _POW2[k], _to_decimal(n - (hi << w)))
+
+
+def _from_digits(text: str) -> int:
+    """The int of a string of decimal digits: hi * 10**len(lo) + lo."""
+    if len(text) <= _LEAF_DIGITS:
+        return int(text)
+    k = _split(len(text), _LEAF_DIGITS)
+    while len(_POW10) <= k:
+        _POW10.append(_POW10[-1] * _POW10[-1])
+    w = _LEAF_DIGITS << k
+    return _from_digits(text[:-w]) * _POW10[k] + _from_digits(text[-w:])
+
+
+def int_str(n: int) -> str:
+    """str(n) in subquadratic time, whatever the interpreter's digit limit."""
+    if n.bit_length() <= _LEAF_BITS:
+        return str(n)
+    text = str(_to_decimal(abs(n)))
+    return "-" + text if n < 0 else text
+
+
+def parse_int(text: str) -> int:
+    """int(text) for decimal digits after an optional sign, in
+    subquadratic time, whatever the interpreter's digit limit."""
+    if text.startswith(("+", "-")):
+        value = _from_digits(text[1:])
+        return -value if text[0] == "-" else value
+    return _from_digits(text)
 
 
 def rat(text: str) -> Fraction:
     """Parse 'p/q' or a decimal literal into an exact Fraction."""
     text = text.strip()
-    _allow_digits(len(text))
-    if _RAT_RE.match(text) or _DEC_RE.match(text):
-        try:
+    if not (_RAT_RE.match(text) or _DEC_RE.match(text)):
+        raise UsageError(f"cannot parse rational: {text!r}")
+    try:
+        if len(text) <= _LEAF_DIGITS:
             return Fraction(text)
-        except ZeroDivisionError:
-            raise UsageError(f"zero denominator: {text!r}") from None
-    raise UsageError(f"cannot parse rational: {text!r}")
+        num, _, den = text.partition("/")
+        whole, _, frac = num.partition(".")
+        return Fraction(
+            parse_int(whole + frac), parse_int(den) if den else 10 ** len(frac)
+        )
+    except ZeroDivisionError:
+        raise UsageError(f"zero denominator: {text!r}") from None
 
 
 def rat_str(x: Fraction) -> str:
     """Canonical compact form: '3', '-1/2'."""
-    # decimal digits <= bit length / 3 always
-    _allow_digits(
-        max(x.numerator.bit_length(), x.denominator.bit_length()) // 3 + 4
-    )
     if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return int_str(x.numerator)
+    return f"{int_str(x.numerator)}/{int_str(x.denominator)}"
 
 
 def dec_str(x: Fraction, digits: int = 12) -> str:
@@ -78,7 +134,9 @@ class RatInterval:
 
     def __post_init__(self):
         if self.lo > self.hi:
-            raise ValueError(f"empty interval: [{self.lo}, {self.hi}]")
+            raise ValueError(
+                f"empty interval: [{rat_str(self.lo)}, {rat_str(self.hi)}]"
+            )
 
     @property
     def width(self) -> Fraction:

@@ -15,7 +15,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact import RatInterval
+from .exact import RatInterval, rat_str
+
+
+# Roots of up to this many bits come from Newton's loop started at a
+# power of two.  Longer ones start it from the root of the radicand's
+# top bits, found the same way, which leaves it a few full-size steps.
+_IROOT_LEAF_BITS = 128
 
 
 def iroot(n: int, k: int) -> int:
@@ -24,9 +30,19 @@ def iroot(n: int, k: int) -> int:
         raise ValueError("negative radicand")
     if k < 1:
         raise ValueError("root order must be positive")
+    if k == 2:
+        return math.isqrt(n)
     if n == 0 or k == 1:
         return n
-    x = 1 << -(-n.bit_length() // k)  # power of two at or above the root
+    if n.bit_length() <= k * _IROOT_LEAF_BITS:
+        x = 1 << -(-n.bit_length() // k)  # power of two at or above the root
+    else:
+        # r**k <= n >> k*s < (r + 1)**k gives n < ((r + 1) << s)**k: an
+        # overestimate whose top half of the bits is already right
+        s = n.bit_length() // (2 * k)
+        x = (iroot(n >> (k * s), k) + 1) << s
+    # from at or above the root, each step stays at or above its floor
+    # and falls until it reaches it
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:
@@ -186,16 +202,15 @@ class PowerValue:
 
     def __repr__(self):
         if self.exp == 0:
-            return f"PowerValue({self.coef})"
+            return f"PowerValue({rat_str(self.coef)})"
+        args = f"{rat_str(self.base)}, {rat_str(self.exp)}"
         if self.coef == 1:
-            return f"PowerValue({self.base}, {self.exp})"
-        return f"PowerValue({self.base}, {self.exp}, coef={self.coef})"
+            return f"PowerValue({args})"
+        return f"PowerValue({args}, coef={rat_str(self.coef)})"
 
     def __str__(self):
         f = self.as_fraction()
         if f is not None:
-            if f.denominator == 1:
-                return str(f.numerator)
-            return f"{f.numerator}/{f.denominator}"
-        body = f"({self.base})^({self.exp})"
-        return body if self.coef == 1 else f"{self.coef}*{body}"
+            return rat_str(f)
+        body = f"({rat_str(self.base)})^({rat_str(self.exp)})"
+        return body if self.coef == 1 else f"{rat_str(self.coef)}*{body}"

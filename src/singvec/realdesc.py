@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .digitsets import Cylinder, DigitSystem
 from .errors import NonIsolating, PrecisionExhausted, UsageError
-from .exact import RatInterval, rat
+from .exact import RatInterval, rat, rat_str
 from .polys import (
     Poly,
     bisect_root,
@@ -57,7 +57,7 @@ def _check_width(width: Fraction) -> Fraction:
         raise UsageError("enclosure width must be positive")
     if width < MIN_WIDTH:
         raise PrecisionExhausted(
-            f"requested width {width} is below the refinement floor "
+            f"requested width {rat_str(width)} is below the refinement floor "
             f"2^-4096; loosen the tolerance"
         )
     return width
@@ -75,7 +75,7 @@ class ExactReal(RealDescriptor):
         return self.value
 
     def __repr__(self):
-        return f"ExactReal({self.value})"
+        return f"ExactReal({rat_str(self.value)})"
 
 
 class AlgebraicReal(RealDescriptor):
@@ -106,7 +106,8 @@ class AlgebraicReal(RealDescriptor):
         else:
             if inner != 1:
                 raise NonIsolating(
-                    f"bracket [{lo}, {hi}] holds {inner} roots, need exactly 1"
+                    f"bracket [{rat_str(lo)}, {rat_str(hi)}] holds {inner} "
+                    f"roots, need exactly 1"
                 )
             self._bracket = bracket
 
@@ -215,7 +216,7 @@ def parse_real(text: str) -> RealDescriptor:
             raise UsageError("cylinder system needs a base and >= 2 digits")
         system = DigitSystem(nums[0], tuple(nums[1:]))
         prefix = DigitSystem.parse_digits(system.base, parts[2])
-        cyl = Cylinder.root(system).extend(prefix)
+        cyl = Cylinder(system, prefix)
         policy = parts[3]
         if policy in ("min", "max"):
             pattern = (system.dmin,) if policy == "min" else (system.dmax,)

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .certificates import Certificate
 from .engine import _refine, psi, psi_enclosure
-from .exact import Box, RatInterval
+from .exact import Box, RatInterval, rat_str
 from .hyperplanes import (
     coordinate_hyperplane,
     hyperplanes_meeting,
@@ -187,7 +187,7 @@ def verify_certificate(
                 ok = False
                 failures.append(
                     f"step {step.nu}: approximation bound fails over the "
-                    f"next box (|form| reaches {reach})"
+                    f"next box (|form| reaches {rat_str(reach)})"
                 )
         if not ok:
             step_reports[idx] = replace(step_reports[idx], bound_chain=False)

@@ -7,7 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from singvec import PowerValue
+from singvec import (
+    ConstructionSpec,
+    DigitSystem,
+    NormSpec,
+    PhiSpec,
+    PowerValue,
+    ProductSet,
+    construct,
+)
 from singvec.cli import _fmt_approx
 
 CMD = [sys.executable, "-m", "singvec"]
@@ -174,6 +182,48 @@ def test_certify_zero_pin_denominator_exit_4(tmp_path):
     assert out.returncode == 4
     assert "pin denominator must be positive" in out.stdout
     assert "Traceback" not in out.stderr
+
+
+def default_limit_run(*argv):
+    """run() in a child held to the interpreter's default digit guard."""
+    return subprocess.run(
+        [sys.executable, "-X", "int_max_str_digits=4300", "-m", "singvec"]
+        + list(argv),
+        capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_weighted_round_trip_under_the_default_digit_limit(tmp_path):
+    # box endpoints of this certificate run to 26k digits; no path may
+    # need the interpreter's int<->str guard raised
+    path = tmp_path / "weighted.json"
+    out = default_limit_run(
+        "construct", "--cantor", "3:0,2", "--cantor", "3:0,2",
+        "--phi", "pow:5", "--norm", "weighted:2/3,1/3", "--steps", "6",
+        "-o", str(path),
+    )
+    assert out.returncode == 0, out.stderr
+    thirds = DigitSystem(3, (0, 2))
+    spec = ConstructionSpec(
+        product=ProductSet((thirds, thirds)),
+        norm=NormSpec("weighted", (Fraction(2, 3), Fraction(1, 3))),
+        phi=PhiSpec("pow", exponent=Fraction(5)),
+        steps=6,
+    )
+    assert path.read_bytes() == construct(spec).dumps().encode()
+    out = default_limit_run("certify", str(path))
+    assert out.returncode == 0, out.stderr
+    assert "certificate OK" in out.stdout
+
+    # a failing bound reports its reach over the 26k-digit box
+    import json
+
+    obj = json.loads(path.read_text())
+    obj["steps"][-2]["bound_used"] = "1/1" + "0" * 30_000
+    path.write_text(json.dumps(obj))
+    out = default_limit_run("certify", str(path), "--spot-checks", "none")
+    assert out.returncode == 4, out.stderr
+    assert "|form| reaches" in out.stdout
 
 
 def test_certify_missing_file_exit_1(tmp_path):

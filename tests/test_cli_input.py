@@ -41,6 +41,7 @@ PSI = ("psi", "--xi", "1/2", "--xi", "1/3", "--t", "3")
         (("roots", "--W", "a", "2"), None, 1),
         (("roots", "--G", "2.5", "1/2"), None, 1),
         (("psi", "--xi", "cyl:3,x,2:02:min", "--t", "3"), None, 1),
+        (("psi", "--xi", "cyl:3,0,2:021:min", "--t", "3"), None, 1),
         (("construct", "--spec", SPEC), "{nope", 3),
         (("construct", "--spec", SPEC), "{}", 3),
         (("construct", "--cantor", "3:0,2", "--cantor", "3:0,2",
@@ -51,8 +52,9 @@ PSI = ("psi", "--xi", "1/2", "--xi", "1/3", "--t", "3")
     ids=[
         "norm-not-rational", "norm-zero-denominator", "dims-not-integer",
         "dims-empty", "dims-zero", "W-not-integer", "G-not-integer",
-        "cylinder-not-integer", "spec-not-json", "spec-empty-object",
-        "phi-over-budget", "records-has-no-tol",
+        "cylinder-not-integer", "cylinder-digit-not-allowed",
+        "spec-not-json", "spec-empty-object", "phi-over-budget",
+        "records-has-no-tol",
     ],
 )
 def test_malformed_input_has_its_exit_code(tmp_path, argv, spec, code):

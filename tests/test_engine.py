@@ -180,6 +180,16 @@ def test_psi_empty_range():
         psi(SUP_NORM, (), 3)
 
 
+def test_empty_range_names_a_huge_threshold(default_digit_limit):
+    # a threshold of 5001 digits is named in full, under the default
+    # digit guard
+    tiny = F(1, 10**5000)
+    with pytest.raises(EmptyRange, match="height <= 1/10{5000}$"):
+        psi(SUP_NORM, (F(1, 2),), tiny)
+    with pytest.raises(EmptyRange, match="at most 1/10{5000}$"):
+        psi_simultaneous((F(1, 2),), tiny)
+
+
 @pytest.mark.parametrize(
     "call",
     [

@@ -1,13 +1,26 @@
 """Rational substrate: parsing, rendering, nearest-integer distance,
 intervals, boxes."""
+import random
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from singvec import Box, RatInterval, UsageError
-from singvec.exact import dec_str, dist_interval, nearest_int_dist, rat, rat_str
+from singvec.exact import (
+    _LEAF_BITS,
+    _LEAF_DIGITS,
+    dec_str,
+    dist_interval,
+    int_str,
+    nearest_int_dist,
+    parse_int,
+    rat,
+    rat_str,
+)
 
 rationals = st.fractions(
     min_value=Fraction(-100), max_value=Fraction(100), max_denominator=1000
@@ -43,6 +56,139 @@ def test_rat_str_survives_huge_integers():
     big = Fraction(1, 3 ** 40_000)
     text = rat_str(big)
     assert rat(text) == big
+
+
+@contextmanager
+def digit_limit(limit):
+    """The interpreter's int<->str digit guard set to limit (0: none)."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def near_splits(leaf):
+    """Sizes on both sides of the leaf and of each split width after it."""
+    return [(leaf << k) + d for k in range(7) for d in (-1, 0, 1)]
+
+
+@st.composite
+def big_ints(draw, sizes):
+    """A signed int of a drawn bit length, its bits from a seeded Random
+    (hypothesis cannot draw a 200k-bit integer directly)."""
+    bits = draw(sizes)
+    n = draw(st.randoms(use_true_random=False)).getrandbits(bits)
+    n |= (1 << bits) >> 1  # exactly `bits` bits long
+    return -n if draw(st.booleans()) else n
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(big_ints(st.sampled_from(near_splits(_LEAF_BITS)) | st.integers(0, 70_000)))
+@example(0)
+@example(-1)
+def test_int_str_matches_str(n):
+    # the minimum guard the interpreter allows: the helper must not need more
+    with digit_limit(640):
+        text = int_str(n)
+    with digit_limit(0):
+        assert text == str(n)
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(
+    st.sampled_from(near_splits(_LEAF_DIGITS)) | st.integers(1, 21_000),
+    st.randoms(use_true_random=False),
+    st.sampled_from(["", "+", "-"]),
+    st.integers(0, 3),
+)
+@example(1, random.Random(0), "-", 2)
+def test_parse_int_matches_int(digits, rnd, sign, zeros):
+    # digits long, then zero padded and signed, as rat may meet them
+    n = rnd.randrange(10 ** (digits - 1), 10**digits)
+    with digit_limit(0):
+        text = sign + "0" * zeros + str(n)
+        want = int(text)
+    with digit_limit(640):
+        assert parse_int(text) == want
+
+
+@pytest.mark.parametrize("digits", near_splits(_LEAF_DIGITS) + [1, 2, 616, 617])
+def test_codec_at_powers_of_ten(digits):
+    # digit lengths at each split width, and the carries of 10**k - 1
+    for n in (10**digits - 1, 10**digits):
+        with digit_limit(0):
+            text = str(n)
+        with digit_limit(640):
+            assert int_str(n) == text and int_str(-n) == "-" + text
+            assert parse_int(text) == n and parse_int("-" + text) == -n
+
+
+# Past the leaf length, rat splits the digits; zero padding sends each
+# form down that path.
+PAD = "0" * (_LEAF_DIGITS + 1)
+# (text, value) for accepted strings, (text, None) for refused ones
+RAT_CASES = [
+    (" 5 ", Fraction(5)),
+    ("+3", Fraction(3)),
+    ("-0", Fraction(0)),
+    ("1.5", Fraction(3, 2)),
+    (".5", Fraction(1, 2)),
+    ("5.", Fraction(5)),
+    ("2/4", Fraction(1, 2)),
+    ("007/010", Fraction(7, 10)),
+    ("1/0", None),
+    ("1/-2", None),
+    ("1e3", None),
+    ("1/2.5", None),
+    ("", None),
+    (f" {PAD}5 ", Fraction(5)),
+    (f"+{PAD}3", Fraction(3)),
+    (f"-{PAD}", Fraction(0)),
+    (f"-{PAD}1.5{PAD}", Fraction(-3, 2)),
+    (f".5{PAD}", Fraction(1, 2)),
+    (f"-.5{PAD}", Fraction(-1, 2)),
+    (f"{PAD}5.", Fraction(5)),
+    (f"{PAD}2/{PAD}4", Fraction(1, 2)),
+    (f"1/{PAD}", None),
+    (f"1/-{PAD}2", None),
+    (f"1e{PAD}3", None),
+    (f"{PAD}1/2/3", None),
+]
+
+
+@pytest.mark.parametrize(
+    "text, want", RAT_CASES, ids=[f"case{i}" for i in range(len(RAT_CASES))]
+)
+def test_rat_accepts_and_refuses_as_before(text, want):
+    with digit_limit(640):
+        if want is None:
+            with pytest.raises(UsageError):
+                rat(text)
+        else:
+            assert rat(text) == want
+
+
+def test_rat_str_and_interval_text_under_the_default_guard():
+    big = Fraction(3**20000, 2**70001 + 1)
+    with digit_limit(4300):
+        text = rat_str(big)
+        with pytest.raises(ValueError, match="empty interval"):
+            RatInterval(big, big - 1)
+    with digit_limit(0):
+        assert text == f"{big.numerator}/{big.denominator}"
+
+
+@settings(deadline=None, derandomize=True, max_examples=30)
+@given(
+    big_ints(st.integers(0, 200_000)),
+    big_ints(st.integers(1, 200_000)),
+)
+def test_rat_round_trips_big_values(num, den):
+    x = Fraction(num, abs(den))
+    with digit_limit(4300):
+        assert rat(rat_str(x)) == x
 
 
 def test_dec_str_rounds_half_even():

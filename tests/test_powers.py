@@ -2,14 +2,17 @@
 enclosures, integer roots."""
 import itertools
 import math
+import random
+import sys
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from singvec import PowerValue, iroot
+from singvec.powers import _IROOT_LEAF_BITS
 
 small_nat = st.integers(min_value=0, max_value=10**12)
 root_order = st.integers(min_value=1, max_value=9)
@@ -36,6 +39,37 @@ def test_iroot_is_floor_root(n, k):
 @given(st.integers(min_value=0, max_value=10**9), root_order)
 def test_iroot_inverts_perfect_powers(r, k):
     assert iroot(r**k, k) == r
+
+
+# Root sizes around the leaf, where iroot starts recursing on the top
+# bits, and around its doubles, where the recursion gets one level deeper.
+ROOT_BITS = [
+    (_IROOT_LEAF_BITS << j) + d for j in range(4) for d in (-1, 0, 1)
+]
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(
+    st.integers(min_value=2, max_value=7),
+    st.sampled_from(ROOT_BITS) | st.integers(min_value=1, max_value=40_000 // 2),
+    st.randoms(use_true_random=False),
+    st.sampled_from([-1, 0, 1, None]),
+)
+@example(3, 40_000 // 3, random.Random(0), -1)
+@example(7, 40_000 // 7, random.Random(0), None)
+def test_iroot_is_floor_root_on_big_radicands(k, root_bits, rnd, offset):
+    # offset None draws a radicand of k * root_bits bits (capped at 40k);
+    # otherwise the radicand is an exact power r**k moved by offset
+    if offset is None:
+        bits = min(k * root_bits, 40_000)
+        n = rnd.getrandbits(bits) | 1 << (bits - 1)
+    else:
+        root = rnd.getrandbits(root_bits) | 1 << (root_bits - 1)
+        n = root**k + offset
+    r = iroot(n, k)
+    assert r**k <= n < (r + 1) ** k
+    if offset == 0:
+        assert r == root
 
 
 def test_iroot_rejects_bad_input():
@@ -193,3 +227,15 @@ def test_str_irrational_form():
     assert str(PowerValue(8, Fraction(1, 2))) == "(8)^(1/2)"
     assert str(PowerValue(8, Fraction(1, 2), coef=Fraction(3, 2))) \
         == "3/2*(8)^(1/2)"
+
+
+def test_text_needs_no_raised_digit_limit(default_digit_limit):
+    # 3**20000 has 9543 digits, over the interpreter's default guard
+    big = 3**20000
+    exact = str(PowerValue(Fraction(big)))
+    irrational = str(PowerValue(big + 1, Fraction(1, 2), coef=Fraction(1, big)))
+    shown = repr(PowerValue(big + 1, Fraction(1, 2)))
+    sys.set_int_max_str_digits(0)
+    assert exact == str(big)
+    assert irrational == f"1/{big}*({big + 1})^(1/2)"
+    assert shown == f"PowerValue({big + 1}, 1/2)"

@@ -34,6 +34,15 @@ def test_exact_real_is_a_point():
     assert iv.lo == iv.hi == F(3, 7)
 
 
+def test_messages_name_huge_rationals(default_digit_limit):
+    # rat reads any length under the default digit guard, so the text
+    # built from what it read must not need a raised guard either
+    big = 10**5000
+    assert repr(ExactReal(F(1, big))) == "ExactReal(1/1" + "0" * 5000 + ")"
+    with pytest.raises(NonIsolating, match="holds 0 roots"):
+        AlgebraicReal([-2, 0, 1], RatInterval(F(1, big), F(2, big)))
+
+
 def test_enclosure_width_must_be_positive():
     with pytest.raises(UsageError):
         ExactReal(1).enclose(F(0))
@@ -88,6 +97,19 @@ def test_cylinder_point_policies():
     assert rep.exact_value() == F(2, 9) + F(1, 9) * F(6, 8)
     for d in (lo, hi, rep):
         assert hull.contains(d.exact_value())
+
+
+def test_cylinder_point_of_a_deep_prefix():
+    # n twos then the all-zero tail: 0.22...2 in base 3 is 1 - 3**-n.
+    # One Fraction for the whole prefix, not one per digit.
+    n = 40_000
+    point = parse_real(f"cyl:3,0,2:{'2' * n}:min")
+    assert point.exact_value() == 1 - F(1, 3**n)
+
+
+def test_cylinder_point_rejects_disallowed_prefix_digit():
+    with pytest.raises(UsageError, match="not allowed"):
+        parse_real("cyl:3,0,2:021:min")
 
 
 def test_cylinder_point_rejects_bad_pattern():
