@@ -21,7 +21,7 @@ from fractions import Fraction
 from .digitsets import Cylinder, DigitSystem, ProductSet
 from .engine import NormSpec
 from .errors import SchemaError, UsageError
-from .exact import Box, RatInterval, rat, rat_str
+from .exact import Box, RatInterval, digit_limit, parse_int, rat, rat_str
 from .hyperplanes import Hyperplane
 from .powers import PowerValue
 
@@ -324,7 +324,10 @@ class Certificate:
         }
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2) + "\n"
+        # json renders a step's p and q with int.__repr__, under the
+        # interpreter's digit guard; a pin may be longer than it allows
+        with digit_limit(0):
+            return json.dumps(self.to_json(), indent=2) + "\n"
 
 
 def _step_from_json(obj: dict, product: ProductSet) -> Step:
@@ -360,9 +363,10 @@ def _strict(reader, obj, what: str):
 
 def _loads(text: str, reader, what: str):
     """_strict on the JSON document in text; text that is not JSON is a
-    SchemaError too."""
+    SchemaError too.  Integers of any length are read, whatever the
+    interpreter's digit guard."""
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_int=parse_int)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not JSON: {exc}") from exc
     return _strict(reader, obj, what)

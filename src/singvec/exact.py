@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import decimal
 import re
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,11 +20,12 @@ _RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 _DEC_RE = re.compile(r"^[+-]?(\d+\.\d*|\.\d+|\d+)$")
 
 # CPython's own str(int) and int(str) are quadratic, and refuse more
-# than 4300 digits by default.  Integers up to _LEAF_BITS bits and digit
-# strings up to _LEAF_DIGITS characters take them as they are.  Larger
-# ones split at leaf << k, the largest such width below their size, so
-# every leaf stays far under the interpreter's guard and the products
-# that join the halves are subquadratic.
+# than 4300 digits by default.  Integers up to _LEAF_BITS bits become a
+# Decimal, whose str is str(n), and digit strings up to _LEAF_DIGITS
+# characters go to int() as they are.  Larger ones split at leaf << k,
+# the largest such width below their size, so every leaf stays far
+# under the interpreter's guard and the products that join the halves
+# are subquadratic.
 _LEAF_BITS = 2048
 _LEAF_DIGITS = 600
 
@@ -67,8 +70,6 @@ def _from_digits(text: str) -> int:
 
 def int_str(n: int) -> str:
     """str(n) in subquadratic time, whatever the interpreter's digit limit."""
-    if n.bit_length() <= _LEAF_BITS:
-        return str(n)
     text = str(_to_decimal(abs(n)))
     return "-" + text if n < 0 else text
 
@@ -82,14 +83,24 @@ def parse_int(text: str) -> int:
     return _from_digits(text)
 
 
+@contextmanager
+def digit_limit(limit: int):
+    """The interpreter's int<->str digit guard held at limit (0: none)
+    for the duration of the block, then restored."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def rat(text: str) -> Fraction:
     """Parse 'p/q' or a decimal literal into an exact Fraction."""
     text = text.strip()
     if not (_RAT_RE.match(text) or _DEC_RE.match(text)):
         raise UsageError(f"cannot parse rational: {text!r}")
     try:
-        if len(text) <= _LEAF_DIGITS:
-            return Fraction(text)
         num, _, den = text.partition("/")
         whole, _, frac = num.partition(".")
         return Fraction(

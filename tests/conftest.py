@@ -1,23 +1,9 @@
 """Let the command-line tests' child processes import singvec from the
-checkout's src/, as pytest's pythonpath setting does for the tests; and
-a fixture that holds the interpreter's digit guard at its default."""
+checkout's src/, as pytest's pythonpath setting does for the tests."""
 import os
-import sys
 from pathlib import Path
-
-import pytest
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, (SRC, os.environ.get("PYTHONPATH")))
 )
-
-
-@pytest.fixture
-def default_digit_limit():
-    """Hold the interpreter's int<->str digit guard at its default of
-    4300 digits for one test: no library path may depend on a raised one."""
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    yield
-    sys.set_int_max_str_digits(old)

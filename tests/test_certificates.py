@@ -1,5 +1,6 @@
 """Certificate data model and the versioned JSON wire format."""
 import json
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from singvec.certificates import (
     power_from_json,
     power_to_json,
 )
+from singvec.exact import digit_limit
 
 F = Fraction
 THIRDS = DigitSystem(3, (0, 2))
@@ -176,6 +178,25 @@ def test_final_box_written_and_read_on_its_own():
     again = certificate_loads(replace(cert, final_box=other).dumps())
     assert again.final_box == other
     assert again.steps[-1].box == cert.steps[-1].box
+
+
+def test_huge_pins_round_trip_under_the_default_digit_guard():
+    # json writes and reads a step's p and q as bare integers; pins of
+    # 5001 digits exceed the interpreter's default guard of 4300
+    cert = construct(small_spec())
+    p, q = 10**5000 - 1, 10**5000 + 7
+    huge = replace(cert, steps=cert.steps[:-1] + (
+        replace(cert.steps[-1], p=p, q=q),
+    ))
+    with digit_limit(4300):
+        text = huge.dumps()
+        again = certificate_loads(text)
+        assert again.dumps() == text
+        assert sys.get_int_max_str_digits() == 4300
+    assert (again.steps[-1].p, again.steps[-1].q) == (p, q)
+    assert again.final_box == cert.final_box
+    with digit_limit(0):
+        assert f'"p": {p},\n' in text and f'"q": {q},\n' in text
 
 
 def test_certificate_version_gate():

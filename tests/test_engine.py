@@ -50,6 +50,7 @@ from singvec.engine import (
     _scaled_rows,
     _sorted_box,
 )
+from singvec.exact import digit_limit
 
 F = Fraction
 W23 = NormSpec("weighted", (F(2, 3), F(1, 3)))
@@ -180,14 +181,15 @@ def test_psi_empty_range():
         psi(SUP_NORM, (), 3)
 
 
-def test_empty_range_names_a_huge_threshold(default_digit_limit):
+def test_empty_range_names_a_huge_threshold():
     # a threshold of 5001 digits is named in full, under the default
     # digit guard
     tiny = F(1, 10**5000)
-    with pytest.raises(EmptyRange, match="height <= 1/10{5000}$"):
-        psi(SUP_NORM, (F(1, 2),), tiny)
-    with pytest.raises(EmptyRange, match="at most 1/10{5000}$"):
-        psi_simultaneous((F(1, 2),), tiny)
+    with digit_limit(4300):
+        with pytest.raises(EmptyRange, match="height <= 1/10{5000}$"):
+            psi(SUP_NORM, (F(1, 2),), tiny)
+        with pytest.raises(EmptyRange, match="at most 1/10{5000}$"):
+            psi_simultaneous((F(1, 2),), tiny)
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,6 @@
 """Rational substrate: parsing, rendering, nearest-integer distance,
 intervals, boxes."""
 import random
-import sys
-from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -14,6 +12,7 @@ from singvec.exact import (
     _LEAF_BITS,
     _LEAF_DIGITS,
     dec_str,
+    digit_limit,
     dist_interval,
     int_str,
     nearest_int_dist,
@@ -56,17 +55,6 @@ def test_rat_str_survives_huge_integers():
     big = Fraction(1, 3 ** 40_000)
     text = rat_str(big)
     assert rat(text) == big
-
-
-@contextmanager
-def digit_limit(limit):
-    """The interpreter's int<->str digit guard set to limit (0: none)."""
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(limit)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(old)
 
 
 def near_splits(leaf):
@@ -125,8 +113,8 @@ def test_codec_at_powers_of_ten(digits):
             assert parse_int(text) == n and parse_int("-" + text) == -n
 
 
-# Past the leaf length, rat splits the digits; zero padding sends each
-# form down that path.
+# Past the leaf length, parse_int splits the digits; zero padding sends
+# each form down that path.
 PAD = "0" * (_LEAF_DIGITS + 1)
 # (text, value) for accepted strings, (text, None) for refused ones
 RAT_CASES = [

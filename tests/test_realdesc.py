@@ -20,6 +20,7 @@ from singvec import (
     UsageError,
     parse_real,
 )
+from singvec.exact import digit_limit
 
 F = Fraction
 widths = st.fractions(
@@ -34,13 +35,15 @@ def test_exact_real_is_a_point():
     assert iv.lo == iv.hi == F(3, 7)
 
 
-def test_messages_name_huge_rationals(default_digit_limit):
+def test_messages_name_huge_rationals():
     # rat reads any length under the default digit guard, so the text
     # built from what it read must not need a raised guard either
     big = 10**5000
-    assert repr(ExactReal(F(1, big))) == "ExactReal(1/1" + "0" * 5000 + ")"
-    with pytest.raises(NonIsolating, match="holds 0 roots"):
-        AlgebraicReal([-2, 0, 1], RatInterval(F(1, big), F(2, big)))
+    with digit_limit(4300):
+        shown = repr(ExactReal(F(1, big)))
+        with pytest.raises(NonIsolating, match="holds 0 roots"):
+            AlgebraicReal([-2, 0, 1], RatInterval(F(1, big), F(2, big)))
+    assert shown == "ExactReal(1/1" + "0" * 5000 + ")"
 
 
 def test_enclosure_width_must_be_positive():
