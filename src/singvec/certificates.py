@@ -21,7 +21,7 @@ from fractions import Fraction
 from .digitsets import Cylinder, DigitSystem, ProductSet
 from .engine import NormSpec
 from .errors import SchemaError, UsageError
-from .exact import Box, RatInterval, digit_limit, parse_int, rat, rat_str
+from .exact import Box, RatInterval, digit_limit, json_int, parse_int, rat, rat_str
 from .hyperplanes import Hyperplane
 from .powers import PowerValue
 
@@ -248,9 +248,9 @@ class ConstructionSpec:
             product=ProductSet.from_json(obj["product"]),
             norm=NormSpec.from_json(obj["norm"]),
             phi=PhiSpec.from_json(obj["phi"]),
-            steps=int(obj["steps"]),
-            avoidance_heights=tuple(int(h) for h in obj["avoidance_heights"]),
-            max_depth=int(obj["max_depth"]),
+            steps=json_int(obj["steps"]),
+            avoidance_heights=tuple(map(json_int, obj["avoidance_heights"])),
+            max_depth=json_int(obj["max_depth"]),
         )
 
 
@@ -340,10 +340,10 @@ def _step_from_json(obj: dict, product: ProductSet) -> Step:
         cylinders.append(Cylinder(system, prefix))
     bound = obj["bound_used"]
     return Step(
-        nu=int(obj["nu"]),
-        k=int(obj["k"]),
-        p=int(obj["p"]),
-        q=int(obj["q"]),
+        nu=json_int(obj["nu"]),
+        k=json_int(obj["k"]),
+        p=json_int(obj["p"]),
+        q=json_int(obj["q"]),
         phi_of_q=power_from_json(obj["phi_of_q"]),
         bound_used=None if bound is None else power_from_json(bound),
         cylinders=tuple(cylinders),
@@ -381,7 +381,7 @@ def _certificate(obj) -> Certificate:
     spec = ConstructionSpec.from_json(obj["spec"])
     steps = tuple(_step_from_json(s, spec.product) for s in obj["steps"])
     avoided = tuple(
-        AvoidedEntry(int(a["nu"]), Hyperplane.from_json(a))
+        AvoidedEntry(json_int(a["nu"]), Hyperplane.from_json(a))
         for a in obj["avoided"]
     )
     # Equal text parses to an equal box: reuse the last step's.

@@ -16,7 +16,7 @@ from itertools import product as iproduct
 from typing import Iterator
 
 from .errors import UsageError
-from .exact import Box, RatInterval, rat, rat_str
+from .exact import Box, RatInterval, json_int, rat, rat_str
 
 
 @dataclass(frozen=True)
@@ -66,10 +66,10 @@ class DigitSystem:
     @staticmethod
     def from_json(obj: dict) -> "DigitSystem":
         return DigitSystem(
-            int(obj["base"]),
-            tuple(int(d) for d in obj["digits"]),
-            rat(str(obj.get("offset", "0"))),
-            rat(str(obj.get("scale", "1"))),
+            json_int(obj["base"]),
+            tuple(map(json_int, obj["digits"])),
+            rat(obj.get("offset", "0")),
+            rat(obj.get("scale", "1")),
         )
 
     @staticmethod

@@ -468,6 +468,8 @@ def _min_dist(rows, caps: Sequence[int], tol) -> tuple[RatInterval, tuple]:
     answers, exact ties included."""
     early_unique = tol is None
     tol = _DEFAULT_TOL if tol is None else Fraction(tol)
+    if tol < 0:
+        raise UsageError(f"tolerance must not be negative, got {rat_str(tol)}")
 
     def step(bits, last):
         table, scale = _scaled_rows(rows, bits)
@@ -499,15 +501,20 @@ def _height_caps(
     return caps
 
 
-def _check_work(caps: Sequence[int], grouped: bool = False) -> None:
-    """Raise UsageError when a scan of signed_box(caps) takes more than
-    MAX_SCAN_WORK steps: the prefixes and sorted keys of _sorted_box,
-    or with grouped every vector (records, lower bounds)."""
+def _scan_work(caps: Sequence[int], grouped: bool = False) -> int:
+    """Steps a scan of signed_box(caps) takes: the prefixes and sorted
+    keys of _sorted_box, or with grouped every vector (records, lower
+    bounds)."""
     if grouped:
-        work = (math.prod(2 * c + 1 for c in caps) - 1) // 2
-    else:
-        prefixes = (math.prod(2 * c + 1 for c in caps[:-1]) + 1) // 2
-        work = prefixes + (2 * caps[-1] + 1 if len(caps) > 1 else caps[-1])
+        return (math.prod(2 * c + 1 for c in caps) - 1) // 2
+    prefixes = (math.prod(2 * c + 1 for c in caps[:-1]) + 1) // 2
+    return prefixes + (2 * caps[-1] + 1 if len(caps) > 1 else caps[-1])
+
+
+def _check_work(caps: Sequence[int], grouped: bool = False) -> None:
+    """Raise UsageError when _scan_work(caps, grouped) is over
+    MAX_SCAN_WORK."""
+    work = _scan_work(caps, grouped)
     if work > MAX_SCAN_WORK:
         raise UsageError(
             f"scan over budget: caps {list(caps)} take {work} steps, "
@@ -536,7 +543,7 @@ def psi(
     ]
     if not _is_rational([row]) and any(zero_caps):
         sub = [x if isinstance(x, Fraction) else Fraction(0) for x in row]
-        value, q = _min_dist([sub], zero_caps, None)
+        value, q = _min_dist([sub], zero_caps, tol)
         if value.hi == 0:
             return value, q
     return _min_dist([row], caps, tol)

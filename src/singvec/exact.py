@@ -8,13 +8,15 @@ in convenience accessors that callers explicitly ask for.
 from __future__ import annotations
 
 import decimal
+import math
 import re
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .errors import UsageError
+from .errors import SchemaError, UsageError
 
 _RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 _DEC_RE = re.compile(r"^[+-]?(\d+\.\d*|\.\d+|\d+)$")
@@ -95,8 +97,18 @@ def digit_limit(limit: int):
         sys.set_int_max_str_digits(old)
 
 
+def json_int(value) -> int:
+    """An integer field of a JSON document: a JSON int, never a bool or
+    a float.  Anything else is a SchemaError."""
+    if type(value) is not int:
+        raise SchemaError(f"expected an integer, got {value!r}")
+    return value
+
+
 def rat(text: str) -> Fraction:
     """Parse 'p/q' or a decimal literal into an exact Fraction."""
+    if not isinstance(text, str):
+        raise UsageError(f"cannot parse rational: {text!r}")
     text = text.strip()
     if not (_RAT_RE.match(text) or _DEC_RE.match(text)):
         raise UsageError(f"cannot parse rational: {text!r}")
@@ -223,6 +235,16 @@ class Box:
     @property
     def midpoint(self) -> tuple[Fraction, ...]:
         return tuple(s.mid for s in self.sides)
+
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """The box over one denominator den, the lcm of its endpoints'
+        denominators, and one pair (den * lo, den * hi) per side;
+        computed once per box."""
+        ends = [x for side in self.sides for x in (side.lo, side.hi)]
+        den = math.lcm(*(x.denominator for x in ends))
+        nums = [x.numerator * (den // x.denominator) for x in ends]
+        return den, tuple(zip(nums[::2], nums[1::2]))
 
     def __str__(self) -> str:
         return " x ".join(str(s) for s in self.sides)

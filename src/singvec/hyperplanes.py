@@ -17,7 +17,7 @@ from typing import Iterator
 
 from .engine import _dot_range, signed_box
 from .errors import NotPrimitive, ZeroForm
-from .exact import Box, RatInterval
+from .exact import Box, RatInterval, json_int
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ class Hyperplane:
 
     @staticmethod
     def from_json(obj: dict) -> "Hyperplane":
-        return Hyperplane(int(obj["m0"]), tuple(int(c) for c in obj["m"]))
+        return Hyperplane(json_int(obj["m0"]), tuple(map(json_int, obj["m"])))
 
     def __str__(self):
         return f"({self.m0}; {','.join(str(c) for c in self.mvec)})"
@@ -89,15 +89,11 @@ def coordinate_hyperplane(k: int, r, n: int) -> Hyperplane:
     return Hyperplane(r.numerator, mvec)
 
 
-def _scaled_box(box: Box, n: int) -> tuple[int, list[tuple[int, int]]]:
-    """The n-dimensional box as one denominator den, the lcm of its
-    endpoints' denominators, and one pair (den * lo, den * hi) per side."""
+def _scaled_box(box: Box, n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Box.scaled of an n-dimensional box."""
     if box.dim != n:
         raise ZeroForm("dimension mismatch between form and box")
-    ends = [x for side in box.sides for x in (side.lo, side.hi)]
-    den = math.lcm(*(x.denominator for x in ends))
-    nums = [x.numerator * (den // x.denominator) for x in ends]
-    return den, list(zip(nums[::2], nums[1::2]))
+    return box.scaled
 
 
 def interval_linform(plane: Hyperplane, box: Box) -> RatInterval:

@@ -5,8 +5,9 @@ the construction spec: every hull is recomputed from the prefixes,
 every recorded height value and decay bound is recomputed from that
 spec, and the
 geometric conditions are re-checked with exact interval arithmetic.
-Problems are collected into a report rather than thrown, so a single
-run surfaces everything that is wrong with a certificate.
+Every check reports through one fail(step, check, message) rather than
+raising, so a single run surfaces everything that is wrong with a
+certificate; each step's report is read off those records at the end.
 
 Checked per step: the recorded box matches its cylinders, strict
 nesting into the previous box, strict growth of the norm value, the
@@ -15,16 +16,18 @@ over the NEXT box (strict), and hyperplane avoidance both ways (listed
 entries are really separated; no plane at or below the step's height
 threshold meets the box except the step's own pin).  Finally the value
 function is spot-checked at requested thresholds against the decay
-bound at the midpoint of the final box.
+bound at the midpoint of the final box; by default at the recorded
+rational heights whose box scan fits the engine's MAX_SCAN_WORK.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .certificates import Certificate
-from .engine import _refine, psi, psi_enclosure
+from .engine import MAX_SCAN_WORK, _refine, _scan_work, psi, psi_enclosure
+from .errors import UsageError
 from .exact import Box, RatInterval, rat_str
 from .hyperplanes import (
     coordinate_hyperplane,
@@ -32,7 +35,11 @@ from .hyperplanes import (
     interval_linform,
 )
 
-SPOT_CHECK_CAP = Fraction(10_000)
+# The per-step checks, named as the flags of StepReport.
+CHECKS = (
+    "integrity", "nesting", "phi_increase", "anchor_in_box", "bound_chain",
+    "avoidance",
+)
 
 
 @dataclass(frozen=True)
@@ -47,14 +54,7 @@ class StepReport:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.integrity
-            and self.nesting
-            and self.phi_increase
-            and self.anchor_in_box
-            and self.bound_chain
-            and self.avoidance
-        )
+        return all(getattr(self, check) for check in CHECKS)
 
 
 @dataclass(frozen=True)
@@ -67,178 +67,136 @@ class SpotCheck:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    ok: bool
     steps: tuple[StepReport, ...]
     spot_checks: tuple[SpotCheck, ...]
     failures: tuple[str, ...]
 
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
 
 def default_spot_checks(cert: Certificate) -> tuple[Fraction, ...]:
     """Thresholds at the recorded heights from the second pin on, kept
-    to exact rational values up to SPOT_CHECK_CAP.  psi_enclosure scans
-    each one whole in about T**(n-1) log T steps at threshold T."""
-    out = []
-    for step in cert.steps[1:]:
-        value = step.phi_of_q.as_fraction()
-        if value is not None and value <= SPOT_CHECK_CAP:
-            out.append(value)
-    return tuple(out)
+    to exact rational values whose box scan the engine's budget admits:
+    _scan_work of their height caps at most MAX_SCAN_WORK.  psi_enclosure
+    scans each one whole in about T**(n-1) log T steps at threshold T."""
+    norm, n = cert.spec.norm, cert.spec.dim
+    heights = (step.phi_of_q.as_fraction() for step in cert.steps[1:])
+    return tuple(
+        t for t in heights
+        if t is not None and _scan_work(norm.coordinate_caps(t, n)) <= MAX_SCAN_WORK
+    )
 
 
 def verify_certificate(
     cert: Certificate, spot_checks=None
 ) -> VerificationReport:
+    """Every claim of cert re-checked, failures collected in check order.
+    spot_checks replaces default_spot_checks; a threshold that is not
+    positive is a UsageError."""
+    if spot_checks is not None:
+        spot_checks = tuple(Fraction(t) for t in spot_checks)
+        if any(t <= 0 for t in spot_checks):
+            raise UsageError("spot-check thresholds must be positive")
+    n, norm, steps = cert.spec.dim, cert.spec.norm, cert.steps
     failures: list[str] = []
-    n = cert.spec.dim
-    norm = cert.spec.norm
-    step_reports: list[StepReport] = []
+    failed: set[tuple[int | None, str]] = set()
 
-    hulls: list[Box] = []
-    phis = []
-    planes = []
-    for idx, step in enumerate(cert.steps):
-        integrity = True
+    def fail(idx, check, message=None):
+        """Record that check failed at step index idx (None: the whole
+        certificate) and its message, if any, under the step's number."""
+        failed.add((idx, check))
+        if message is not None:
+            at = "" if idx is None else f"step {steps[idx].nu}: "
+            failures.append(at + message)
 
-        def flag(message):
-            nonlocal integrity
-            integrity = False
-            failures.append(f"step {step.nu}: {message}")
-
-        hull = Box(tuple(c.hull() for c in step.cylinders))
-        hulls.append(hull)
-        if hull != step.box:
-            flag("recorded box does not match its cylinders")
+    hulls = [Box(tuple(c.hull() for c in step.cylinders)) for step in steps]
+    heights = {}  # step index -> norm height of its pin
+    pins = {}  # step index -> the plane x_k = p/q of its pin
+    for idx, step in enumerate(steps):
+        if hulls[idx] != step.box:
+            fail(idx, "integrity", "recorded box does not match its cylinders")
         if step.nu != idx + 1:
-            flag(f"step index out of order (expected {idx + 1})")
-        bad_k = not 1 <= step.k <= n
-        if bad_k:
-            flag(f"coordinate {step.k} outside 1..{n}")
+            fail(idx, "integrity", f"step index out of order (expected {idx + 1})")
+        if not 1 <= step.k <= n:
+            fail(idx, "integrity", f"coordinate {step.k} outside 1..{n}")
         if step.q < 1:
-            flag("pin denominator must be positive")
-        if bad_k or step.q < 1:
-            # no pin to measure or place: skip the height and the plane
-            step_reports.append(
-                StepReport(step.nu, False, False, False, False, False, False)
-            )
-            phis.append(None)
-            planes.append(None)
+            fail(idx, "integrity", "pin denominator must be positive")
+        if not 1 <= step.k <= n or step.q < 1:
+            # no pin to measure or place: no check of this step can pass
+            for check in CHECKS:
+                fail(idx, check)
             continue
         if math.gcd(step.p, step.q) != 1:
-            flag("pin p/q is not in lowest terms")
+            fail(idx, "integrity", "pin p/q is not in lowest terms")
         qvec = tuple(step.q if j == step.k - 1 else 0 for j in range(n))
-        phi = norm.phi(qvec)
-        phis.append(phi)
-        if phi != step.phi_of_q:
-            flag("recorded height value does not match the norm")
-        planes.append(coordinate_hyperplane(step.k, Fraction(step.p, step.q), n))
-
-        prev = cert.spec.product.hull() if idx == 0 else hulls[idx - 1]
-        nesting = prev.contains_interior(hull)
-        if not nesting:
-            failures.append(
-                f"step {step.nu}: box is not strictly inside the previous box"
-            )
-
-        phi_increase = idx == 0 or (
-            phis[idx - 1] is not None and phi > phis[idx - 1]
-        )
-        if not phi_increase:
-            failures.append(
-                f"step {step.nu}: height value did not strictly increase"
-            )
-
-        anchor_ok = hull.sides[step.k - 1].contains(Fraction(step.p, step.q))
-        if not anchor_ok:
-            failures.append(f"step {step.nu}: pin anchor left the box")
-
-        step_reports.append(
-            StepReport(
-                step.nu, integrity, nesting, phi_increase, anchor_ok,
-                True, True,
-            )
-        )
+        heights[idx] = norm.phi(qvec)
+        if heights[idx] != step.phi_of_q:
+            fail(idx, "integrity", "recorded height value does not match the norm")
+        anchor = Fraction(step.p, step.q)
+        pins[idx] = coordinate_hyperplane(step.k, anchor, n)
+        prev = hulls[idx - 1] if idx else cert.spec.product.hull()
+        if not prev.contains_interior(hulls[idx]):
+            fail(idx, "nesting", "box is not strictly inside the previous box")
+        if idx and not (idx - 1 in heights and heights[idx] > heights[idx - 1]):
+            fail(idx, "phi_increase", "height value did not strictly increase")
+        if not hulls[idx].sides[step.k - 1].contains(anchor):
+            fail(idx, "anchor_in_box", "pin anchor left the box")
 
     # bound chain: pin nu against the box after step nu+1
-    for idx, step in enumerate(cert.steps):
-        ok = True
-        last = idx == len(cert.steps) - 1
-        if last:
-            if step.bound_used is not None:
-                ok = False
-                failures.append(
-                    f"step {step.nu}: last step must not carry a bound"
-                )
-        elif step.bound_used is None:
-            ok = False
-            failures.append(f"step {step.nu}: missing approximation bound")
-        elif phis[idx + 1] is None or planes[idx] is None:
-            ok = False
+    for idx, step in enumerate(steps):
+        bound = step.bound_used
+        if idx == len(steps) - 1:
+            if bound is not None:
+                fail(idx, "bound_chain", "last step must not carry a bound")
+        elif bound is None:
+            fail(idx, "bound_chain", "missing approximation bound")
+        elif idx not in pins or idx + 1 not in heights:
+            fail(idx, "bound_chain")  # a step without a pin: nothing to check
         else:
-            expected = cert.spec.phi.value_at(phis[idx + 1])
-            if not step.bound_used == expected:
-                ok = False
-                failures.append(
-                    f"step {step.nu}: recorded bound does not equal the "
-                    f"decay bound at the next height"
-                )
-            form = interval_linform(planes[idx], hulls[idx + 1])
+            if bound != cert.spec.phi.value_at(heights[idx + 1]):
+                fail(idx, "bound_chain", "recorded bound does not equal the "
+                     "decay bound at the next height")
+            form = interval_linform(pins[idx], hulls[idx + 1])
             reach = max(abs(form.lo), abs(form.hi))
-            if not reach < step.bound_used:
-                ok = False
-                failures.append(
-                    f"step {step.nu}: approximation bound fails over the "
-                    f"next box (|form| reaches {rat_str(reach)})"
-                )
-        if not ok:
-            step_reports[idx] = replace(step_reports[idx], bound_chain=False)
+            if not reach < bound:
+                fail(idx, "bound_chain", "approximation bound fails over the "
+                     f"next box (|form| reaches {rat_str(reach)})")
 
     # avoidance: listed separations hold, and nothing low meets the box
     by_step: dict[int, list] = {}
     for entry in cert.avoided:
         by_step.setdefault(entry.nu, []).append(entry.plane)
     for nu in by_step:
-        if not 1 <= nu <= len(cert.steps):
-            failures.append(f"avoided entry references unknown step {nu}")
-    for idx, step in enumerate(cert.steps):
-        ok = True
+        if not 1 <= nu <= len(steps):
+            fail(None, "avoidance", f"avoided entry references unknown step {nu}")
+    for idx, step in enumerate(steps):
         for plane in by_step.get(step.nu, ()):
             if plane.dim != n:
-                ok = False
-                failures.append(f"step {step.nu}: avoided plane {plane} has wrong dimension")
-                continue
-            if interval_linform(plane, hulls[idx]).contains(Fraction(0)):
-                ok = False
-                failures.append(
-                    f"step {step.nu}: avoided plane {plane} still meets the box"
-                )
+                fail(idx, "avoidance", f"avoided plane {plane} has wrong dimension")
+            elif interval_linform(plane, hulls[idx]).contains(Fraction(0)):
+                fail(idx, "avoidance", f"avoided plane {plane} still meets the box")
         # anything hyperplanes_meeting yields crosses the box, so every
         # plane at or below the threshold other than the pin is a breach
         height = cert.spec.avoidance_heights[idx]
         for plane in hyperplanes_meeting(n, height, hulls[idx]):
-            if planes[idx] is not None and plane == planes[idx]:
-                continue
-            ok = False
-            failures.append(
-                f"step {step.nu}: plane {plane} at height "
-                f"{plane.height()} <= {height} meets the box"
-            )
-        if not ok:
-            step_reports[idx] = replace(step_reports[idx], avoidance=False)
+            if plane != pins.get(idx):
+                fail(idx, "avoidance", f"plane {plane} at height "
+                     f"{plane.height()} <= {height} meets the box")
 
     if hulls and cert.final_box != hulls[-1]:
-        failures.append("final box does not match the last step")
-        step_reports[-1] = replace(step_reports[-1], integrity=False)
-    if not cert.steps:
-        failures.append("certificate has no steps")
+        fail(None, "integrity", "final box does not match the last step")
+        fail(len(steps) - 1, "integrity")
+    if not steps:
+        fail(None, "integrity", "certificate has no steps")
 
     spot_reports: list[SpotCheck] = []
-    if cert.steps and not failures:
-        thresholds = (
-            default_spot_checks(cert) if spot_checks is None
-            else tuple(Fraction(t) for t in spot_checks)
-        )
+    if steps and not failures:
+        if spot_checks is None:
+            spot_checks = default_spot_checks(cert)
         midpoint = hulls[-1].midpoint
-        for t in thresholds:
+        for t in spot_checks:
             bound = cert.spec.phi.value_at(t)
             # Cheap fixed precision first: the enclosure pass gives sound
             # two-sided bounds, so it settles the comparison unless the
@@ -256,12 +214,11 @@ def verify_certificate(
             ok = value.hi <= bound
             spot_reports.append(SpotCheck(t, value, bound, ok))
             if not ok:
-                failures.append(
-                    f"spot check at t={t}: value reaches {value.hi}, "
-                    f"decay bound is {bound}"
-                )
+                fail(None, "spot", f"spot check at t={t}: value reaches "
+                     f"{value.hi}, decay bound is {bound}")
 
-    report_ok = not failures and all(r.ok for r in step_reports)
-    return VerificationReport(
-        report_ok, tuple(step_reports), tuple(spot_reports), tuple(failures)
+    reports = tuple(
+        StepReport(step.nu, *((idx, check) not in failed for check in CHECKS))
+        for idx, step in enumerate(steps)
     )
+    return VerificationReport(reports, tuple(spot_reports), tuple(failures))

@@ -140,8 +140,8 @@ def test_criterion_03_transference_constants_exact():
 
 def test_criterion_04_constructor_end_to_end_sup_norm():
     """Six nested pinning steps on the twofold middle-thirds set under
-    the sup norm with decay t**-5, verified with brute-force spot checks
-    at every recorded rational height up to 10**4."""
+    the sup norm with decay t**-5, verified with spot checks at every
+    recorded rational height whose scan fits the engine's budget."""
     start = time.monotonic()
     cert = build(6)
     build_seconds = time.monotonic() - start
@@ -149,7 +149,7 @@ def test_criterion_04_constructor_end_to_end_sup_norm():
     assert len(cert.steps) == 6
 
     # recorded heights past the first pin are 3**7 and then towers far
-    # beyond the brute-force cap, so exactly one threshold qualifies
+    # beyond the scan budget, so exactly one threshold qualifies
     assert default_spot_checks(cert) == (F(2187),)
 
     report = verify_certificate(cert)

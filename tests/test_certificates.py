@@ -219,6 +219,39 @@ def test_certificate_malformed():
         certificate_from_json("just a string")
 
 
+@pytest.mark.parametrize(
+    "path, edit",
+    [
+        (("steps", 0, "k"), lambda k: True),
+        (("steps", 0, "p"), float),
+        (("avoided", 0, "m0"), float),
+        (("avoided", 0, "nu"), lambda nu: 1.5),
+        (("spec", "steps"), float),
+        (("spec", "max_depth"), lambda depth: True),
+        (("spec", "product", 0, "base"), float),
+        (("spec", "product", 0, "digits"), lambda ds: [ds[0], float(ds[1])]),
+        (("spec", "product", 0, "offset"), lambda offset: 0.0),
+        (("spec", "product", 0, "scale"), lambda scale: 1.0),
+    ],
+    ids=[
+        "k-bool", "p-float", "m0-float", "nu-float", "steps-float",
+        "max-depth-bool", "base-float", "digit-float", "offset-float",
+        "scale-float",
+    ],
+)
+def test_certificate_numbers_keep_their_json_type(path, edit):
+    # each edit used to load through int() or str(), and then certify
+    obj = json.loads(construct(small_spec()).dumps())
+    certificate_from_json(obj)
+    *head, last = path
+    node = obj
+    for key in head:
+        node = node[key]
+    node[last] = edit(node[last])
+    with pytest.raises(SchemaError):
+        certificate_from_json(obj)
+
+
 def test_certificate_cylinder_count_gate():
     cert = construct(small_spec())
     obj = json.loads(cert.dumps())

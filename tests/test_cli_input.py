@@ -48,13 +48,16 @@ PSI = ("psi", "--xi", "1/2", "--xi", "1/3", "--t", "3")
           "--phi", "pow:100000"), None, 1),
         (("records", "--xi", "1/2", "--t-max", "3", "--tol", "1e-3"),
          None, 1),
+        (("psi", "--xi", "sqrt2", "--t", "5", "--tol", "-1"), None, 1),
+        (("psi", "--xi", "1/2", "--xi", "sqrt2", "--t", "5", "--tol", "-1"),
+         None, 1),
     ],
     ids=[
         "norm-not-rational", "norm-zero-denominator", "dims-not-integer",
         "dims-empty", "dims-zero", "W-not-integer", "G-not-integer",
         "cylinder-not-integer", "cylinder-digit-not-allowed",
         "spec-not-json", "spec-empty-object", "phi-over-budget",
-        "records-has-no-tol",
+        "records-has-no-tol", "psi-negative-tol", "psi-mixed-negative-tol",
     ],
 )
 def test_malformed_input_has_its_exit_code(tmp_path, argv, spec, code):
@@ -104,6 +107,16 @@ def test_over_budget_certificate_is_refused_at_once(tmp_path, cert_blob, field, 
     out = run("certify", str(path), "--spot-checks", "none", timeout=20)
     assert out.returncode == 3
     assert "over budget" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("spots", ["0", "-3"])
+def test_nonpositive_spot_threshold_is_a_usage_error(tmp_path, cert_blob, spots):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert_blob))
+    out = run("certify", str(path), "--spot-checks", spots)
+    assert out.returncode == 1
+    assert "error:" in out.stderr
     assert "Traceback" not in out.stderr
 
 
@@ -166,6 +179,21 @@ def test_construct_refuses_a_power_certify_would_refuse(tmp_path):
     assert out.returncode == 0, out.stderr
     out = run("certify", str(cert))
     assert out.returncode == 0, out.stderr
+
+
+def test_threefold_certificate_certifies_with_default_spot_checks(tmp_path):
+    # the recorded height 6561 is over the scan budget in three
+    # coordinates, so the default schedule leaves it out
+    cert = tmp_path / "cert.json"
+    out = run(
+        "construct", "--cantor", "3:0,2", "--cantor", "3:0,2",
+        "--cantor", "3:0,2", "--phi", "pow:5", "--steps", "4",
+        "-o", str(cert),
+    )
+    assert out.returncode == 0, out.stderr
+    out = run("certify", str(cert), timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert "certificate OK" in out.stdout
 
 
 def test_construct_table_prints_at_once(tmp_path):

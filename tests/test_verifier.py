@@ -67,8 +67,36 @@ def test_fresh_certificate_verifies(cert):
 
 
 def test_default_spot_checks_frozen(cert):
-    # only the second pin's height is rational and under the cap
+    # the third pin's height is far past the engine's scan budget
     assert default_spot_checks(cert) == (F(2187),)
+
+
+@pytest.mark.parametrize(
+    "factors, norm, steps, expected",
+    [
+        (2, NormSpec("sup"), 6, (F(2187),)),
+        # the height 6561 of the second pin is rational, but its box scan
+        # takes about 8.6 * 10**7 steps
+        (3, NormSpec("sup"), 4, ()),
+        # every recorded height past the first pin is irrational
+        (2, NormSpec("weighted", (F(2, 3), F(1, 3))), 6, ()),
+        (2, NormSpec("weighted", (F(1, 3), F(2, 3))), 6, ()),
+    ],
+    ids=["sup-twofold", "sup-threefold", "weighted-2/3", "weighted-1/3"],
+)
+def test_default_spot_checks_fit_the_scan_budget(factors, norm, steps, expected):
+    cert = construct(
+        ConstructionSpec(
+            product=ProductSet((THIRDS,) * factors),
+            norm=norm,
+            phi=PhiSpec("pow", exponent=F(5)),
+            steps=steps,
+        )
+    )
+    assert default_spot_checks(cert) == expected
+    report = verify_certificate(cert)
+    assert report.ok
+    assert tuple(s.t for s in report.spot_checks) == expected
 
 
 def test_spot_check_below_covered_range_fails(cert):
