@@ -15,6 +15,7 @@ left for the verifier to reject.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,10 +29,12 @@ from .powers import PowerValue
 SCHEMA_VERSION = 1
 
 # Work budgets, checked before any exact power or plane enumeration:
-# the coefficient vectors hyperplanes_meeting walks at the largest
-# avoidance height, and the numerator and denominator of a pow exponent
-# or of a recorded power's exponent.
-MAX_PLANE_DIRECTIONS = 10**5
+# the planes hyperplanes_meeting walks over the product's hull at the
+# largest avoidance height, and the numerator and denominator of a pow
+# exponent or of a recorded power's exponent.  The walk budget admits
+# the default schedule of the fourfold middle-thirds product up to 8
+# steps (3986840 planes).
+MAX_PLANE_WALK = 4 * 10**6
 MAX_PHI_EXPONENT = 10**4
 
 
@@ -219,12 +222,16 @@ class ConstructionSpec:
             raise UsageError("avoidance heights must be positive")
         if any(a > b for a, b in zip(heights, heights[1:])):
             raise UsageError("avoidance heights must be non-decreasing")
-        n = self.product.dim
-        if ((2 * heights[-1] + 1) ** n - 1) // 2 > MAX_PLANE_DIRECTIONS:
+        # Each coefficient direction walks at most H * sum of the hull
+        # widths + 1 constant terms over the product's hull, and every
+        # box of the construction nests inside that hull.
+        n, top = self.product.dim, heights[-1]
+        directions = ((2 * top + 1) ** n - 1) // 2
+        widths = sum(side.width for side in self.product.hull().sides)
+        if directions * (math.floor(top * widths) + 1) > MAX_PLANE_WALK:
             raise UsageError(
-                f"avoidance height {heights[-1]} is over budget: it walks "
-                f"more than {MAX_PLANE_DIRECTIONS} plane directions in "
-                f"dimension {n}"
+                f"avoidance height {top} is over budget: it walks more "
+                f"than {MAX_PLANE_WALK} planes over the product's hull"
             )
         self.norm.check_dim(n)
 

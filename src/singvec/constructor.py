@@ -94,49 +94,30 @@ def _narrow_depth(need: Fraction, base: int, eps) -> int:
 
     Float logs estimate L; they are right unless need / eps lies within
     rounding error of a power of base.  The estimate is then settled
-    exactly: L must fit and L - 1 must not.  A wrong estimate is
-    corrected by galloping away from it to a bracket and bisecting.
+    exactly: step up while L does not fit, and down while L - 1 does.
     """
 
     def fits(levels: int) -> bool:
         return need / base**levels < eps
 
-    est = math.floor((_log(need) - _log(eps)) / math.log(base)) + 1
-    # invariant once bracketed: fits(hi), and lo == -1 or not fits(lo)
-    lo = hi = max(est, 0)
-    step = 1
-    if fits(hi):
-        lo = hi - 1
-        while lo >= 0 and fits(lo):
-            hi, lo = lo, max(lo - step, -1)
-            step *= 2
-    else:
-        hi = lo + 1
-        while not fits(hi):
-            lo, hi = hi, hi + step
-            step *= 2
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if fits(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    depth = max(math.floor((_log(need) - _log(eps)) / math.log(base)) + 1, 0)
+    while not fits(depth):
+        depth += 1
+    while depth > 0 and fits(depth - 1):
+        depth -= 1
+    return depth
 
 
 def _narrow_detach(cyl: Cylinder, p: int, q: int, eps) -> Cylinder:
     """Shrink around the anchor p/q until |q*x - p| < eps holds on the
-    whole hull, then step off the anchor (second-smallest digit) and
-    take one smallest-digit level so both hull endpoints move strictly
-    inward relative to the starting hull.
+    whole hull, then step off the anchor with _shrink_forced so both
+    hull endpoints move strictly inward relative to the starting hull.
 
     The shrink takes the smallest-digit path to the least depth L with
-    q * width / base**L < eps (strictly), checked exactly at L and
-    L - 1; see _narrow_depth."""
+    q * width / base**L < eps (strictly); see _narrow_depth."""
     need = q * cyl.hull().width  # |q*x - p| <= q*width on [p/q, p/q + width]
     narrowed = cyl.descend_min(_narrow_depth(need, cyl.system.base, eps))
-    second = cyl.system.digits[1]
-    return narrowed.child(second).descend_min(1)
+    return _shrink_forced(narrowed)
 
 
 def _shrink_forced(cyl: Cylinder) -> Cylinder:

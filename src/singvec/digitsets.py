@@ -3,9 +3,12 @@
 A DigitSystem fixes a base b and an allowed digit set D of size >= 2;
 the point set is S = {offset + scale * sum d_i b^-i : d_i in D}.  The
 middle-thirds set is base 3 with digits {0, 2}.  A Cylinder is the set
-of points sharing a finite digit prefix; its hull is a closed rational
-interval and its anchor (the all-minimum-digit tail point) is a rational
-member of S.  Anchors of deeper and deeper cylinders supply the dense
+of points sharing a finite digit prefix, held as one integer: the value
+the prefix spells in base b.  Every point it names comes from one
+formula, offset + scale * (value + t) / b**depth for a tail value t:
+its hull is a closed rational interval (t = dmin/(b-1) and dmax/(b-1))
+and its anchor (the all-minimum-digit tail point) is a rational member
+of S.  Anchors of deeper and deeper cylinders supply the dense
 rationals that the pinning construction consumes.
 """
 from __future__ import annotations
@@ -49,11 +52,7 @@ class DigitSystem:
         return self.digits[-1]
 
     def hull(self) -> RatInterval:
-        span = Fraction(1, self.base - 1)
-        return RatInterval(
-            self.offset + self.scale * self.dmin * span,
-            self.offset + self.scale * self.dmax * span,
-        )
+        return Cylinder.root(self).hull()
 
     def to_json(self) -> dict:
         return {
@@ -114,30 +113,23 @@ def _digits_value(digits: tuple[int, ...], base: int) -> int:
 
 
 class Cylinder:
-    """Points of a digit system sharing a fixed finite prefix.
-
-    prefix_value and unit are cached so a child costs O(1) arithmetic
-    regardless of depth; deep descents do not re-scan the prefix.
+    """Points of a digit system sharing a fixed finite prefix, held as
+    value, the integer the prefix spells in base b: a child is
+    value * b + d, so a deep descent never re-scans the prefix.  Hull,
+    anchor and the system's hull all come from one formula, _point.
     """
 
-    __slots__ = ("system", "prefix", "prefix_value", "unit")
+    __slots__ = ("system", "prefix", "value")
 
-    def __init__(self, system: DigitSystem, prefix=(), _value=None, _unit=None):
+    def __init__(self, system: DigitSystem, prefix=(), _value=None):
         self.system = system
         self.prefix = tuple(prefix)
-        if _value is not None:
-            self.prefix_value = _value
-            self.unit = _unit
-            return
-        bad = [d for d in self.prefix if d not in system.digits]
-        if bad:
-            raise UsageError(f"digits {bad} are not allowed in this system")
-        # One integer for the whole prefix, then one Fraction.
-        b = system.base
-        acc = _digits_value(self.prefix, b)
-        denom = b ** len(self.prefix)
-        self.prefix_value = system.offset + system.scale * Fraction(acc, denom)
-        self.unit = system.scale * Fraction(1, denom)
+        if _value is None:
+            bad = [d for d in self.prefix if d not in system.digits]
+            if bad:
+                raise UsageError(f"digits {bad} are not allowed in this system")
+            _value = _digits_value(self.prefix, system.base)
+        self.value = _value
 
     @classmethod
     def root(cls, system: DigitSystem) -> "Cylinder":
@@ -150,13 +142,8 @@ class Cylinder:
     def child(self, digit: int) -> "Cylinder":
         if digit not in self.system.digits:
             raise UsageError(f"digit {digit} not allowed")
-        b = self.system.base
-        return Cylinder(
-            self.system,
-            self.prefix + (digit,),
-            _value=self.prefix_value + self.unit * Fraction(digit, b),
-            _unit=self.unit / b,
-        )
+        value = self.value * self.system.base + digit
+        return Cylinder(self.system, self.prefix + (digit,), value)
 
     def children(self) -> list["Cylinder"]:
         return [self.child(d) for d in self.system.digits]
@@ -176,27 +163,28 @@ class Cylinder:
             return self
         sysm = self.system
         b, dmin = sysm.base, sysm.dmin
-        bump = self.unit * dmin * Fraction(b**levels - 1, b**levels * (b - 1))
-        return Cylinder(
-            sysm,
-            self.prefix + (dmin,) * levels,
-            _value=self.prefix_value + bump,
-            _unit=self.unit / b**levels,
-        )
+        power = b**levels
+        value = self.value * power + dmin * (power - 1) // (b - 1)
+        return Cylinder(sysm, self.prefix + (dmin,) * levels, value)
+
+    def _point(self, tail: Fraction) -> Fraction:
+        """offset + scale * (value + tail) / b**depth, the point whose
+        digits after the prefix read as tail = sum d_i b^-i."""
+        sysm = self.system
+        num, den = tail.numerator, tail.denominator
+        x = Fraction(self.value * den + num, den * sysm.base**self.depth)
+        return sysm.offset + sysm.scale * x
 
     def hull(self) -> RatInterval:
-        sysm = self.system
-        span = Fraction(1, sysm.base - 1)
+        span = self.system.base - 1
         return RatInterval(
-            self.prefix_value + self.unit * sysm.dmin * span,
-            self.prefix_value + self.unit * sysm.dmax * span,
+            self._point(Fraction(self.system.dmin, span)),
+            self._point(Fraction(self.system.dmax, span)),
         )
 
     def anchor(self) -> Fraction:
         """The all-minimum-digit tail point: hull.lo, a member of S."""
-        return self.prefix_value + self.unit * Fraction(
-            self.system.dmin, self.system.base - 1
-        )
+        return self._point(Fraction(self.system.dmin, self.system.base - 1))
 
     def prefix_str(self) -> str:
         return DigitSystem.digits_str(self.system.base, self.prefix)

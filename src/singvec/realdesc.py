@@ -226,9 +226,9 @@ def parse_real(text: str) -> RealDescriptor:
             raise UsageError(f"unknown tail policy: {policy!r}")
         if not pattern or any(d not in system.digits for d in pattern):
             raise UsageError("tail pattern must be nonempty allowed digits")
-        # value = prefix value + unit * (repeating tail as geometric series)
+        # the repeating tail reads as a geometric series
         b, m = system.base, len(pattern)
         tail = sum(d * b ** (m - 1 - i) for i, d in enumerate(pattern))
-        return ExactReal(cyl.prefix_value + cyl.unit * Fraction(tail, b**m - 1))
+        return ExactReal(cyl._point(Fraction(tail, b**m - 1)))
     return ExactReal(rat(text))
 

@@ -9,15 +9,17 @@ Every check reports through one fail(step, check, message) rather than
 raising, so a single run surfaces everything that is wrong with a
 certificate; each step's report is read off those records at the end.
 
-Checked per step: the recorded box matches its cylinders, strict
-nesting into the previous box, strict growth of the norm value, the
-pin anchor still inside the box, the approximation bound of each pin
-over the NEXT box (strict), and hyperplane avoidance both ways (listed
-entries are really separated; no plane at or below the step's height
-threshold meets the box except the step's own pin).  Finally the value
-function is spot-checked at requested thresholds against the decay
-bound at the midpoint of the final box; by default at the recorded
-rational heights whose box scan fits the engine's MAX_SCAN_WORK.
+Checked once: the certificate has one step per height of its spec's
+schedule, and its final box is the last step's.  Checked per step: the
+recorded box matches its cylinders, strict nesting into the previous
+box, strict growth of the norm value, the pin anchor still inside the
+box, the approximation bound of each pin over the NEXT box (strict),
+and hyperplane avoidance both ways (listed entries are really
+separated; no plane at or below the step's height threshold meets the
+box except the step's own pin).  Finally the value function is
+spot-checked at requested thresholds against the decay bound at the
+midpoint of the final box; by default at the recorded rational heights
+whose box scan fits the engine's MAX_SCAN_WORK.
 """
 from __future__ import annotations
 
@@ -111,6 +113,10 @@ def verify_certificate(
             at = "" if idx is None else f"step {steps[idx].nu}: "
             failures.append(at + message)
 
+    schedule = cert.spec.avoidance_heights  # one height per step of the spec
+    if len(steps) != len(schedule):
+        fail(None, "integrity", f"certificate has {len(steps)} steps, "
+             f"its spec asks for {len(schedule)}")
     hulls = [Box(tuple(c.hull() for c in step.cylinders)) for step in steps]
     heights = {}  # step index -> norm height of its pin
     pins = {}  # step index -> the plane x_k = p/q of its pin
@@ -177,9 +183,12 @@ def verify_certificate(
                 fail(idx, "avoidance", f"avoided plane {plane} has wrong dimension")
             elif interval_linform(plane, hulls[idx]).contains(Fraction(0)):
                 fail(idx, "avoidance", f"avoided plane {plane} still meets the box")
+        if idx >= len(schedule):
+            fail(idx, "integrity")  # a step past the schedule: no threshold
+            continue
         # anything hyperplanes_meeting yields crosses the box, so every
         # plane at or below the threshold other than the pin is a breach
-        height = cert.spec.avoidance_heights[idx]
+        height = schedule[idx]
         for plane in hyperplanes_meeting(n, height, hulls[idx]):
             if plane != pins.get(idx):
                 fail(idx, "avoidance", f"plane {plane} at height "
@@ -188,11 +197,9 @@ def verify_certificate(
     if hulls and cert.final_box != hulls[-1]:
         fail(None, "integrity", "final box does not match the last step")
         fail(len(steps) - 1, "integrity")
-    if not steps:
-        fail(None, "integrity", "certificate has no steps")
 
     spot_reports: list[SpotCheck] = []
-    if steps and not failures:
+    if not failures:  # so the steps are those of the spec, at least one
         if spot_checks is None:
             spot_checks = default_spot_checks(cert)
         midpoint = hulls[-1].midpoint

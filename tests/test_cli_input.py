@@ -1,9 +1,11 @@
 """Command line: malformed flags and spec files end in their documented
 exit code, never in a traceback; an over-budget certificate or scan is
-refused at once; a certificate's spec rebuilds it."""
+refused at once; a certificate with more or fewer steps than its spec
+fails verification; a certificate's spec rebuilds it."""
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -96,17 +98,47 @@ def cert_blob():
         ("avoidance_heights", [3, 4, 3000]),
         # an exact power of that size never finishes
         ("phi", {"kind": "pow", "exponent": "999999999999"}),
+        # a hull 2**64 wide: each direction walks 2**64 constant terms
+        ("product", [{"base": 3, "digits": [0, 2], "scale": str(2**64)}] * 2),
     ],
-    ids=["avoidance-height", "phi-exponent"],
+    ids=["avoidance-height", "phi-exponent", "scale"],
 )
 def test_over_budget_certificate_is_refused_at_once(tmp_path, cert_blob, field, value):
     blob = json.loads(json.dumps(cert_blob))
     blob["spec"][field] = value
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(blob))
+    start = time.monotonic()
     out = run("certify", str(path), "--spot-checks", "none", timeout=20)
+    assert time.monotonic() - start < 2
     assert out.returncode == 3
     assert "over budget" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def _grown(blob):
+    blob["steps"].append(blob["steps"][-1])
+
+
+def _shrunk(blob):
+    # a well-formed 2-step certificate under a 3-step spec
+    del blob["steps"][-1]
+    blob["steps"][-1]["bound_used"] = None
+    blob["final_box"] = blob["steps"][-1]["box"]
+    blob["avoided"] = [a for a in blob["avoided"] if a["nu"] <= 2]
+
+
+@pytest.mark.parametrize(
+    "edit, count", [(_grown, 4), (_shrunk, 2)], ids=["extra-step", "missing-step"]
+)
+def test_step_count_other_than_the_spec_fails(tmp_path, cert_blob, edit, count):
+    blob = json.loads(json.dumps(cert_blob))
+    edit(blob)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(blob))
+    out = run("certify", str(path), "--spot-checks", "none", timeout=60)
+    assert out.returncode == 4
+    assert f"certificate has {count} steps, its spec asks for 3" in out.stdout
     assert "Traceback" not in out.stderr
 
 

@@ -20,6 +20,7 @@ from singvec.digitsets import _HORNER_LEAF
 F = Fraction
 THIRDS = DigitSystem(3, (0, 2))
 HEX = DigitSystem(16, (0, 7, 15), offset=F(-1, 5), scale=F(3, 2))
+SHIFTED = DigitSystem(5, (1, 2, 4), offset=F(-1, 3), scale=F(7, 2))
 
 
 def test_system_validation():
@@ -43,6 +44,8 @@ def test_hulls_frozen():
     assert root.extend((0, 2)).hull() == RatInterval(F(2, 9), F(1, 3))
     shifted = DigitSystem(3, (0, 2), offset=F(1), scale=F(1, 2))
     assert shifted.hull() == RatInterval(F(1), F(3, 2))
+    # -1/3 + 7/2 * [1/4, 4/4]
+    assert SHIFTED.hull() == RatInterval(F(13, 24), F(19, 6))
 
 
 def test_anchors_frozen():
@@ -86,8 +89,8 @@ def test_descend_min_matches_extend():
     a = cyl.descend_min(7)
     b = cyl.extend((0,) * 7)
     assert a.prefix == b.prefix
-    assert a.prefix_value == b.prefix_value
-    assert a.unit == b.unit
+    assert a.value == b.value == 2 * 3**7
+    assert a.hull() == b.hull() == RatInterval(F(2, 3), F(2, 3) + F(1, 3**8))
 
 
 def test_rejected_digits():
@@ -121,20 +124,21 @@ def test_horner_value_matches_incremental(case):
     system, prefix = case
     direct = Cylinder(system, prefix)
     walked = Cylinder.root(system).extend(prefix)
-    assert direct.prefix_value == walked.prefix_value
-    assert direct.unit == walked.unit
-    # the prefix value is the hull with an all-zero tail
+    assert direct.value == walked.value
     b = system.base
-    assert direct.prefix_value == system.offset + system.scale * sum(
-        F(d, b ** (i + 1)) for i, d in enumerate(prefix)
+    assert direct.value == sum(d * b ** i for i, d in enumerate(reversed(prefix)))
+    # the anchor is the prefix followed by an all-minimum-digit tail
+    assert direct.anchor() == walked.anchor() == system.offset + system.scale * (
+        sum(F(d, b ** (i + 1)) for i, d in enumerate(prefix))
+        + F(system.dmin, (b - 1) * b ** len(prefix))
     )
 
 
 def test_deep_prefix_value_closed_form():
     # 300k digits stay cheap only while the prefix value is subquadratic
     deep = Cylinder(THIRDS, (2,) * 300_000)
-    assert deep.prefix_value == 1 - F(1, 3**300_000)
-    assert deep.unit == F(1, 3**300_000)
+    assert deep.value == 3**300_000 - 1
+    assert deep.hull() == RatInterval(1 - F(1, 3**300_000), F(1))
 
 
 @given(digit_strat, st.sampled_from((0, 2)))
@@ -142,7 +146,38 @@ def test_child_hull_nests(prefix, digit):
     cyl = Cylinder(THIRDS, tuple(prefix))
     kid = cyl.child(digit)
     assert cyl.hull().contains_interval(kid.hull())
-    assert kid.unit == cyl.unit / 3
+    assert kid.value == 3 * cyl.value + digit
+    assert kid.hull().width == cyl.hull().width / 3
+
+
+@st.composite
+def shifted_path(draw):
+    """A system with an offset and a non-unit scale, a prefix, and a
+    number of smallest-digit levels below it."""
+    system = draw(st.sampled_from((SHIFTED, HEX, THIRDS)))
+    prefix = tuple(draw(st.lists(st.sampled_from(system.digits), max_size=40)))
+    return system, prefix, draw(st.integers(0, 30))
+
+
+@settings(deadline=None)
+@given(shifted_path())
+@example((SHIFTED, (), 0))
+@example((SHIFTED, (4, 1, 2), 5))
+def test_cylinder_paths_agree_with_digit_sum(case):
+    system, prefix, levels = case
+    direct = Cylinder(system, prefix + (system.dmin,) * levels)
+    walked = Cylinder.root(system).extend(prefix).descend_min(levels)
+    assert direct.prefix == walked.prefix
+    assert direct.value == walked.value
+    # the hull, digit by digit: the prefix, then a constant tail
+    b, depth = system.base, direct.depth
+    head = sum(F(d, b ** (i + 1)) for i, d in enumerate(direct.prefix))
+    tail = F(1, (b - 1) * b**depth)
+    lo = system.offset + system.scale * (head + system.dmin * tail)
+    hi = system.offset + system.scale * (head + system.dmax * tail)
+    assert direct.hull() == walked.hull() == RatInterval(lo, hi)
+    assert direct.anchor() == lo
+    assert system.hull().contains_interval(direct.hull())
 
 
 def test_rationals_in_first_items():

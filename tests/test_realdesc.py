@@ -102,6 +102,25 @@ def test_cylinder_point_policies():
         assert hull.contains(d.exact_value())
 
 
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("cyl:3,0,2::min", F(0)),
+        ("cyl:3,0,2::max", F(1)),
+        ("cyl:3,0,2::rep02", F(1, 4)),  # 0.0202... = 2/8
+        ("cyl:3,0,2:2:rep02", F(3, 4)),  # 2/3 + (1/3)(1/4)
+        ("cyl:4,1,3:1:min", F(1, 3)),  # 1/4 + (1/4)(1/3)
+        ("cyl:4,1,3:13:max", F(1, 2)),  # 1/4 + 3/16 + (1/16)(3/3)
+        ("cyl:10,0,9:9:rep09", F(10, 11)),  # 9/10 + (1/10)(9/99)
+        ("cyl:11,1,10:10:max", F(1)),  # 10/11 + (1/11)(10/10)
+        ("cyl:16,0,7,15:15,0:rep7,15", F(15, 16) + F(127, 256 * 255)),
+        ("cyl:5,1,2,4:41:rep241", F(21, 25) + F(71, 25 * 124)),
+    ],
+)
+def test_cylinder_point_values_frozen(text, value):
+    assert parse_real(text).exact_value() == value
+
+
 def test_cylinder_point_of_a_deep_prefix():
     # n twos then the all-zero tail: 0.22...2 in base 3 is 1 - 3**-n.
     # One Fraction for the whole prefix, not one per digit.
