@@ -382,7 +382,7 @@ def _loads(text: str, reader, what: str):
 def _certificate(obj) -> Certificate:
     if not isinstance(obj, dict):
         raise SchemaError("certificate must be a JSON object")
-    version = obj.get("version")
+    version = json_int(obj.get("version"))
     if version != SCHEMA_VERSION:
         raise SchemaError(f"unsupported certificate version: {version!r}")
     spec = ConstructionSpec.from_json(obj["spec"])

@@ -180,8 +180,9 @@ def construct(spec: ConstructionSpec) -> Certificate:
     prev_phi = None
     prev_pin = None  # (p, q, k) of the previous step
     k = 1
+    box = _box(cyls)
     for nu in range(1, spec.steps + 1):
-        prev_box = _box(cyls)
+        prev_box = box
         p, q, phi, sub = _pick_pin(cyls[k - 1], spec.norm, k, n, prev_phi)
         cyls[k - 1] = sub
         _check_recordable(phi)
@@ -202,15 +203,17 @@ def construct(spec: ConstructionSpec) -> Certificate:
             cyls[j] = _shrink_forced(cyls[j])
         pin_plane = coordinate_hyperplane(k, Fraction(p, q), n)
         height = spec.avoidance_heights[nu - 1]
+        box = _box(cyls)
         candidates = [
             plane
-            for plane in hyperplanes_meeting(n, height, _box(cyls))
+            for plane in hyperplanes_meeting(n, height, box)
             if plane != pin_plane
         ]
         for plane in candidates:
             _separate(cyls, plane, k, spec.max_depth)
             avoided.append(AvoidedEntry(nu, plane))
-        box = _box(cyls)
+        if candidates:
+            box = _box(cyls)
         if not prev_box.contains_interior(box):
             raise SingvecError(
                 f"internal error: step {nu} box is not strictly nested"

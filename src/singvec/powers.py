@@ -2,7 +2,8 @@
 
 A PowerValue keeps a positive rational coefficient, a positive rational
 base and a rational exponent, all exact.  Order comparisons between two
-such values (or against a plain Fraction) never round: both sides are
+such values (or against a plain Fraction) never round: float logs
+decide only when they are far apart, and otherwise both sides are
 raised to the least common multiple of the exponent denominators, which
 turns the comparison into one between ordinary fractions.
 
@@ -22,6 +23,11 @@ from .exact import RatInterval, rat_str
 # power of two.  Longer ones start it from the root of the radicand's
 # top bits, found the same way, which leaves it a few full-size steps.
 _IROOT_LEAF_BITS = 128
+
+
+# Relative to the size of the logs summed, float logs of two values
+# that differ by more than this decide their order.
+_LOG_MARGIN = 1e-12
 
 
 def iroot(n: int, k: int) -> int:
@@ -150,12 +156,22 @@ class PowerValue:
 
     def log_float(self) -> float:
         """Natural log as a float; immune to overflow of the value itself."""
-        out = math.log(self.coef.numerator) - math.log(self.coef.denominator)
+        return self._log_terms()[0]
+
+    def _log_terms(self) -> tuple[float, float]:
+        """The float log and the sum of the sizes of the logs it adds up.
+        Those may cancel, so its rounding error is bounded by a few ulps
+        of that sum, not of the result."""
+        a = math.log(self.coef.numerator)
+        b = math.log(self.coef.denominator)
+        out, size = a - b, a + b
         if self.exp:
-            out += float(self.exp) * (
-                math.log(self.base.numerator) - math.log(self.base.denominator)
-            )
-        return out
+            e = float(self.exp)
+            c = math.log(self.base.numerator)
+            d = math.log(self.base.denominator)
+            out += e * (c - d)
+            size += abs(e) * (c + d)
+        return out, size
 
     # -- exact order -------------------------------------------------
 
@@ -168,6 +184,12 @@ class PowerValue:
             other = PowerValue(other)
         if not isinstance(other, PowerValue):
             return NotImplemented  # type: ignore[return-value]
+        # float logs decide unless they are within far more than their
+        # rounding error of each other; then the exact powers do
+        x, dx = self._log_terms()
+        y, dy = other._log_terms()
+        if abs(x - y) > _LOG_MARGIN * (dx + dy):
+            return 1 if x > y else -1
         lcm = math.lcm(self.exp.denominator, other.exp.denominator)
         lhs = self.coef**lcm * self.base ** int(self.exp * lcm)
         rhs = other.coef**lcm * other.base ** int(other.exp * lcm)

@@ -208,6 +208,17 @@ def test_certificate_version_gate():
     assert "unsupported certificate version" in str(err.value)
 
 
+@pytest.mark.parametrize("version", [True, 1.0, "1", None])
+def test_certificate_version_must_be_a_json_int(version):
+    # True == 1 and 1.0 == 1 in Python, but the schema takes only ints
+    cert = construct(small_spec())
+    obj = json.loads(cert.dumps())
+    obj["version"] = version
+    with pytest.raises(SchemaError) as err:
+        certificate_from_json(obj)
+    assert "expected an integer" in str(err.value)
+
+
 def test_certificate_malformed():
     cert = construct(small_spec())
     obj = json.loads(cert.dumps())

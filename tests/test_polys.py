@@ -1,12 +1,12 @@
-"""Polynomial helpers: exact evaluation, division, Sturm counts,
-bisection."""
+"""Polynomial helpers: exact evaluation, division, Sturm counts, and
+the integer root kernel against plain bisection."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from singvec import RatInterval
+from singvec import AlgebraicReal, RatInterval
 from singvec.polys import (
     bisect_root,
     count_roots,
@@ -151,3 +151,124 @@ def test_deflate_then_eval_agrees(r, x):
     p = poly_mul([-r, F(1)], fl(1, 0, 1))
     q = deflate_root(p, r)
     assert poly_eval(q, x) == x * x + 1
+
+
+# -- the root kernel against the Fraction bisection it replaces ---------
+
+
+def bisect_oracle(p, bracket, width):
+    """Halve the bracket one Fraction midpoint at a time, keeping the
+    half with the sign change; a midpoint root collapses it."""
+    lo, hi = bracket.lo, bracket.hi
+    flo = poly_eval(p, lo)
+    fhi = poly_eval(p, hi)
+    if flo == 0:
+        return RatInterval(lo, lo)
+    if fhi == 0:
+        return RatInterval(hi, hi)
+    assert (flo > 0) != (fhi > 0)
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        fm = poly_eval(p, mid)
+        if fm == 0:
+            return RatInterval(mid, mid)
+        if (fm > 0) == (flo > 0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return RatInterval(lo, hi)
+
+
+int_coeffs = st.lists(st.integers(-20, 20).map(F), min_size=2, max_size=6)
+rat_coeffs = st.lists(coeff, min_size=2, max_size=6)
+# widths of any rational size, powers of two among them
+widths = st.one_of(
+    st.builds(F, st.integers(1, 10**6), st.integers(1, 2**200)),
+    st.integers(0, 200).map(lambda e: F(1, 2**e)),
+)
+
+
+@st.composite
+def isolated(draw):
+    """A polynomial of degree 1 to 5 and a bracket with a sign change
+    around exactly one distinct root, from a grid of step 1/s shifted
+    by a rational offset, so the ends are rarely dyadic."""
+    p = poly_trim(draw(st.one_of(int_coeffs, rat_coeffs)))
+    assume(poly_degree(p) >= 1)
+    step = F(1, draw(st.integers(1, 12)))
+    offset = draw(st.fractions(F(0), F(1), max_denominator=9))
+    ends = [offset + step * i for i in range(int(-30 / step), int(30 / step))]
+    signs = [poly_eval(p, x) for x in ends]
+    found = [
+        RatInterval(ends[i], ends[i + 1])
+        for i in range(len(ends) - 1)
+        if signs[i] * signs[i + 1] < 0
+        and count_roots(p, ends[i], ends[i + 1]) == 1
+    ]
+    assume(found)
+    return p, draw(st.sampled_from(found))
+
+
+@settings(max_examples=150, deadline=None)
+@given(isolated(), widths)
+def test_bisect_root_matches_bisection(case, width):
+    p, bracket = case
+    assert bisect_root(p, bracket, width) == bisect_oracle(p, bracket, width)
+
+
+@st.composite
+def grid_roots(draw):
+    """A polynomial with a rational root on the level-m grid of its
+    bracket (and on no coarser one), times a cofactor with no root in
+    the bracket, and a width whose level k may lie above or below m."""
+    lo = draw(st.fractions(F(-5), F(5), max_denominator=10))
+    h = draw(st.fractions(F(1, 10), F(10), max_denominator=10))
+    m = draw(st.integers(1, 60))
+    root = lo + h * F(2 * draw(st.integers(0, 2 ** (m - 1) - 1)) + 1, 2**m)
+    p = [-root, F(1)]
+    for _ in range(draw(st.integers(0, 4))):
+        gap = draw(st.fractions(F(1, 100), F(10), max_denominator=100))
+        far = lo - gap if draw(st.booleans()) else lo + h + gap
+        p = poly_mul(p, [-far, F(1)])
+    p = poly_scale(p, draw(st.sampled_from([F(1), F(-1), F(3, 7), F(-12)])))
+    # slack 1 puts the width on the level's cell size; 99/100 just under
+    slack = draw(st.sampled_from([F(1), F(4, 3), F(7, 4), F(99, 100)]))
+    width = h / 2 ** draw(st.integers(max(0, m - 3), m + 3)) * slack
+    return p, RatInterval(lo, lo + h), width, root, m
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_roots())
+def test_bisect_root_collapses_on_grid_roots(case):
+    p, bracket, width, root, m = case
+    out = bisect_root(p, bracket, width)
+    assert out == bisect_oracle(p, bracket, width)
+    k = 0
+    while bracket.width / 2**k > width:
+        k += 1
+    assert (out == RatInterval(root, root)) == (m <= k)
+
+
+STEPS = [64 << i for i in range(7)]  # 64, 128, ..., 4096 bits
+
+
+@settings(max_examples=40, deadline=None)
+@given(isolated())
+def test_enclose_in_turn_equals_one_call(case):
+    p, bracket = case
+    stepped = AlgebraicReal(p, bracket)
+    seen = [stepped.enclose(F(1, 2**b)) for b in STEPS]
+    once = AlgebraicReal(p, bracket).enclose(F(1, 2**STEPS[-1]))
+    assert seen[-1] == once
+    # the oracle, on the square-free part as AlgebraicReal refines, takes
+    # seconds to reach 4096 bits, so it follows the steps to 256 bits
+    ref, want = square_free_part(p), bracket
+    for b, got in zip(STEPS[:3], seen):
+        if want.width > F(1, 2**b):
+            want = bisect_oracle(ref, want, F(1, 2**b))
+        assert got == want
+
+
+def test_sqrt2_at_4096_bits_matches_bisection():
+    p, bracket, width = fl(-2, 0, 1), RatInterval(F(1), F(2)), F(1, 2**4096)
+    assert bisect_root(p, bracket, width) == bisect_oracle(p, bracket, width)

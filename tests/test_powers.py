@@ -111,6 +111,59 @@ def test_ordering_without_rounding():
     assert PowerValue(2, Fraction(1, 2)) > Fraction(-5)
 
 
+def exact_cmp(a: PowerValue, b: PowerValue) -> int:
+    """Order by raising both sides to the lcm of the exponent
+    denominators: no float anywhere."""
+    m = math.lcm(a.exp.denominator, b.exp.denominator)
+    lhs = a.coef**m * a.base ** int(a.exp * m)
+    rhs = b.coef**m * b.base ** int(b.exp * m)
+    return (lhs > rhs) - (lhs < rhs)
+
+
+small_exp = st.fractions(
+    min_value=Fraction(-3), max_value=Fraction(3), max_denominator=6
+)
+positive = st.fractions(
+    min_value=Fraction(1, 10**6), max_value=Fraction(10**6), max_denominator=10**6
+)
+huge_base = st.integers(min_value=2, max_value=2**2000)
+
+
+@st.composite
+def power_pairs(draw):
+    """Two values that are unrelated, equal but written two ways, a
+    near-tie a relative 10**-k apart, or built on huge bases."""
+    kind = draw(st.sampled_from(["free", "equal", "near", "huge"]))
+    base = draw(huge_base if kind == "huge" else positive)
+    a = PowerValue(base, draw(small_exp), draw(positive))
+    if kind == "free":
+        return a, PowerValue(draw(positive), draw(small_exp), draw(positive))
+    if kind == "huge":
+        return a, PowerValue(draw(huge_base), draw(small_exp), draw(positive))
+    if kind == "equal":
+        k = draw(st.integers(min_value=2, max_value=4))
+        return a, PowerValue(a.base**k, a.exp / k, a.coef)
+    near = 1 + draw(st.sampled_from([1, -1])) * Fraction(
+        1, 10 ** draw(st.integers(min_value=8, max_value=60))
+    )
+    return a, a.mul_fraction(near)
+
+
+@given(power_pairs())
+@example((PowerValue(27, Fraction(1, 2)), PowerValue(9, Fraction(3, 4))))
+@example((PowerValue(2, Fraction(1, 2)), Fraction(14142135623730951, 10**16)))
+@example((PowerValue(10**400, Fraction(1, 3)), PowerValue(10**200, Fraction(2, 3))))
+@example((
+    PowerValue(10**400 + 1, Fraction(1, 3)),
+    PowerValue(10**200, Fraction(2, 3)),
+))
+def test_comparison_matches_exact_powers(pair):
+    a, b = pair
+    want = exact_cmp(a, b if isinstance(b, PowerValue) else PowerValue(b))
+    assert (a < b, a == b, a > b) == (want < 0, want == 0, want > 0)
+    assert (b < a, b == a, b > a) == (want > 0, want == 0, want < 0)
+
+
 def test_equal_values_hash_equal():
     # each group is one value written several ways
     F = Fraction

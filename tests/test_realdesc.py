@@ -20,6 +20,7 @@ from singvec import (
     UsageError,
     parse_real,
 )
+from singvec import polys
 from singvec.exact import digit_limit
 
 F = Fraction
@@ -65,6 +66,28 @@ def test_algebraic_sqrt2():
     # enclosures only ever shrink
     again = d.enclose(F(1, 4))
     assert iv.contains_interval(again)
+
+
+# sign evaluations allowed for the seven doubling refinements from 64
+# to 4096 bits; halving one bit at a time makes about 4096
+DOUBLING_EVALS = 300
+
+
+@pytest.mark.parametrize(
+    "coeffs, bracket",
+    [([-2, 0, 1], (1, 2)), ([1, -3, 0, 1], (1, 2))],  # sqrt2; x^3 - 3x + 1
+)
+def test_refinement_by_doubling_costs_log_bits_evaluations(
+    monkeypatch, coeffs, bracket
+):
+    d = AlgebraicReal(coeffs, RatInterval(F(bracket[0]), F(bracket[1])))
+    calls = []
+    for name in ("_int_eval", "_int_eval_deriv", "poly_eval"):
+        f = getattr(polys, name)
+        monkeypatch.setattr(polys, name, lambda *a, f=f: calls.append(1) or f(*a))
+    for bits in (64 << i for i in range(7)):
+        assert d.enclose(F(1, 2**bits)).width <= F(1, 2**bits)
+    assert 0 < len(calls) <= DOUBLING_EVALS
 
 
 def test_algebraic_rejects_ambiguous_bracket():
