@@ -5,12 +5,10 @@ exponent bounds."""
 
 from .bounds import (
     ExponentBoundPair,
-    PolyRootQuery,
     TransferenceConstants,
     badness_exponent,
     exponent_ratio_bound,
     hypersurface_exponent_bound,
-    isolate_root,
     refined_exponent_bound,
     subspace_exponent_bounds,
     subspace_polynomial,

@@ -1,9 +1,10 @@
 """Closed-form exponent constants and certified root enclosures.
 
-Every numeric bound exposed here is either an exact rational or a
-bisected enclosure of an algebraic root, with sign conditions and a
-Sturm uniqueness count checked before any bisection starts.  Nothing in
-this module touches floating point.
+Every numeric bound exposed here is either an exact rational or an
+enclosure of an algebraic root, taken from realdesc.AlgebraicReal: the
+descriptor checks with a Sturm count that its bracket holds exactly one
+distinct root before any refinement starts.  Nothing in this module
+touches floating point.
 """
 from __future__ import annotations
 
@@ -12,13 +13,8 @@ from fractions import Fraction
 
 from .errors import BracketFailure, UsageError
 from .exact import RatInterval
-from .polys import (
-    Poly,
-    bisect_root,
-    count_roots,
-    deflate_root,
-    poly_eval,
-)
+from .polys import Poly, deflate_root, poly_eval
+from .realdesc import AlgebraicReal
 
 # -- exact constants ---------------------------------------------------
 
@@ -68,34 +64,10 @@ def transference_constants(n: int, weights=None) -> TransferenceConstants:
 # -- certified single-root enclosures ----------------------------------
 
 
-@dataclass(frozen=True)
-class PolyRootQuery:
-    """A polynomial, a bracket guaranteed to isolate one root, and a
-    width tolerance.  Coefficients ascending: coeffs[i] * x**i."""
-
-    coeffs: tuple[Fraction, ...]
-    bracket: RatInterval
-    tolerance: Fraction
-
-    def __post_init__(self):
-        if self.tolerance <= 0:
-            raise UsageError("tolerance must be positive")
-
-
-def isolate_root(query: PolyRootQuery) -> RatInterval:
-    """Bisect to the tolerance after verifying the bracket really does
-    isolate a single root (Sturm count plus endpoint sign change)."""
-    p: Poly = list(query.coeffs)
-    lo, hi = query.bracket.lo, query.bracket.hi
-    flo, fhi = poly_eval(p, lo), poly_eval(p, hi)
-    if flo == 0 or fhi == 0:
-        raise BracketFailure("bracket endpoint is a root; deflate first")
-    if (flo > 0) == (fhi > 0):
-        raise BracketFailure("no sign change across the bracket")
-    inner = count_roots(p, lo, hi)
-    if inner != 1:
-        raise BracketFailure(f"expected exactly 1 root in bracket, found {inner}")
-    return bisect_root(p, query.bracket, query.tolerance)
+def _root_enclosure(coeffs: Poly, lo, hi, tol) -> RatInterval:
+    """Enclosure, of width at most tol, of the one root of the
+    polynomial in [lo, hi]."""
+    return AlgebraicReal(coeffs, RatInterval(lo, hi)).enclose(Fraction(tol))
 
 
 def _subspace_poly(s: int, n: int) -> tuple[Poly, Fraction]:
@@ -113,10 +85,8 @@ def refined_exponent_bound(s: int, n: int, tol) -> RatInterval:
     This root sharpens the linear bound w for the uniform exponent on
     s-dimensional affine subspaces.
     """
-    tol = Fraction(tol)
     reduced, w = _subspace_poly(s, n)
-    query = PolyRootQuery(tuple(reduced), RatInterval(Fraction(0), w), tol)
-    out = isolate_root(query)
+    out = _root_enclosure(reduced, Fraction(0), w, tol)
     if not (0 < out.lo and out.hi < w):
         raise BracketFailure("root enclosure escaped (0, w)")
     return out
@@ -142,17 +112,13 @@ def hypersurface_exponent_bound(n: int, s_deg: int, tol) -> RatInterval:
     """
     if n < 2 or s_deg < 2:
         raise UsageError("need n >= 2 and s_deg >= 2")
-    tol = Fraction(tol)
     # poly = sum_{k=1..n-1} x^(k+1)/(s_deg-1)^k + x - 1, ascending
     coeffs = [Fraction(0)] * (n + 1)
     coeffs[0] = Fraction(-1)
     coeffs[1] = Fraction(1)
     for k in range(1, n):
         coeffs[k + 1] = Fraction(1, (s_deg - 1) ** k)
-    query = PolyRootQuery(
-        tuple(coeffs), RatInterval(Fraction(0), Fraction(1)), tol
-    )
-    out = isolate_root(query)
+    out = _root_enclosure(coeffs, Fraction(0), Fraction(1), tol)
     if not (0 < out.lo and out.hi < 1):
         raise BracketFailure("root enclosure escaped (0, 1)")
     return out
@@ -173,7 +139,6 @@ def exponent_ratio_bound(n: int, omega_hat, tol) -> RatInterval:
     a = Fraction(omega_hat)
     if not Fraction(1, n) <= a < 1:
         raise UsageError("omega_hat must lie in [1/n, 1)")
-    tol = Fraction(tol)
     if a == Fraction(1, n):
         return RatInterval(Fraction(1), Fraction(1))
     g: Poly = [Fraction(0)] * (n + 1)
@@ -185,8 +150,7 @@ def exponent_ratio_bound(n: int, omega_hat, tol) -> RatInterval:
     hi = Fraction(2)
     while poly_eval(h, hi) <= 0:
         hi *= 2
-    query = PolyRootQuery(tuple(h), RatInterval(Fraction(1), hi), tol)
-    out = isolate_root(query)
+    out = _root_enclosure(h, Fraction(1), hi, tol)
     floor_bound = Fraction(n - 1, n) / (1 - a)
     if out.hi < floor_bound:
         raise BracketFailure("enclosure fell below the guaranteed floor")

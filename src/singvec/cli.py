@@ -133,7 +133,8 @@ def _fmt_approx(value) -> str:
     log10 = value.log_float() / math.log(10)
     if abs(log10) >= 15:
         return f"~10^{log10:.2f}"
-    with localcontext(prec=40) as ctx:
+    with localcontext() as ctx:
+        ctx.prec = 40
         coef, base, exp = (
             Decimal(f.numerator) / f.denominator
             for f in (value.coef, value.base, value.exp)

@@ -821,13 +821,10 @@ class BadnessResult:
 def _power_table(w: Fraction, cap: int, bits: int, exact: bool):
     """Integer weights for m**w, m = 0..cap: (lo, hi, scale, e) such that
     d**e * lo[m] and d**e * hi[m] order or bound the weighted distance
-    d * m**w.  An integer w gives exact powers with e = 1.  For w = a/b
-    on an exact distance, m**a with e = b orders d * m**w exactly.
-    Otherwise lo and hi bound m**w at scale 2**bits, with e = 1."""
-    if w.denominator == 1:
-        table = [m ** int(w) for m in range(cap + 1)]
-        return table, table, 1, 1
-    if exact:
+    d * m**w.  For w = a/b, on an exact distance or with b = 1, m**a
+    with e = b orders d * m**w exactly.  Otherwise lo and hi bound m**w
+    at scale 2**bits, with e = 1."""
+    if exact or w.denominator == 1:
         table = [m**w.numerator for m in range(cap + 1)]
         return table, table, 1, w.denominator
     los = [0] * (cap + 1)

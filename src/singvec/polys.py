@@ -9,7 +9,9 @@ counting must be exact, not floating point.
 bisect_root returns the bracket that halving an isolating bracket
 returns, but finds it on integers: the polynomial is shifted and scaled
 once onto the final dyadic grid, and precision-doubling Newton steps
-with exact sign checks reach the cell in O(log bits) evaluations.
+with exact sign checks reach the cell in O(log bits) evaluations.  Its
+one caller, realdesc.AlgebraicReal, checks the bracket with a Sturm
+count and refines the square-free part, where every root is simple.
 """
 from __future__ import annotations
 
@@ -280,9 +282,9 @@ def bisect_root(
     p changes sign, or the grid point at which p is exactly 0, which
     collapses the bracket to that point.  That is what halving the
     bracket k times returns, when the bracket holds exactly one
-    distinct root of p: the sign-change cell is then unique.  Both
-    callers, realdesc.AlgebraicReal and bounds.isolate_root, check that
-    with a Sturm count first.
+    distinct root of p: the sign-change cell is then unique.  The one
+    caller, realdesc.AlgebraicReal, checks that with a Sturm count
+    first, and passes the square-free part, where that root is simple.
 
     The search runs on one integer polynomial, p shifted and scaled to
     the level-k grid.  It bisects the first levels and then doubles

@@ -25,7 +25,7 @@ from abc import ABC, abstractmethod
 from fractions import Fraction
 
 from .digitsets import Cylinder, DigitSystem
-from .errors import NonIsolating, PrecisionExhausted, UsageError
+from .errors import NonIsolating, UsageError
 from .exact import RatInterval, rat, rat_str
 from .polys import (
     Poly,
@@ -35,10 +35,6 @@ from .polys import (
     poly_eval,
     square_free_part,
 )
-
-# refusing to shrink an enclosure below this width raises PrecisionExhausted
-MIN_WIDTH = Fraction(1, 2**4096)
-
 
 class RealDescriptor(ABC):
     """A single real number with on-demand rational enclosures."""
@@ -52,15 +48,9 @@ class RealDescriptor(ABC):
         """The exact rational value, or None if irrational/unknown."""
 
 
-def _check_width(width: Fraction) -> Fraction:
+def _check_width(width: Fraction) -> None:
     if width <= 0:
         raise UsageError("enclosure width must be positive")
-    if width < MIN_WIDTH:
-        raise PrecisionExhausted(
-            f"requested width {rat_str(width)} is below the refinement floor "
-            f"2^-4096; loosen the tolerance"
-        )
-    return width
 
 
 class ExactReal(RealDescriptor):

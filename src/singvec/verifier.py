@@ -6,8 +6,10 @@ every recorded height value and decay bound is recomputed from that
 spec, and the
 geometric conditions are re-checked with exact interval arithmetic.
 Every check reports through one fail(step, check, message) rather than
-raising, so a single run surfaces everything that is wrong with a
-certificate; each step's report is read off those records at the end.
+raising, so a single run surfaces every failing check of every step;
+each step's report is read off those records at the end.  The rescan
+of a step stops at its first crossing plane, so a hostile box costs no
+more than one message per step.
 
 Checked once: the certificate has one step per height of its spec's
 schedule, and its final box is the last step's.  Checked per step: the
@@ -187,12 +189,14 @@ def verify_certificate(
             fail(idx, "integrity")  # a step past the schedule: no threshold
             continue
         # anything hyperplanes_meeting yields crosses the box, so every
-        # plane at or below the threshold other than the pin is a breach
+        # plane at or below the threshold other than the pin is a breach;
+        # the first one fails the step, so the walk stops there
         height = schedule[idx]
         for plane in hyperplanes_meeting(n, height, hulls[idx]):
             if plane != pins.get(idx):
                 fail(idx, "avoidance", f"plane {plane} at height "
                      f"{plane.height()} <= {height} meets the box")
+                break
 
     if hulls and cert.final_box != hulls[-1]:
         fail(None, "integrity", "final box does not match the last step")

@@ -6,14 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from singvec import (
-    BracketFailure,
-    PolyRootQuery,
     RatInterval,
     UsageError,
     badness_exponent,
     exponent_ratio_bound,
     hypersurface_exponent_bound,
-    isolate_root,
     refined_exponent_bound,
     subspace_exponent_bounds,
     subspace_polynomial,
@@ -150,29 +147,3 @@ def test_exponent_ratio_floor(n, a):
     got = exponent_ratio_bound(n, a, F(1, 10**6))
     assert got.hi >= F(n - 1, n) / (1 - a)
     assert got.lo >= 1
-
-
-def test_isolate_root_guards():
-    with pytest.raises(UsageError):
-        PolyRootQuery((F(-2), F(0), F(1)), RatInterval(F(1), F(2)), F(0))
-    # endpoint is a root
-    with pytest.raises(BracketFailure):
-        isolate_root(
-            PolyRootQuery((F(-1), F(0), F(1)), RatInterval(F(1), F(2)), TOL)
-        )
-    with pytest.raises(BracketFailure):
-        isolate_root(
-            PolyRootQuery((F(1), F(0), F(1)), RatInterval(F(0), F(1)), TOL)
-        )
-    # sign change but three roots inside
-    cubic = (F(-6), F(11), F(-6), F(1))
-    with pytest.raises(BracketFailure):
-        isolate_root(PolyRootQuery(cubic, RatInterval(F(0), F(7, 2)), TOL))
-
-
-def test_isolate_root_happy_path():
-    got = isolate_root(
-        PolyRootQuery((F(-2), F(0), F(1)), RatInterval(F(1), F(2)), TOL)
-    )
-    assert got.width <= TOL
-    assert float(got.lo) == pytest.approx(2**0.5, abs=1e-9)

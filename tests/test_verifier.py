@@ -1,6 +1,7 @@
 """Certificate verification: honest certificates pass, every tampered
 claim is caught by the specific check that owns it."""
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -215,6 +216,38 @@ def test_tamper_widened_box(blob):
     assert not last.avoidance
     assert not report.steps[1].bound_chain
     assert any("meets the box" in f for f in report.failures)
+
+
+def test_empty_prefixes_fail_fast_with_one_rescan_message_per_step():
+    # every box is the product's hull, which thousands of low planes
+    # cross; the rescan must stop each step at its first crossing plane
+    # instead of formatting one message per plane
+    cert = construct(
+        ConstructionSpec(
+            product=ProductSet((THIRDS,) * 4),
+            norm=NormSpec("sup"),
+            phi=PhiSpec("pow", exponent=F(5)),
+            steps=5,
+        )
+    )
+    blob = json.loads(cert.dumps())
+    hull = box_to_json(Box((Cylinder(THIRDS, ()).hull(),) * 4))
+    for step in blob["steps"]:
+        for entry in step["cylinders"]:
+            entry["prefix"] = ""
+        step["box"] = hull
+    blob["final_box"] = hull
+    hostile = reload(blob)
+    start = time.perf_counter()
+    report = verify_certificate(hostile, spot_checks=())
+    assert time.perf_counter() - start < 2
+    assert not any(s.avoidance for s in report.steps)
+    for step in report.steps:
+        rescans = [
+            f for f in report.failures
+            if f.startswith(f"step {step.nu}: plane ") and "at height" in f
+        ]
+        assert len(rescans) == 1
 
 
 def test_tamper_avoided_plane_crossing(blob):
