@@ -226,6 +226,8 @@ def _cmd_certify(args) -> int:
 
 def _cmd_psi(args) -> int:
     if args.simultaneous:
+        if args.norm.kind != "sup":
+            raise UsageError("--simultaneous scans q >= 1 alone; it takes no --norm")
         value, witness = psi_simultaneous(args.xi, args.t, args.tol)
     else:
         value, witness = psi(args.norm, args.xi, args.t, args.tol)

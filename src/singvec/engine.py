@@ -29,10 +29,11 @@ last column are sorted once, and each prefix of the other columns (the
 empty one alone, for one column) visits only the sorted neighbours of
 its own target that can still reach the running minimum.  By the
 three-distance theorem those residues are spread evenly, so a box of
-caps T costs about T**(n-1) log T steps instead of T**n.  Records group
-the candidates by an integer height key with the order and ties of
-norm.phi and run _scan on every vector of each equal-height group.
-MAX_SCAN_WORK bounds the steps of either walk before a scan starts.
+caps T costs about T**(n-1) log T steps instead of T**n.  Records come
+from the top with one such scan each: the least height in the pool of a
+box is its last record, found by an integer height key with the order
+and ties of norm.phi, and the next box stops just below it.
+MAX_SCAN_WORK bounds the steps of a box scan before it starts.
 
 The pigeonhole suite checks psi and psi_simultaneous themselves.  They
 do not increase with t, so one value settles every threshold up to the
@@ -62,7 +63,7 @@ from .errors import (
     PrecisionExhausted,
     UsageError,
 )
-from .exact import RatInterval, rat, rat_str
+from .exact import RatInterval, dist_scaled, rat, rat_str
 from .powers import PowerValue, iroot
 from .realdesc import (
     ExactReal,
@@ -77,8 +78,7 @@ _MAX_BITS = 4096
 _DEFAULT_TOL = Fraction(1, 10**30)
 
 # Steps one scan may take, checked before it allocates anything: the
-# prefixes plus the sorted last column of _sorted_box, or every vector
-# of signed_box for a walk that visits each one.
+# prefixes plus the sorted last column of _sorted_box.
 MAX_SCAN_WORK = 10**7
 
 
@@ -223,30 +223,6 @@ def as_descriptor(x) -> RealDescriptor:
 # -- scaled-integer distance intervals ---------------------------------
 
 
-def _dist_scaled(lo: int, hi: int, scale: int) -> tuple[int, int]:
-    """Given integer bounds on scale*x, return integer bounds on
-    scale*<x> where <x> is the nearest-integer distance.  Exact interval
-    arithmetic on the periodic tent function."""
-    span = hi - lo
-    half = scale >> 1
-    if span >= scale:
-        return 0, half
-    r = lo % scale
-    rhi = r + span  # < 2*scale
-    if r == 0 or rhi >= scale:
-        dlo = 0
-    else:
-        dlo = r if r <= scale - rhi else scale - rhi
-    if r <= half <= rhi or rhi >= scale + half:
-        dhi = half
-    else:
-        da = r if 2 * r <= scale else scale - r
-        rb = rhi if rhi < scale else rhi - scale
-        db = rb if 2 * rb <= scale else scale - rb
-        dhi = da if da >= db else db
-    return dlo, dhi
-
-
 def _refine(step, start: int, cap: int, what: str):
     """The one precision policy.  Call step(bits, last) with bits = start,
     2*start, ... up to the first value at or above cap, where last is
@@ -342,7 +318,7 @@ def _max_dist(q: Sequence[int], table, scale: int) -> tuple[int, int]:
             elif c < 0:
                 lo += c * b
                 hi += c * a
-        a, b = _dist_scaled(lo, hi, scale)
+        a, b = dist_scaled(lo, hi, scale)
         if a > d_lo:
             d_lo = a
         if b > d_hi:
@@ -486,35 +462,29 @@ def _min_dist(rows, caps: Sequence[int], tol) -> tuple[RatInterval, tuple]:
 # -- psi ---------------------------------------------------------------
 
 
-def _height_caps(
-    norm: NormSpec, n: int, t: Fraction, grouped: bool = False
-) -> tuple[int, ...]:
+def _height_caps(norm: NormSpec, n: int, t: Fraction) -> tuple[int, ...]:
     """coordinate_caps of {Phi(q) <= t}, raising EmptyRange when that box
     holds no nonzero vector and UsageError when scanning it is over
-    budget (_check_work; grouped for a record walk)."""
+    budget (_check_work)."""
     caps = norm.coordinate_caps(t, n)
     if all(c == 0 for c in caps):
         raise EmptyRange(
             f"no nonzero integer vector has height <= {rat_str(t)}"
         )
-    _check_work(caps, grouped)
+    _check_work(caps)
     return caps
 
 
-def _scan_work(caps: Sequence[int], grouped: bool = False) -> int:
+def _scan_work(caps: Sequence[int]) -> int:
     """Steps a scan of signed_box(caps) takes: the prefixes and sorted
-    keys of _sorted_box, or with grouped every vector (records, lower
-    bounds)."""
-    if grouped:
-        return (math.prod(2 * c + 1 for c in caps) - 1) // 2
+    keys of _sorted_box."""
     prefixes = (math.prod(2 * c + 1 for c in caps[:-1]) + 1) // 2
     return prefixes + (2 * caps[-1] + 1 if len(caps) > 1 else caps[-1])
 
 
-def _check_work(caps: Sequence[int], grouped: bool = False) -> None:
-    """Raise UsageError when _scan_work(caps, grouped) is over
-    MAX_SCAN_WORK."""
-    work = _scan_work(caps, grouped)
+def _check_work(caps: Sequence[int]) -> None:
+    """Raise UsageError when _scan_work(caps) is over MAX_SCAN_WORK."""
+    work = _scan_work(caps)
     if work > MAX_SCAN_WORK:
         raise UsageError(
             f"scan over budget: caps {list(caps)} take {work} steps, "
@@ -649,38 +619,50 @@ class RecordSequence:
 
 def record_sequence(norm: NormSpec, xi, t_max) -> RecordSequence:
     """All thresholds up to t_max where psi strictly improves, each with
-    its exact (or rigorously enclosed) new value and a witness."""
+    its exact (or rigorously enclosed) new value and a witness.
+
+    Records come from the top, one _box_scan each.  The least height key
+    h in the pool of a box is its last record: the pool holds every
+    vector that can reach the minimum, so below h none does.  The record
+    is decided when no pool member above h can reach below its upper end
+    and its group at h is one vector or only zero-width ones, real ties
+    settled by witness_key.  The next box holds the keys up to h - 1.
+    Its record lies outside this pool, so its lower end is above this
+    record's upper end, which is the box's min_hi."""
     t_max = Fraction(t_max)
     row = _scan_row(xi)
-    caps = _height_caps(norm, len(row), t_max, grouped=True)
-    rows = [row]
-    key = _height_key(norm)
-    by_height: dict[int, list] = {}
-    for q in signed_box(caps):
-        by_height.setdefault(key(q), []).append(q)
-    groups = [by_height[h] for h in sorted(by_height)]
+    top = _height_caps(norm, len(row), t_max)
+    exps = _height_key(norm, len(row))
 
     def step(bits, last):
-        table, scale = _scaled_rows(rows, bits)
+        table, scale = _scaled_rows([row], bits)
         entries: list[RecordEntry] = []
-        cur_lo = cur_hi = math.inf
-        for group in groups:
-            g_lo, g_hi, pool = _scan(group, table, scale)
-            if g_lo >= cur_hi:
-                continue  # certainly no improvement
-            # zero-width candidates that tie are real ties, settled by
-            # witness_key
-            decided = len(pool) == 1 or all(lo == hi for lo, hi, _ in pool)
-            if g_hi >= cur_lo or not decided:
+        caps = top
+        while any(caps):
+            _, _, pool = _box_scan(caps, table, scale)
+            keyed = [
+                (max(abs(c) ** e for c, e in zip(q, exps)), lo, hi, q)
+                for lo, hi, q in pool
+            ]
+            h = min(k for k, _, _, _ in keyed)
+            group = [(lo, hi, q) for k, lo, hi, q in keyed if k == h]
+            g_lo = min(lo for lo, _, _ in group)
+            g_hi = min(hi for _, hi, _ in group)
+            if any(k > h and lo < g_hi for k, lo, _, _ in keyed):
                 return None
-            value = RatInterval(Fraction(g_lo, scale), Fraction(g_hi, scale))
+            if len(group) > 1 and any(lo != hi for lo, hi, _ in group):
+                return None
             # equal heights can print differently, (27)^(1/2) or
-            # (9)^(3/4); the group's least witness_key member fixes which
-            phi = norm.phi(min(group, key=witness_key))
-            witness = min((q for _, _, q in pool), key=witness_key)
-            entries.append(RecordEntry(phi, value, witness))
-            cur_lo, cur_hi = g_lo, g_hi
-        return entries
+            # (9)^(3/4); the least witness_key at h fixes which: h on
+            # the last coordinate that h is a power for, zeros elsewhere
+            j = max(j for j, e in enumerate(exps) if iroot(h, e) ** e == h)
+            least = [0] * len(exps)
+            least[j] = iroot(h, exps[j])
+            value = RatInterval(Fraction(g_lo, scale), Fraction(g_hi, scale))
+            witness = min((q for _, _, q in group), key=witness_key)
+            entries.append(RecordEntry(norm.phi(least), value, witness))
+            caps = tuple(iroot(h - 1, e) for e in exps)
+        return entries[::-1]
 
     entries = _refine(
         step, _START_BITS, _MAX_BITS,
@@ -690,15 +672,16 @@ def record_sequence(norm: NormSpec, xi, t_max) -> RecordSequence:
     return RecordSequence(norm, t_max, tuple(entries))
 
 
-def _height_key(norm: NormSpec):
-    """An integer function of q with the order and ties of norm.phi:
-    |q|_inf for the sup norm; for weights s_j = a_j/b_j and
-    L = lcm(a_j), max_j |q_j|**(L*b_j/a_j), which is phi(q)**(n*L)."""
+def _height_key(norm: NormSpec, n: int) -> list[int]:
+    """Exponents e_j such that the integer key max_j |q_j|**e_j has the
+    order and ties of norm.phi(q) on n coordinates: 1 for the sup norm;
+    for weights s_j = a_j/b_j and L = lcm(a_j), L*b_j/a_j, which makes
+    the key phi(q)**(n*L).  The keys up to h fill the box of caps
+    iroot(h, e_j)."""
     if norm.kind == "sup":
-        return lambda q: max(abs(c) for c in q)
+        return [1] * n
     big_l = math.lcm(*(s.numerator for s in norm.weights))
-    exps = [big_l * s.denominator // s.numerator for s in norm.weights]
-    return lambda q: max(abs(c) ** e for c, e in zip(q, exps))
+    return [big_l * s.denominator // s.numerator for s in norm.weights]
 
 
 def exponent_estimate(seq: RecordSequence) -> tuple[Fraction, tuple[Fraction, ...]]:
@@ -925,7 +908,7 @@ def lower_bound_check(
     c = Fraction(c)
     if c <= 0:
         raise UsageError("the constant must be positive")
-    _check_work([height_cap], grouped=True)
+    _check_work([height_cap])
     w = spec.exponent
     rows = [[x] for x in _scan_row(lift_affine(spec, x))]
 
@@ -934,22 +917,23 @@ def lower_bound_check(
             return c / Fraction(q) ** int(w)
         return PowerValue(q, -w).mul_fraction(c)
 
-    pending = list(range(1, height_cap + 1))
+    first = 1  # every q below it meets the bound
 
     def step(bits, last):
-        nonlocal pending
+        # stop at the first q the bound does not certainly hold for: a
+        # later failure must not be reported while it is undecided
+        nonlocal first
         table, scale = _scaled_rows(rows, bits)
-        still = []
-        for q in pending:
+        for q in range(first, height_cap + 1):
             d_lo, d_hi = _max_dist((q,), table, scale)
             thr = threshold(q)
             if thr <= Fraction(d_lo, scale):
                 continue
             if thr > Fraction(d_hi, scale):
                 return False, q
-            still.append(q)
-        pending = still
-        return None if pending else (True, None)
+            first = q
+            return None
+        return True, None
 
     return _refine(
         step, _START_BITS, _MAX_BITS,

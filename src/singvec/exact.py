@@ -191,26 +191,40 @@ class RatInterval:
         return f"[{rat_str(self.lo)}, {rat_str(self.hi)}]"
 
 
-def dist_interval(x: RatInterval) -> RatInterval:
-    """Range of nearest-integer distance over a rational interval.
+def dist_scaled(lo: int, hi: int, scale: int) -> tuple[int, int]:
+    """Given integer bounds on scale*x, return integer bounds on
+    scale*<x> where <x> is the nearest-integer distance.  Exact interval
+    arithmetic on the periodic tent function when scale is even or
+    lo == hi; an odd scale has no integer at its half-integer."""
+    span = hi - lo
+    half = scale >> 1
+    if span >= scale:
+        return 0, half
+    r = lo % scale
+    rhi = r + span  # < 2*scale
+    if r == 0 or rhi >= scale:
+        dlo = 0
+    else:
+        dlo = r if r <= scale - rhi else scale - rhi
+    if r <= half <= rhi or rhi >= scale + half:
+        dhi = half
+    else:
+        da = r if 2 * r <= scale else scale - r
+        rb = rhi if rhi < scale else rhi - scale
+        db = rb if 2 * rb <= scale else scale - rb
+        dhi = da if da >= db else db
+    return dlo, dhi
 
-    Exact: splits on whether the interval spans an integer or a
-    half-integer point.
-    """
-    if x.width >= 1:
-        return RatInterval(Fraction(0), Fraction(1, 2))
-    base = x.lo.numerator // x.lo.denominator
-    lo, hi = x.lo - base, x.hi - base
-    # now 0 <= lo < 1 and lo <= hi < 2
-    vals = [nearest_int_dist(lo), nearest_int_dist(hi)]
-    out_lo = min(vals)
-    out_hi = max(vals)
-    if lo <= 1 <= hi:
-        out_lo = Fraction(0)
-    half = Fraction(1, 2)
-    if lo <= half <= hi or lo <= half + 1 <= hi:
-        out_hi = half
-    return RatInterval(out_lo, out_hi)
+
+def dist_interval(x: RatInterval) -> RatInterval:
+    """Range of nearest-integer distance over a rational interval, exact:
+    dist_scaled at twice the lcm of the endpoint denominators, an even
+    scale, so the half-integer is an integer there too."""
+    scale = 2 * math.lcm(x.lo.denominator, x.hi.denominator)
+    lo = x.lo.numerator * (scale // x.lo.denominator)
+    hi = x.hi.numerator * (scale // x.hi.denominator)
+    d_lo, d_hi = dist_scaled(lo, hi, scale)
+    return RatInterval(Fraction(d_lo, scale), Fraction(d_hi, scale))
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,8 @@ PSI = ("psi", "--xi", "1/2", "--xi", "1/3", "--t", "3")
         (("psi", "--xi", "sqrt2", "--t", "5", "--tol", "-1"), None, 1),
         (("psi", "--xi", "1/2", "--xi", "sqrt2", "--t", "5", "--tol", "-1"),
          None, 1),
+        (("psi", "--simultaneous", "--norm", "weighted:2/3,1/3", "--xi",
+          "1/3", "--xi", "1/5", "--t", "10"), None, 1),
     ],
     ids=[
         "norm-not-rational", "norm-zero-denominator", "dims-not-integer",
@@ -60,6 +62,7 @@ PSI = ("psi", "--xi", "1/2", "--xi", "1/3", "--t", "3")
         "cylinder-not-integer", "cylinder-digit-not-allowed",
         "spec-not-json", "spec-empty-object", "phi-over-budget",
         "records-has-no-tol", "psi-negative-tol", "psi-mixed-negative-tol",
+        "simultaneous-takes-no-norm",
     ],
 )
 def test_malformed_input_has_its_exit_code(tmp_path, argv, spec, code):

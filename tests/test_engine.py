@@ -18,6 +18,7 @@ from singvec import (
     DegenerateRecord,
     EmptyRange,
     NormSpec,
+    PrecisionExhausted,
     PowerValue,
     RatInterval,
     RecordEntry,
@@ -27,8 +28,10 @@ from singvec import (
     dirichlet_check,
     dirichlet_suite,
     exponent_estimate,
+    iroot,
     lift_affine,
     lower_bound_check,
+    parse_real,
     power_floor,
     psi,
     psi_enclosure,
@@ -542,6 +545,17 @@ def test_lower_bound_check():
         lower_bound_check(line, ("sqrt2",), 10, F(0))
 
 
+def test_lower_bound_check_reports_the_first_failure():
+    # x = 3/7 + sqrt2/2000 and c just above x: q = 1 fails by about
+    # 10**-40, undecided at 64 bits, while q = 7 (7x = 3 + 7 sqrt2/2000)
+    # fails at once; the first failing q is the answer
+    x = "alg:17999951/98000000,-6/7,1:0.429,0.43"
+    iv = parse_real(x).enclose(F(1, 10**60))
+    c = F(math.floor(iv.lo * 10**50), 10**50) + F(1, 10**40)
+    line = AffineSubspaceSpec(("0",), (("1",),))
+    assert lower_bound_check(line, (x,), 100, c) == (False, 1)
+
+
 # -- brute-force oracles ---------------------------------------------------
 #
 # Each oracle enumerates the whole integer box with plain Fraction
@@ -822,9 +836,119 @@ def test_dirichlet_check_mixed_target(xi):
 @settings(deadline=None, max_examples=100)
 @given(_weight_sets, st.data())
 def test_height_key_is_phi_power(weights, data):
-    q = data.draw(st.tuples(*[st.integers(-40, 40)] * len(weights)).filter(any))
-    assert _height_key(NormSpec("weighted", weights))(q) == _phi_power(weights, q)
-    assert _height_key(SUP_NORM)(q) == max(abs(c) for c in q)
+    n = len(weights)
+    q = data.draw(st.tuples(*[st.integers(-40, 40)] * n).filter(any))
+    for norm, want in (
+        (NormSpec("weighted", weights), _phi_power(weights, q)),
+        (SUP_NORM, max(abs(c) for c in q)),
+    ):
+        exps = _height_key(norm, n)
+        assert max(abs(c) ** e for c, e in zip(q, exps)) == want
+        # the caps of the keys up to want - 1 leave q out, those of
+        # want keep it
+        for h, inside in ((want - 1, False), (want, True)):
+            caps = [iroot(h, e) for e in exps]
+            assert all(abs(c) <= m for c, m in zip(q, caps)) == inside
+
+
+# -- records from the top against the upward grouped walk ----------------
+
+
+def _upward_records(norm, xi, t_max):
+    """Records by an upward walk, as an oracle: every vector of the box
+    grouped by height, one _scan per group in increasing height, a group
+    a record when its lower end is below the running upper end, each
+    round refined by _refine."""
+    row = _scan_row(xi)
+    caps = norm.coordinate_caps(F(t_max), len(row))
+    if norm.kind == "sup":
+        key = lambda q: max(abs(c) for c in q)  # noqa: E731
+    else:
+        key = lambda q: _phi_power(norm.weights, q)  # noqa: E731
+    by_height = {}
+    for q in signed_box(caps):
+        by_height.setdefault(key(q), []).append(q)
+    groups = [by_height[h] for h in sorted(by_height)]
+
+    def step(bits, last):
+        table, scale = _scaled_rows([row], bits)
+        entries = []
+        cur_lo = cur_hi = math.inf
+        for group in groups:
+            g_lo, g_hi, pool = _scan(group, table, scale)
+            if g_lo >= cur_hi:
+                continue
+            decided = len(pool) == 1 or all(lo == hi for lo, hi, _ in pool)
+            if g_hi >= cur_lo or not decided:
+                return None
+            value = RatInterval(F(g_lo, scale), F(g_hi, scale))
+            phi = norm.phi(min(group, key=witness_key))
+            witness = min((q for _, _, q in pool), key=witness_key)
+            entries.append(RecordEntry(phi, value, witness))
+            cur_lo, cur_hi = g_lo, g_hi
+        return entries
+
+    return engine._refine(step, 64, 4096, "undecided at {bits} bits")
+
+
+def _record_outcome(walk):
+    try:
+        entries = walk()
+    except PrecisionExhausted:
+        return "refused"
+    return [(str(e.threshold), e.threshold, e.value, e.witness) for e in entries]
+
+
+_IRRATIONALS = (
+    "sqrt2", "cbrt2", "alg:-3,0,1:1,2", "alg:-1,-1,1:1,2",
+    "alg:-5,0,1:2,3", "alg:-7,0,0,1:1,2",
+)
+_RECORD_NORMS = {
+    1: (SUP_NORM,),
+    2: (SUP_NORM, W23, NormSpec("weighted", (F(1, 4), F(3, 4)))),
+    3: (SUP_NORM, NormSpec("weighted", (F(1, 6), F(1, 3), F(1, 2)))),
+}
+_RECORD_T = {1: (5, 17, 60), 2: (3, F(11, 2), 9), 3: (2, 3, F(7, 2))}
+
+
+@pytest.mark.parametrize("kind", ["rational", "algebraic", "mixed"])
+def test_records_from_the_top_match_the_upward_walk(kind):
+    # entries and refusals alike, bit for bit, on seeded targets
+    rng = random.Random(kind)
+    refused = 0
+    for _ in range(30):
+        n = rng.randrange(1, 4)
+        den = rng.randrange(2, 40)
+        xi = []
+        for j in range(n):
+            exact = kind == "rational" or (kind == "mixed" and j % 2 == 0)
+            if kind == "mixed" and rng.random() < 0.3:
+                exact = not exact
+            xi.append(
+                F(rng.randrange(den), den) if exact
+                else rng.choice(_IRRATIONALS)
+            )
+        xi = tuple(xi)
+        norm = rng.choice(_RECORD_NORMS[n])
+        t_max = rng.choice(_RECORD_T[n])
+        got = _record_outcome(lambda: record_sequence(norm, xi, t_max).entries)
+        want = _record_outcome(lambda: _upward_records(norm, xi, t_max))
+        assert got == want, (norm, xi, t_max)
+        refused += got == "refused"
+    if kind == "rational":
+        assert refused == 0
+
+
+def test_records_of_a_box_larger_than_the_scan_budget():
+    # the box of height 3000 holds 1.8 * 10**7 vectors, more than
+    # MAX_SCAN_WORK, but each sorted scan takes about 9000 steps
+    xi = (F(1234, 4567), F(2345, 6789))
+    seq = record_sequence(SUP_NORM, xi, 3000)
+    assert len(seq.entries) == 13
+    for entry in seq.entries:
+        value, _ = psi(SUP_NORM, xi, entry.threshold.as_fraction())
+        assert value == entry.value
+        assert max(abs(c) for c in entry.witness) == entry.threshold
 
 
 # -- sorted-neighbour candidate source -----------------------------------
@@ -923,17 +1047,11 @@ def test_scan_work_budget():
     with pytest.raises(UsageError, match="over budget"):
         psi_simultaneous(("sqrt2",), 10**40)
     # the sorted source walks prefixes and one sorted column, for one
-    # column the empty prefix and its c keys of v >= 1; records group
-    # every vector of the box
+    # column the empty prefix and its c keys of v >= 1
     _check_work((10**6, 10**6))
-    with pytest.raises(UsageError, match="over budget"):
-        _check_work((10**6, 10**6), grouped=True)
     _check_work((10**7 - 1,))
     with pytest.raises(UsageError, match="over budget"):
         _check_work((10**7,))
-    _check_work((10**7,), grouped=True)
-    with pytest.raises(UsageError, match="over budget"):
-        _check_work((10**7 + 1,), grouped=True)
 
 
 def test_psi_enclosure_needs_a_bit():
