@@ -368,13 +368,15 @@ def _strict(reader, obj, what: str):
         raise SchemaError(f"malformed {what}: {exc}") from exc
 
 
-def _loads(text: str, reader, what: str):
-    """_strict on the JSON document in text; text that is not JSON is a
-    SchemaError too.  Integers of any length are read, whatever the
-    interpreter's digit guard."""
+def _loads(data: bytes | str, reader, what: str):
+    """_strict on the JSON document in data, bytes read as strict UTF-8;
+    bytes that are not UTF-8, text that is not JSON and nesting too deep
+    for the decoder are SchemaErrors too.  Integers of any length are
+    read, whatever the interpreter's digit guard."""
     try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
         obj = json.loads(text, parse_int=parse_int)
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(f"not JSON: {exc}") from exc
     return _strict(reader, obj, what)
 
@@ -405,5 +407,5 @@ def certificate_from_json(obj) -> Certificate:
     return _strict(_certificate, obj, "certificate")
 
 
-def certificate_loads(text: str) -> Certificate:
-    return _loads(text, _certificate, "certificate")
+def certificate_loads(data: bytes | str) -> Certificate:
+    return _loads(data, _certificate, "certificate")

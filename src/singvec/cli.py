@@ -56,7 +56,7 @@ from .errors import (
     UsageError,
     VerificationFailure,
 )
-from .exact import dec_str, rat_str
+from .exact import dec_str, int_str, rat_str
 from .powers import PowerValue
 from .realdesc import ProductReal, parse_real
 from .verifier import verify_certificate
@@ -149,7 +149,7 @@ def _fmt_approx(value) -> str:
 
 def _cmd_construct(args) -> int:
     if args.spec is not None:
-        with open(args.spec, "r", encoding="utf-8") as fh:
+        with open(args.spec, "rb") as fh:
             spec = _loads(fh.read(), ConstructionSpec.from_json, "spec")
     elif not args.cantor:
         raise UsageError("need --cantor factors or --spec file")
@@ -189,7 +189,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    with open(args.certificate, "r", encoding="utf-8") as fh:
+    with open(args.certificate, "rb") as fh:
         cert = certificate_loads(fh.read())
     report = verify_certificate(cert, args.spot_checks)
     for step in report.steps:
@@ -204,7 +204,7 @@ def _cmd_certify(args) -> int:
                 ("avoidance", step.avoidance),
             )
         )
-        print(f"step {step.nu}: {marks}")
+        print(f"step {int_str(step.nu)}: {marks}")
     for spot in report.spot_checks:
         mark = "ok" if spot.ok else "FAIL"
         print(

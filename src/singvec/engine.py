@@ -33,7 +33,10 @@ caps T costs about T**(n-1) log T steps instead of T**n.  Records come
 from the top with one such scan each: the least height in the pool of a
 box is its last record, found by an integer height key with the order
 and ties of norm.phi, and the next box stops just below it.
-MAX_SCAN_WORK bounds the steps of a box scan before it starts.
+MAX_SCAN_WORK bounds the steps of a box scan before it starts.  The
+source has a second caller, hyperplanes_meeting: with the endpoints of
+a box as the one row and the running bound held at 0, it yields the
+coefficient directions whose form can reach an integer over the box.
 
 The pigeonhole suite checks psi and psi_simultaneous themselves.  They
 do not increase with t, so one value settles every threshold up to the
@@ -63,7 +66,7 @@ from .errors import (
     PrecisionExhausted,
     UsageError,
 )
-from .exact import RatInterval, dist_scaled, rat, rat_str
+from .exact import RatInterval, dist_scaled, int_str, rat, rat_str
 from .powers import PowerValue, iroot
 from .realdesc import (
     ExactReal,
@@ -372,7 +375,10 @@ def _sorted_box(caps: Sequence[int], table, scale: int, weights=None):
     _power_table the e-th root of min_hi // pw_lo[max(|p|_inf, 1)],
     since |q|_inf >= |p|_inf.  The max over the rows is at least row
     0's distance, so row 0 alone sets the window.  The zero prefix takes
-    only v >= 1; a box of one column has no other, so sorts only those."""
+    only v >= 1; a box of one column has no other, so sorts only those.
+    Prefixes come in signed_box order.  hyperplanes_meeting calls the
+    source with running bound 0 over the pairs of a box, and restores
+    signed_box order by sorting each prefix's run."""
     *head, c = caps
     pairs = table[0]
     a_last, b_last = pairs[-1]
@@ -487,8 +493,8 @@ def _check_work(caps: Sequence[int]) -> None:
     work = _scan_work(caps)
     if work > MAX_SCAN_WORK:
         raise UsageError(
-            f"scan over budget: caps {list(caps)} take {work} steps, "
-            f"at most {MAX_SCAN_WORK} are allowed"
+            f"scan over budget: caps [{', '.join(map(int_str, caps))}] take "
+            f"{int_str(work)} steps, at most {MAX_SCAN_WORK} are allowed"
         )
 
 

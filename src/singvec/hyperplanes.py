@@ -5,19 +5,28 @@ The height is the sup norm of the coefficient part (m0 excluded); it is
 the quantity the avoidance schedule ramps up.  Enumeration is bounded
 both in height and in the constant term, since only hyperplanes whose
 constant is compatible with a bounded box can meet it.  Form ranges are
-exact integer ranges over one denominator, the lcm of the box's
+exact integer ranges over one denominator den, the lcm of the box's
 endpoint denominators, taken by the engine's _dot_range.
+
+The planes that meet a box come from the engine's one candidate walk.
+A direction m meets the box only if its scaled form m . x reaches a
+multiple of den: distance 0, which _sorted_box finds with its running
+bound held at 0, visiting only the sorted neighbours of each prefix
+instead of every direction.  It yields each prefix of signed_box order
+as one group, its last coordinate nearest first, so sorting each group
+restores the (mvec, m0) order in memory linear in the height.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterator
 
-from .engine import _dot_range, signed_box
+from .engine import _dot_range, _sorted_box, signed_box
 from .errors import NotPrimitive, ZeroForm
-from .exact import Box, RatInterval, json_int
+from .exact import Box, RatInterval, int_str, json_int
 
 
 @dataclass(frozen=True)
@@ -57,7 +66,7 @@ class Hyperplane:
         return Hyperplane(json_int(obj["m0"]), tuple(map(json_int, obj["m"])))
 
     def __str__(self):
-        return f"({self.m0}; {','.join(str(c) for c in self.mvec)})"
+        return f"({int_str(self.m0)}; {','.join(map(int_str, self.mvec))})"
 
 
 def make_primitive(m0: int, mvec) -> Hyperplane:
@@ -122,14 +131,17 @@ def enumerate_hyperplanes(n: int, height_bound: int, offset_bound: int) -> Itera
 
 def hyperplanes_meeting(n: int, height_bound: int, box: Box) -> Iterator[Hyperplane]:
     """Primitive hyperplanes of height <= height_bound whose zero set can
-    meet the box: the constant term is restricted to the exact integer
-    range of the form over the box.  Same (mvec, m0) order.
+    meet the box, in the (mvec, m0) order of enumerate_hyperplanes: the
+    directions of the sorted walk, each with its constant term restricted
+    to the exact integer range of the form over the box.
     """
     if height_bound < 1:
         raise ZeroForm("height bound must be at least 1")
     den, pairs = _scaled_box(box, n)
-    for mvec in signed_box((height_bound,) * n):
-        lo, hi = _dot_range(mvec, pairs)
-        for m0 in range(-(-lo // den), hi // den + 1):
-            if math.gcd(m0, *mvec) == 1:
-                yield Hyperplane(m0, mvec)
+    source = _sorted_box((height_bound,) * n, [pairs], den)(lambda: 0)
+    for _, group in groupby(source, key=lambda m: m[:-1]):
+        for mvec in sorted(group):
+            lo, hi = _dot_range(mvec, pairs)
+            for m0 in range(-(-lo // den), hi // den + 1):
+                if math.gcd(m0, *mvec) == 1:
+                    yield Hyperplane(m0, mvec)

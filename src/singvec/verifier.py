@@ -30,9 +30,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .certificates import Certificate
-from .engine import MAX_SCAN_WORK, _refine, _scan_work, psi, psi_enclosure
+from .engine import (
+    MAX_SCAN_WORK,
+    _check_work,
+    _refine,
+    _scan_work,
+    psi,
+    psi_enclosure,
+)
 from .errors import UsageError
-from .exact import Box, RatInterval, rat_str
+from .exact import Box, RatInterval, int_str, rat_str
 from .hyperplanes import (
     coordinate_hyperplane,
     hyperplanes_meeting,
@@ -98,12 +105,14 @@ def verify_certificate(
 ) -> VerificationReport:
     """Every claim of cert re-checked, failures collected in check order.
     spot_checks replaces default_spot_checks; a threshold that is not
-    positive is a UsageError."""
+    positive, or whose box scan is over budget, is a UsageError."""
+    n, norm, steps = cert.spec.dim, cert.spec.norm, cert.steps
     if spot_checks is not None:
         spot_checks = tuple(Fraction(t) for t in spot_checks)
         if any(t <= 0 for t in spot_checks):
             raise UsageError("spot-check thresholds must be positive")
-    n, norm, steps = cert.spec.dim, cert.spec.norm, cert.steps
+        for t in spot_checks:  # before its decay bound, which grows with t
+            _check_work(norm.coordinate_caps(t, n))
     failures: list[str] = []
     failed: set[tuple[int | None, str]] = set()
 
@@ -112,7 +121,7 @@ def verify_certificate(
         certificate) and its message, if any, under the step's number."""
         failed.add((idx, check))
         if message is not None:
-            at = "" if idx is None else f"step {steps[idx].nu}: "
+            at = "" if idx is None else f"step {int_str(steps[idx].nu)}: "
             failures.append(at + message)
 
     schedule = cert.spec.avoidance_heights  # one height per step of the spec
@@ -128,7 +137,7 @@ def verify_certificate(
         if step.nu != idx + 1:
             fail(idx, "integrity", f"step index out of order (expected {idx + 1})")
         if not 1 <= step.k <= n:
-            fail(idx, "integrity", f"coordinate {step.k} outside 1..{n}")
+            fail(idx, "integrity", f"coordinate {int_str(step.k)} outside 1..{n}")
         if step.q < 1:
             fail(idx, "integrity", "pin denominator must be positive")
         if not 1 <= step.k <= n or step.q < 1:
@@ -178,7 +187,8 @@ def verify_certificate(
         by_step.setdefault(entry.nu, []).append(entry.plane)
     for nu in by_step:
         if not 1 <= nu <= len(steps):
-            fail(None, "avoidance", f"avoided entry references unknown step {nu}")
+            fail(None, "avoidance",
+                 f"avoided entry references unknown step {int_str(nu)}")
     for idx, step in enumerate(steps):
         for plane in by_step.get(step.nu, ()):
             if plane.dim != n:
@@ -225,8 +235,9 @@ def verify_certificate(
             ok = value.hi <= bound
             spot_reports.append(SpotCheck(t, value, bound, ok))
             if not ok:
-                fail(None, "spot", f"spot check at t={t}: value reaches "
-                     f"{value.hi}, decay bound is {bound}")
+                shown = rat_str(bound) if isinstance(bound, Fraction) else bound
+                fail(None, "spot", f"spot check at t={rat_str(t)}: value "
+                     f"reaches {rat_str(value.hi)}, decay bound is {shown}")
 
     reports = tuple(
         StepReport(step.nu, *((idx, check) not in failed for check in CHECKS))

@@ -18,9 +18,11 @@ from singvec import (
     ProductSet,
     construct,
 )
+from singvec.exact import digit_limit
 
 CMD = [sys.executable, "-m", "singvec"]
 SPEC = object()  # stands for the path of the spec file a case writes
+CERT = object()  # stands for the path of a 3-step certificate
 
 
 def run(*argv, timeout=300):
@@ -176,13 +178,51 @@ def test_over_budget_recorded_power_is_refused_at_once(tmp_path, cert_blob, fiel
         ("psi", "--xi", "sqrt2", "--xi", "cbrt2", "--t", "1e40"),
         ("records", "--xi", "sqrt2", "--xi", "cbrt2", "--t-max", "1e40"),
         ("dirichlet", "--dims", "20", "--count", "1"),
+        # caps past the interpreter's 4300-digit guard for int -> str
+        ("psi", "--xi", "sqrt2", "--t", "1e9999"),
+        ("records", "--xi", "sqrt2", "--t-max", "1e9999"),
+        ("psi", "--simultaneous", "--xi", "1/3", "--t", "1e9999"),
+        ("certify", CERT, "--spot-checks", "1e9999"),
     ],
-    ids=["psi-1e9", "psi-1e40", "records-1e40", "dirichlet-dims-20"],
+    ids=[
+        "psi-1e9", "psi-1e40", "records-1e40", "dirichlet-dims-20",
+        "psi-1e9999", "records-1e9999", "simultaneous-1e9999",
+        "spot-checks-1e9999",
+    ],
 )
-def test_over_budget_scan_is_refused_at_once(argv):
-    out = run(*argv, timeout=20)
+def test_over_budget_scan_is_refused_at_once(tmp_path, cert_blob, argv):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert_blob))
+    out = run(*(str(path) if a is CERT else a for a in argv), timeout=20)
     assert out.returncode == 1
     assert "over budget" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_huge_spot_threshold_is_refused_before_its_decay_bound(tmp_path):
+    # under pow:9999 the bound at 1e9999 is an integer of 10**8 digits
+    cert = tmp_path / "cert.json"
+    out = run(
+        "construct", "--cantor", "3:0,2", "--cantor", "3:0,2",
+        "--phi", "pow:9999", "--steps", "2", "-o", str(cert),
+    )
+    assert out.returncode == 0, out.stderr
+    out = run("certify", str(cert), "--spot-checks", "1e9999", timeout=20)
+    assert out.returncode == 1
+    assert "over budget" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_huge_step_number_is_reported(tmp_path, cert_blob):
+    # a step number past the interpreter's digit guard for int -> str
+    blob = json.loads(json.dumps(cert_blob))
+    blob["steps"][0]["nu"] = 10**5000 + 1
+    path = tmp_path / "cert.json"
+    with digit_limit(0):
+        path.write_text(json.dumps(blob))
+    out = run("certify", str(path), "--spot-checks", "none")
+    assert out.returncode == 4
+    assert "step index out of order" in out.stdout
     assert "Traceback" not in out.stderr
 
 

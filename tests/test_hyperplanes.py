@@ -9,19 +9,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singvec import (
+    SUP_NORM,
     Box,
+    ConstructionSpec,
     Cylinder,
     DigitSystem,
     Hyperplane,
     NotPrimitive,
+    PhiSpec,
+    ProductSet,
     RatInterval,
     ZeroForm,
+    construct,
     coordinate_hyperplane,
     enumerate_hyperplanes,
     hyperplanes_meeting,
     interval_linform,
     make_primitive,
 )
+from singvec import hyperplanes
+from singvec.engine import _dot_range, signed_box
 
 F = Fraction
 
@@ -179,6 +186,22 @@ def _sides(draw):
     return RatInterval(lo, lo + min(width, F(1)))
 
 
+def _corner_on_a_plane(draw, sides, height):
+    """The sides with the last one moved so that a corner of their box
+    lies exactly on a plane of height at most height."""
+    n = len(sides)
+    last = st.integers(1, height).map(lambda c: c * draw(st.sampled_from([-1, 1])))
+    mvec = draw(st.tuples(*[st.integers(-height, height)] * (n - 1), last))
+    picks = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    corner = [s.hi if pick else s.lo for s, pick in zip(sides, picks)]
+    dot = sum(c * x for c, x in zip(mvec, corner[:-1]))
+    m0 = math.floor(dot) + draw(st.integers(-1, 1))
+    x = F(m0 - dot) / mvec[-1]
+    w = sides[-1].width
+    lo = x - w if picks[-1] else x
+    return sides[:-1] + [RatInterval(lo, lo + w)]
+
+
 @st.composite
 def _boxes(draw):
     """Boxes of 1..3 sides; half of them get a corner exactly on a
@@ -186,16 +209,7 @@ def _boxes(draw):
     n = draw(st.integers(1, 3))
     sides = [draw(_sides()) for _ in range(n)]
     if draw(st.booleans()):
-        last = st.sampled_from([-2, -1, 1, 2])
-        mvec = draw(st.tuples(*[st.integers(-2, 2)] * (n - 1), last))
-        picks = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-        corner = [s.hi if pick else s.lo for s, pick in zip(sides, picks)]
-        dot = sum(c * x for c, x in zip(mvec, corner[:-1]))
-        m0 = math.floor(dot) + draw(st.integers(-1, 1))
-        x = F(m0 - dot) / mvec[-1]
-        w = sides[-1].width
-        lo = x - w if picks[-1] else x
-        sides[-1] = RatInterval(lo, lo + w)
+        sides = _corner_on_a_plane(draw, sides, 2)
     return Box(tuple(sides))
 
 
@@ -217,3 +231,82 @@ def test_form_ranges_are_exact_on_big_denominators(box, height):
         if iv.contains(F(0)):
             want.append(p)
     assert list(hyperplanes_meeting(n, height, box)) == want
+
+
+# -- the sorted plane walk against the walk over every direction ----------
+
+
+def _direction_walk(n, height, box):
+    """The planes meeting box through every direction of signed_box: the
+    oracle for hyperplanes_meeting, plane for plane and in order."""
+    den, pairs = box.scaled
+    for mvec in signed_box((height,) * n):
+        lo, hi = _dot_range(mvec, pairs)
+        for m0 in range(-(-lo // den), hi // den + 1):
+            if math.gcd(m0, *mvec) == 1:
+                yield Hyperplane(m0, mvec)
+
+
+# the largest height drawn per dimension, so each case walks at most
+# a few hundred directions
+_WALK_HEIGHTS = {1: 8, 2: 5, 3: 3, 4: 2}
+
+
+@st.composite
+def _walk_sides(draw):
+    """A side of _sides, a point (zero width, maybe a big denominator),
+    or a side as wide as the middle-thirds hull [0, 1], shifted."""
+    kind = draw(st.sampled_from(["drawn", "point", "hull"]))
+    if kind == "drawn":
+        return draw(_sides())
+    shift = F(draw(st.integers(-2, 1)))
+    if kind == "hull":
+        return RatInterval(shift, shift + 1)
+    den = draw(st.sampled_from([1, 3**40, 2**80]))
+    x = shift + F(draw(st.integers(0, den)), den)
+    return RatInterval(x, x)
+
+
+@st.composite
+def _walk_cases(draw):
+    n = draw(st.integers(1, 4))
+    height = draw(st.integers(1, _WALK_HEIGHTS[n]))
+    sides = [draw(_walk_sides()) for _ in range(n)]
+    if draw(st.booleans()):
+        sides = _corner_on_a_plane(draw, sides, height)
+    return n, height, Box(tuple(sides))
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(_walk_cases())
+def test_sorted_plane_walk_matches_the_walk_over_every_direction(case):
+    n, height, box = case
+    want = list(_direction_walk(n, height, box))
+    assert list(hyperplanes_meeting(n, height, box)) == want
+
+
+def test_plane_walk_ranges_few_directions_on_construction_boxes(monkeypatch):
+    # the fourfold middle-thirds certificate at 8 steps: from step 2 on,
+    # its boxes are narrow enough that almost no direction's form
+    # reaches an integer, so almost none is ranged
+    cert = construct(
+        ConstructionSpec(
+            product=ProductSet((DigitSystem(3, (0, 2)),) * 4),
+            norm=SUP_NORM,
+            phi=PhiSpec("pow", exponent=F(3)),
+            steps=8,
+        )
+    )
+    calls = []
+
+    def counted(q, pairs):
+        calls.append(q)
+        return _dot_range(q, pairs)
+
+    monkeypatch.setattr(hyperplanes, "_dot_range", counted)
+    for step, height in list(zip(cert.steps, cert.spec.avoidance_heights))[1:]:
+        calls.clear()
+        planes = list(hyperplanes_meeting(4, height, step.box))
+        directions = ((2 * height + 1) ** 4 - 1) // 2
+        assert len(calls) < directions / 100, (step.nu, len(calls))
+        assert planes == list(_direction_walk(4, height, step.box))

@@ -268,3 +268,24 @@ def test_spot_override_accepts_multiple(cert):
     assert report.ok
     assert [s.t for s in report.spot_checks] == [9, 27, 81]
     assert all(s.ok for s in report.spot_checks)
+
+
+HUGE = 10**5000 + 1  # past the interpreter's digit guard for int -> str
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda b: b["steps"][0].update(nu=HUGE), "step index out of order"),
+        (lambda b: b["steps"][0].update(k=HUGE), "outside 1..2"),
+        (lambda b: b["avoided"][0].update(nu=HUGE), "references unknown step"),
+        (lambda b: b["avoided"][0].update(m0=HUGE, m=[1, 0, 0]),
+         "has wrong dimension"),
+    ],
+    ids=["step-nu", "step-k", "avoided-nu", "avoided-wrong-dimension"],
+)
+def test_huge_integers_are_reported(blob, edit, message):
+    edit(blob)
+    report = verify_certificate(reload(blob), spot_checks=())
+    assert not report.ok
+    assert any(message in f for f in report.failures)
