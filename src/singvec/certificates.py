@@ -9,32 +9,28 @@ height values as {"base": "p/q", "exp": "a/c"} pairs, no floats, no
 timestamps, fixed key order, so identical runs produce identical bytes.
 
 Parsing is strict: anything structurally off raises SchemaError (the
-file is not a certificate), while claims that parse but are false are
-left for the verifier to reject.
+file is not a certificate), and so does a step whose rescan the plane
+walk's own charge refuses; claims that parse but are false are left
+for the verifier to reject.
 """
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .digitsets import Cylinder, DigitSystem, ProductSet
 from .engine import NormSpec
 from .errors import SchemaError, UsageError
 from .exact import Box, RatInterval, digit_limit, json_int, parse_int, rat, rat_str
-from .hyperplanes import Hyperplane
+from .hyperplanes import Hyperplane, _check_walk
 from .powers import PowerValue
 
 SCHEMA_VERSION = 1
 
-# Work budgets, checked before any exact power or plane enumeration:
-# the planes hyperplanes_meeting walks over the product's hull at the
-# largest avoidance height, and the numerator and denominator of a pow
-# exponent or of a recorded power's exponent.  The walk budget admits
-# the default schedule of the fourfold middle-thirds product up to 8
-# steps (3986840 planes).
-MAX_PLANE_WALK = 4 * 10**6
+# Work budget, checked before any exact power: the numerator and
+# denominator of a pow exponent or of a recorded power's exponent.
 MAX_PHI_EXPONENT = 10**4
 
 
@@ -222,18 +218,7 @@ class ConstructionSpec:
             raise UsageError("avoidance heights must be positive")
         if any(a > b for a, b in zip(heights, heights[1:])):
             raise UsageError("avoidance heights must be non-decreasing")
-        # Each coefficient direction walks at most H * sum of the hull
-        # widths + 1 constant terms over the product's hull, and every
-        # box of the construction nests inside that hull.
-        n, top = self.product.dim, heights[-1]
-        directions = ((2 * top + 1) ** n - 1) // 2
-        widths = sum(side.width for side in self.product.hull().sides)
-        if directions * (math.floor(top * widths) + 1) > MAX_PLANE_WALK:
-            raise UsageError(
-                f"avoidance height {top} is over budget: it walks more "
-                f"than {MAX_PLANE_WALK} planes over the product's hull"
-            )
-        self.norm.check_dim(n)
+        self.norm.check_dim(self.product.dim)
 
     @property
     def dim(self) -> int:
@@ -279,6 +264,11 @@ class Step:
     bound_used: PowerValue | None
     cylinders: tuple[Cylinder, ...]
     box: Box
+
+    @cached_property
+    def hull(self) -> Box:
+        """The box of its cylinders' hulls, which the verifier checks."""
+        return Box(tuple(c.hull() for c in self.cylinders))
 
     def to_json(self) -> dict:
         return {
@@ -389,6 +379,12 @@ def _certificate(obj) -> Certificate:
         raise SchemaError(f"unsupported certificate version: {version!r}")
     spec = ConstructionSpec.from_json(obj["spec"])
     steps = tuple(_step_from_json(s, spec.product) for s in obj["steps"])
+    # refuse here any rescan of a step's hull the verifier could not afford
+    for idx, (step, height) in enumerate(zip(steps, spec.avoidance_heights)):
+        try:
+            _check_walk(spec.dim, height, step.hull)
+        except UsageError as exc:
+            raise SchemaError(f"step {idx + 1}: {exc}") from None
     avoided = tuple(
         AvoidedEntry(json_int(a["nu"]), Hyperplane.from_json(a))
         for a in obj["avoided"]

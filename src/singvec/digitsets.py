@@ -3,8 +3,8 @@
 A DigitSystem fixes a base b and an allowed digit set D of size >= 2;
 the point set is S = {offset + scale * sum d_i b^-i : d_i in D}.  The
 middle-thirds set is base 3 with digits {0, 2}.  A Cylinder is the set
-of points sharing a finite digit prefix, held as one integer: the value
-the prefix spells in base b.  Every point it names comes from one
+of points sharing a finite digit prefix, held as that prefix and the
+integer it spells in base b.  Every point it names comes from one
 formula, offset + scale * (value + t) / b**depth for a tail value t:
 its hull is a closed rational interval (t = dmin/(b-1) and dmax/(b-1))
 and its anchor (the all-minimum-digit tail point) is a rational member
@@ -114,8 +114,8 @@ def _digits_value(digits: tuple[int, ...], base: int) -> int:
 
 class Cylinder:
     """Points of a digit system sharing a fixed finite prefix, held as
-    value, the integer the prefix spells in base b: a child is
-    value * b + d, so a deep descent never re-scans the prefix.  Hull,
+    the prefix tuple and value, the integer it spells in base b: a child
+    is value * b + d, so a deep descent never re-scans the prefix.  Hull,
     anchor and the system's hull all come from one formula, _point.
     """
 

@@ -33,10 +33,10 @@ caps T costs about T**(n-1) log T steps instead of T**n.  Records come
 from the top with one such scan each: the least height in the pool of a
 box is its last record, found by an integer height key with the order
 and ties of norm.phi, and the next box stops just below it.
-MAX_SCAN_WORK bounds the steps of a box scan before it starts.  The
-source has a second caller, hyperplanes_meeting: with the endpoints of
-a box as the one row and the running bound held at 0, it yields the
-coefficient directions whose form can reach an integer over the box.
+MAX_SCAN_WORK bounds the steps of a box scan or plane walk before it
+starts.  The source has a second caller, hyperplanes_meeting: with the
+endpoints of a box as the one row and the running bound held at 0, it
+yields the coefficient directions whose form can reach an integer.
 
 The pigeonhole suite checks psi and psi_simultaneous themselves.  They
 do not increase with t, so one value settles every threshold up to the
@@ -66,7 +66,7 @@ from .errors import (
     PrecisionExhausted,
     UsageError,
 )
-from .exact import RatInterval, dist_scaled, int_str, rat, rat_str
+from .exact import RatInterval, dist_scaled, rat, rat_str, size_str
 from .powers import PowerValue, iroot
 from .realdesc import (
     ExactReal,
@@ -80,8 +80,8 @@ _START_BITS = 64
 _MAX_BITS = 4096
 _DEFAULT_TOL = Fraction(1, 10**30)
 
-# Steps one scan may take, checked before it allocates anything: the
-# prefixes plus the sorted last column of _sorted_box.
+# Steps one scan or plane walk may take, checked before it allocates
+# anything (_scan_work, hyperplanes._check_walk).
 MAX_SCAN_WORK = 10**7
 
 
@@ -490,11 +490,16 @@ def _scan_work(caps: Sequence[int]) -> int:
 
 def _check_work(caps: Sequence[int]) -> None:
     """Raise UsageError when _scan_work(caps) is over MAX_SCAN_WORK."""
-    work = _scan_work(caps)
+    _charge(_scan_work(caps), "scan of {} caps up to {}", len(caps), max(caps))
+
+
+def _charge(work: int, what: str, *sizes: int) -> None:
+    """Raise UsageError when work is over MAX_SCAN_WORK; what names the
+    work, with one {} for each of sizes, written only then by size_str."""
     if work > MAX_SCAN_WORK:
         raise UsageError(
-            f"scan over budget: caps [{', '.join(map(int_str, caps))}] take "
-            f"{int_str(work)} steps, at most {MAX_SCAN_WORK} are allowed"
+            f"{what.format(*map(size_str, sizes))} is over budget: it takes "
+            f"{size_str(work)} steps, at most {MAX_SCAN_WORK} are allowed"
         )
 
 

@@ -1,9 +1,9 @@
 """Exact rational helpers: parsing, intervals, boxes, distance to the
 nearest integer.
 
-Everything here is built on fractions.Fraction so that all comparisons
-made by the verifier and the constructor are exact.  Floats appear only
-in convenience accessors that callers explicitly ask for.
+Values are Fractions or integers, never floats, so every comparison the
+verifier and the constructor make is exact; int_str and parse_int write
+and read long integers in subquadratic time.
 """
 from __future__ import annotations
 
@@ -74,6 +74,12 @@ def int_str(n: int) -> str:
     """str(n) in subquadratic time, whatever the interpreter's digit limit."""
     text = str(_to_decimal(abs(n)))
     return "-" + text if n < 0 else text
+
+
+def size_str(n: int) -> str:
+    """int_str(n) for n >= 0 up to 20 digits, else only its size: 10^k."""
+    text = int_str(n)
+    return text if len(text) <= 20 else f"about 10^{len(text) - 1}"
 
 
 def parse_int(text: str) -> int:

@@ -14,7 +14,8 @@ multiple of den: distance 0, which _sorted_box finds with its running
 bound held at 0, visiting only the sorted neighbours of each prefix
 instead of every direction.  It yields each prefix of signed_box order
 as one group, its last coordinate nearest first, so sorting each group
-restores the (mvec, m0) order in memory linear in the height.
+restores the (mvec, m0) order in memory linear in the height.  The walk
+first charges itself on its box, as a scan does (_check_walk).
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from fractions import Fraction
 from itertools import groupby
 from typing import Iterator
 
-from .engine import _dot_range, _sorted_box, signed_box
+from .engine import _charge, _dot_range, _sorted_box, signed_box
 from .errors import NotPrimitive, ZeroForm
 from .exact import Box, RatInterval, int_str, json_int
 
@@ -129,6 +130,16 @@ def enumerate_hyperplanes(n: int, height_bound: int, offset_bound: int) -> Itera
                 yield Hyperplane(m0, mvec)
 
 
+def _check_walk(n: int, height: int, box: Box) -> None:
+    """Charge the walk of hyperplanes_meeting at height over box: at most
+    ((2H+1)**n - 1)/2 directions, each with at most floor(H * the sum of
+    the side widths) + 1 constant terms."""
+    den, pairs = _scaled_box(box, n)
+    spread = sum(hi - lo for lo, hi in pairs)
+    work = ((2 * height + 1) ** n - 1) // 2 * (height * spread // den + 1)
+    _charge(work, "plane walk at height {}", height)
+
+
 def hyperplanes_meeting(n: int, height_bound: int, box: Box) -> Iterator[Hyperplane]:
     """Primitive hyperplanes of height <= height_bound whose zero set can
     meet the box, in the (mvec, m0) order of enumerate_hyperplanes: the
@@ -137,7 +148,8 @@ def hyperplanes_meeting(n: int, height_bound: int, box: Box) -> Iterator[Hyperpl
     """
     if height_bound < 1:
         raise ZeroForm("height bound must be at least 1")
-    den, pairs = _scaled_box(box, n)
+    _check_walk(n, height_bound, box)
+    den, pairs = box.scaled
     source = _sorted_box((height_bound,) * n, [pairs], den)(lambda: 0)
     for _, group in groupby(source, key=lambda m: m[:-1]):
         for mvec in sorted(group):

@@ -43,29 +43,8 @@ def poly_eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
     return acc
 
 
-def poly_add(p: Sequence[Fraction], q: Sequence[Fraction]) -> Poly:
-    n = max(len(p), len(q))
-    return poly_trim(
-        [
-            (p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
-            for i in range(n)
-        ]
-    )
-
-
 def poly_scale(p: Sequence[Fraction], c: Fraction) -> Poly:
     return poly_trim([c * a for a in p])
-
-
-def poly_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> Poly:
-    p, q = poly_trim(p), poly_trim(q)
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return poly_trim(out)
 
 
 def poly_deriv(p: Sequence[Fraction]) -> Poly:

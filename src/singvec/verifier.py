@@ -9,7 +9,8 @@ Every check reports through one fail(step, check, message) rather than
 raising, so a single run surfaces every failing check of every step;
 each step's report is read off those records at the end.  The rescan
 of a step stops at its first crossing plane, so a hostile box costs no
-more than one message per step.
+more than one message per step; a rescan over the walk's own budget
+makes a file no certificate (certificate_loads).
 
 Checked once: the certificate has one step per height of its spec's
 schedule, and its final box is the last step's.  Checked per step: the
@@ -39,7 +40,7 @@ from .engine import (
     psi_enclosure,
 )
 from .errors import UsageError
-from .exact import Box, RatInterval, int_str, rat_str
+from .exact import RatInterval, int_str, rat_str
 from .hyperplanes import (
     coordinate_hyperplane,
     hyperplanes_meeting,
@@ -128,7 +129,7 @@ def verify_certificate(
     if len(steps) != len(schedule):
         fail(None, "integrity", f"certificate has {len(steps)} steps, "
              f"its spec asks for {len(schedule)}")
-    hulls = [Box(tuple(c.hull() for c in step.cylinders)) for step in steps]
+    hulls = [step.hull for step in steps]
     heights = {}  # step index -> norm height of its pin
     pins = {}  # step index -> the plane x_k = p/q of its pin
     for idx, step in enumerate(steps):

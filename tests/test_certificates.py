@@ -208,6 +208,16 @@ def test_certificate_version_gate():
     assert "unsupported certificate version" in str(err.value)
 
 
+def test_reader_refuses_a_rescan_over_budget_naming_its_step():
+    # the spec checks no walk; the verifier would walk step 2's hull at
+    # height 3000, and the walk's own charge refuses that
+    obj = json.loads(construct(small_spec()).dumps())
+    obj["spec"]["avoidance_heights"] = [3, 3000]
+    assert ConstructionSpec.from_json(obj["spec"]).avoidance_heights == (3, 3000)
+    with pytest.raises(SchemaError, match="step 2: plane walk at height 3000 is over budget"):
+        certificate_from_json(obj)
+
+
 @pytest.mark.parametrize("version", [True, 1.0, "1", None])
 def test_certificate_version_must_be_a_json_int(version):
     # True == 1 and 1.0 == 1 in Python, but the schema takes only ints

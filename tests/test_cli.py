@@ -3,6 +3,7 @@ byte-level determinism."""
 import csv
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -97,6 +98,22 @@ def test_construct_depth_exhausted_exit_2(tmp_path):
     )
     assert out.returncode == 2
     assert "could not separate" in out.stderr
+
+
+def test_fourfold_twelve_steps_construct_and_certify_at_once(tmp_path):
+    # each plane walk is charged on its step's own box, narrow from
+    # step 2 on, so the schedule's height 14 fits the budget
+    path = tmp_path / "cert.json"
+    for argv in (
+        ("construct", *("--cantor", "3:0,2") * 4, "--steps", "12",
+         "-o", str(path)),
+        ("certify", str(path)),
+    ):
+        start = time.monotonic()
+        out = run(*argv)
+        assert out.returncode == 0, out.stderr
+        assert time.monotonic() - start < 5
+    assert "certificate OK" in out.stdout
 
 
 # -- certify --------------------------------------------------------------

@@ -196,7 +196,25 @@ def test_over_budget_scan_is_refused_at_once(tmp_path, cert_blob, argv):
     out = run(*(str(path) if a is CERT else a for a in argv), timeout=20)
     assert out.returncode == 1
     assert "over budget" in out.stderr
+    assert len(out.stderr) < 1000  # the sizes of the caps, not their digits
     assert "Traceback" not in out.stderr
+
+
+def test_over_budget_plane_walk_in_a_spec_file_is_a_usage_error(tmp_path, cert_blob):
+    # the spec itself is well formed; the walk at height 3000 refuses
+    # itself when construct reaches step 3
+    spec = dict(cert_blob["spec"], avoidance_heights=[3, 4, 3000])
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    start = time.monotonic()
+    out = run("construct", "--spec", str(path), "-o", str(tmp_path / "c.json"),
+              timeout=20)
+    assert time.monotonic() - start < 2
+    assert out.returncode == 1
+    assert "plane walk at height 3000 is over budget" in out.stderr
+    assert len(out.stderr) < 1000
+    assert "Traceback" not in out.stderr
+    assert not (tmp_path / "c.json").exists()
 
 
 def test_huge_spot_threshold_is_refused_before_its_decay_bound(tmp_path):

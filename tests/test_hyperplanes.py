@@ -19,6 +19,7 @@ from singvec import (
     PhiSpec,
     ProductSet,
     RatInterval,
+    UsageError,
     ZeroForm,
     construct,
     coordinate_hyperplane,
@@ -27,7 +28,7 @@ from singvec import (
     interval_linform,
     make_primitive,
 )
-from singvec import hyperplanes
+from singvec import engine, hyperplanes
 from singvec.engine import _dot_range, signed_box
 
 F = Fraction
@@ -231,6 +232,52 @@ def test_form_ranges_are_exact_on_big_denominators(box, height):
         if iv.contains(F(0)):
             want.append(p)
     assert list(hyperplanes_meeting(n, height, box)) == want
+
+
+# -- the charge of the plane walk --------------------------------------------
+
+
+def _walk_charge(n, height, box):
+    """The walk's charge, written out: ((2H+1)**n - 1)/2 directions, each
+    with floor(H * sum of the side widths) + 1 constant terms."""
+    widths = sum(side.width for side in box.sides)
+    return ((2 * height + 1) ** n - 1) // 2 * (math.floor(height * widths) + 1)
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(_boxes(), st.integers(1, 3))
+def test_plane_walk_stays_within_its_charge(box, height):
+    n = box.dim
+    charge = _walk_charge(n, height, box)
+    calls = []
+
+    def counted(q, pairs):
+        calls.append(q)
+        return _dot_range(q, pairs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hyperplanes, "_dot_range", counted)
+        planes = list(hyperplanes_meeting(n, height, box))
+    assert len(planes) <= charge
+    assert len(calls) <= charge
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(_boxes(), st.integers(1, 3))
+def test_plane_walk_over_its_charge_yields_nothing(box, height):
+    n = box.dim
+    charge = _walk_charge(n, height, box)
+    yielded = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "MAX_SCAN_WORK", charge - 1)
+        with pytest.raises(UsageError, match="plane walk at height .* is over budget"):
+            for plane in hyperplanes_meeting(n, height, box):
+                yielded.append(plane)
+        assert not yielded
+        mp.setattr(engine, "MAX_SCAN_WORK", charge)
+        assert list(hyperplanes_meeting(n, height, box)) == list(
+            _direction_walk(n, height, box)
+        )
 
 
 # -- the sorted plane walk against the walk over every direction ----------

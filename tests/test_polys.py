@@ -11,13 +11,11 @@ from singvec.polys import (
     bisect_root,
     count_roots,
     deflate_root,
-    poly_add,
     poly_degree,
     poly_deriv,
     poly_divmod,
     poly_eval,
     poly_gcd,
-    poly_mul,
     poly_scale,
     poly_trim,
     square_free_part,
@@ -37,6 +35,27 @@ F = Fraction
 
 def fl(*xs):
     return [F(x) for x in xs]
+
+
+def poly_add(p, q):
+    """The sum of two coefficient lists, trimmed; the library needs no
+    such helper, the tests build their polynomials with it."""
+    n = max(len(p), len(q))
+    return poly_trim(
+        [(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)]
+    )
+
+
+def poly_mul(p, q):
+    """The product of two coefficient lists, trimmed."""
+    p, q = poly_trim(p), poly_trim(q)
+    if not p or not q:
+        return []
+    out = [F(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return poly_trim(out)
 
 
 def test_trim_and_degree():
