@@ -11,7 +11,9 @@ timestamps, fixed key order, so identical runs produce identical bytes.
 Parsing is strict: anything structurally off raises SchemaError (the
 file is not a certificate), and so does a step whose rescan the plane
 walk's own charge refuses; claims that parse but are false are left
-for the verifier to reject.
+for the verifier to reject.  A recorded box that spells the hulls of
+its step's cylinders is read as that hull itself, matched on integers
+with no Fraction made; any other box is read as it is written.
 """
 from __future__ import annotations
 
@@ -20,10 +22,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .digitsets import Cylinder, DigitSystem, ProductSet
+from .digitsets import Cylinder, DigitSystem, ProductSet, cylinder_box
 from .engine import NormSpec
 from .errors import SchemaError, UsageError
-from .exact import Box, RatInterval, digit_limit, json_int, parse_int, rat, rat_str
+from .exact import (
+    Box,
+    RatInterval,
+    digit_limit,
+    int_pair,
+    json_int,
+    parse_int,
+    rat,
+    rat_str,
+)
 from .hyperplanes import Hyperplane, _check_walk
 from .powers import PowerValue
 
@@ -268,7 +279,7 @@ class Step:
     @cached_property
     def hull(self) -> Box:
         """The box of its cylinders' hulls, which the verifier checks."""
-        return Box(tuple(c.hull() for c in self.cylinders))
+        return cylinder_box(self.cylinders)
 
     def to_json(self) -> dict:
         return {
@@ -327,6 +338,28 @@ class Certificate:
             return json.dumps(self.to_json(), indent=2) + "\n"
 
 
+def _spells(obj, cylinders) -> bool:
+    """True when the recorded box obj writes exactly the hulls of the
+    cylinders.  Each endpoint p/q is read as integers and matched with
+    the hull end lo/den by exact division: q divides den and p * (den
+    // q) is lo.  The reduced p/q that dumps writes always divides, so
+    no gcd and no Fraction is taken."""
+    if type(obj) is not list or len(obj) != len(cylinders):
+        return False
+    for pair, cyl in zip(obj, cylinders):
+        if type(pair) is not list or len(pair) != 2:
+            return False
+        lo, hi, den = cyl.hull_ends()
+        for text, end in zip(pair, (lo, hi)):
+            read = int_pair(text)
+            if read is None or read[1] == 0:
+                return False
+            lift, rem = divmod(den, read[1])
+            if rem or read[0] * lift != end:
+                return False
+    return True
+
+
 def _step_from_json(obj: dict, product: ProductSet) -> Step:
     cylinders = []
     raw = obj["cylinders"]
@@ -336,7 +369,7 @@ def _step_from_json(obj: dict, product: ProductSet) -> Step:
         prefix = DigitSystem.parse_digits(system.base, entry["prefix"])
         cylinders.append(Cylinder(system, prefix))
     bound = obj["bound_used"]
-    return Step(
+    fields = dict(
         nu=json_int(obj["nu"]),
         k=json_int(obj["k"]),
         p=json_int(obj["p"]),
@@ -344,8 +377,15 @@ def _step_from_json(obj: dict, product: ProductSet) -> Step:
         phi_of_q=power_from_json(obj["phi_of_q"]),
         bound_used=None if bound is None else power_from_json(bound),
         cylinders=tuple(cylinders),
-        box=box_from_json(obj["box"]),
     )
+    # a recorded box that spells its hull is that hull, so the verifier
+    # compares the two by identity; any other box is read as it stands
+    hull = cylinder_box(cylinders)
+    recorded = obj["box"]
+    box = hull if _spells(recorded, cylinders) else box_from_json(recorded)
+    step = Step(**fields, box=box)
+    step.__dict__["hull"] = hull  # Step.hull of these cylinders, cached
+    return step
 
 
 def _strict(reader, obj, what: str):

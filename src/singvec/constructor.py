@@ -27,16 +27,15 @@ from .certificates import (
     Step,
     check_exponent,
     default_avoidance_heights,
-    power_to_json,
 )
-from .digitsets import Cylinder, rationals_in
+from .digitsets import Cylinder, cylinder_box, nests_strictly, rationals_in
 from .errors import DepthExhausted, NoRationalFound, SingvecError, UsageError
-from .exact import Box
 from .hyperplanes import (
     Hyperplane,
     coordinate_hyperplane,
     hyperplanes_meeting,
     interval_linform,
+    meets,
 )
 from .powers import PowerValue
 
@@ -47,15 +46,10 @@ from .powers import PowerValue
 _PIN_DEPTH_SLACK = 4096
 
 
-def _box(cyls) -> Box:
-    return Box(tuple(c.hull() for c in cyls))
-
-
 def _pick_pin(cyl: Cylinder, norm, k: int, n: int, prev_phi):
     """First (shallowest, then digit-lexicographic) sub-cylinder whose
     hull sits strictly inside the current hull and whose anchor's
     height strictly raises the norm value.  Returns (p, q, phi, sub)."""
-    outer = cyl.hull()
     cap = cyl.depth + _PIN_DEPTH_SLACK
     for anchor, sub in rationals_in(cyl, cyl.depth + 1):
         if sub.depth > cap:
@@ -64,7 +58,7 @@ def _pick_pin(cyl: Cylinder, norm, k: int, n: int, prev_phi):
                 f"below depth {cyl.depth} in coordinate {k}",
                 cap,
             )
-        if not outer.contains_interior(sub.hull()):
+        if not nests_strictly((cyl,), (sub,)):
             continue
         q = anchor.denominator
         qvec = tuple(q if j == k - 1 else 0 for j in range(n))
@@ -77,8 +71,9 @@ def _pick_pin(cyl: Cylinder, norm, k: int, n: int, prev_phi):
 
 def _check_recordable(value) -> None:
     """Refuse with UsageError a value that the certificate would record
-    with an exponent that certificate_loads refuses."""
-    if isinstance(power_to_json(value), dict):
+    with an exponent that certificate_loads refuses: an irrational
+    PowerValue, which power_to_json writes with its exponent."""
+    if isinstance(value, PowerValue) and value.as_fraction() is None:
         check_exponent(value.exp, UsageError)
 
 
@@ -115,7 +110,7 @@ def _narrow_detach(cyl: Cylinder, p: int, q: int, eps) -> Cylinder:
 
     The shrink takes the smallest-digit path to the least depth L with
     q * width / base**L < eps (strictly); see _narrow_depth."""
-    need = q * cyl.hull().width  # |q*x - p| <= q*width on [p/q, p/q + width]
+    need = q * cyl.width  # |q*x - p| <= q*width on [p/q, p/q + width]
     narrowed = cyl.descend_min(_narrow_depth(need, cyl.system.base, eps))
     return _shrink_forced(narrowed)
 
@@ -138,8 +133,7 @@ def _separate(cyls: list, plane: Hyperplane, pin_k: int, max_depth: int):
     """
     used = 0
     while True:
-        iv = interval_linform(plane, _box(cyls))
-        if not iv.contains(Fraction(0)):
+        if not meets(plane, cylinder_box(cyls)):
             return used
         if used >= max_depth:
             raise DepthExhausted(
@@ -147,7 +141,7 @@ def _separate(cyls: list, plane: Hyperplane, pin_k: int, max_depth: int):
             )
         j = max(
             (j for j, c in enumerate(plane.mvec) if c != 0),
-            key=lambda j: (cyls[j].hull().width, -j),
+            key=lambda j: (cyls[j].width, -j),
         )
         if j == pin_k - 1:
             cyls[j] = cyls[j].child(cyls[j].system.dmin)
@@ -162,7 +156,7 @@ def _separating_child(cyls: list, plane: Hyperplane, j: int) -> Cylinder:
     best_score = None
     for child in cyls[j].children():
         trial[j] = child
-        iv = interval_linform(plane, _box(trial))
+        iv = interval_linform(plane, cylinder_box(trial))
         if not iv.contains(Fraction(0)):
             return child
         score = abs(iv.mid)
@@ -180,9 +174,8 @@ def construct(spec: ConstructionSpec) -> Certificate:
     prev_phi = None
     prev_pin = None  # (p, q, k) of the previous step
     k = 1
-    box = _box(cyls)
     for nu in range(1, spec.steps + 1):
-        prev_box = box
+        prev_cyls = tuple(cyls)
         p, q, phi, sub = _pick_pin(cyls[k - 1], spec.norm, k, n, prev_phi)
         cyls[k - 1] = sub
         _check_recordable(phi)
@@ -203,7 +196,7 @@ def construct(spec: ConstructionSpec) -> Certificate:
             cyls[j] = _shrink_forced(cyls[j])
         pin_plane = coordinate_hyperplane(k, Fraction(p, q), n)
         height = spec.avoidance_heights[nu - 1]
-        box = _box(cyls)
+        box = cylinder_box(cyls)
         candidates = [
             plane
             for plane in hyperplanes_meeting(n, height, box)
@@ -213,8 +206,8 @@ def construct(spec: ConstructionSpec) -> Certificate:
             _separate(cyls, plane, k, spec.max_depth)
             avoided.append(AvoidedEntry(nu, plane))
         if candidates:
-            box = _box(cyls)
-        if not prev_box.contains_interior(box):
+            box = cylinder_box(cyls)
+        if not nests_strictly(prev_cyls, cyls):
             raise SingvecError(
                 f"internal error: step {nu} box is not strictly nested"
             )

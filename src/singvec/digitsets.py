@@ -3,23 +3,38 @@
 A DigitSystem fixes a base b and an allowed digit set D of size >= 2;
 the point set is S = {offset + scale * sum d_i b^-i : d_i in D}.  The
 middle-thirds set is base 3 with digits {0, 2}.  A Cylinder is the set
-of points sharing a finite digit prefix, held as that prefix and the
-integer it spells in base b.  Every point it names comes from one
-formula, offset + scale * (value + t) / b**depth for a tail value t:
-its hull is a closed rational interval (t = dmin/(b-1) and dmax/(b-1))
-and its anchor (the all-minimum-digit tail point) is a rational member
-of S.  Anchors of deeper and deeper cylinders supply the dense
-rationals that the pinning construction consumes.
+of points sharing a finite digit prefix, held as that prefix, the
+integer it spells in base b and b**depth.  Every point it names comes
+from one formula, offset + scale * (value + t) / b**depth for a tail
+value t, taken as integers over a denominator its digits give: its hull
+is a closed rational interval (t = dmin/(b-1) and dmax/(b-1)) and its
+anchor (the all-minimum-digit tail point) is a rational member of S.
+A box of cylinders (cylinder_box) is built on those integers with no
+gcd.  Anchors of deeper and deeper cylinders supply the dense rationals
+that the pinning construction consumes.
+
+Prefixes are read and written as text; for base <= 10 ASCII text goes
+through bytes.translate, and a prefix's value is read from digit
+characters in chunks that int() takes, joined by subquadratic products.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 from typing import Iterator
 
 from .errors import UsageError
-from .exact import Box, RatInterval, json_int, rat, rat_str
+from .exact import Box, RatInterval, _from_digits, json_int, rat, rat_str
+
+# Digits 0..35 as the characters int(_, base) reads for them, and the
+# ASCII decimal digit characters back as the digits they spell.
+_DIGIT_CHARS = bytes.maketrans(
+    bytes(range(36)), b"0123456789abcdefghijklmnopqrstuvwxyz"
+)
+_ASCII_DIGITS = b"0123456789"
+_DIGIT_VALUES = bytes.maketrans(_ASCII_DIGITS, bytes(range(10)))
 
 
 @dataclass(frozen=True)
@@ -73,13 +88,23 @@ class DigitSystem:
 
     @staticmethod
     def digits_str(base: int, digits: tuple[int, ...]) -> str:
-        return ("" if base <= 10 else ",").join(map(str, digits))
+        if base <= 10:
+            return bytes(digits).translate(_DIGIT_CHARS).decode("ascii")
+        return ",".join(map(str, digits))
 
     @staticmethod
     def parse_digits(base: int, text: str) -> tuple[int, ...]:
+        """The digits text spells: one character per digit for base <=
+        10, comma-separated numbers otherwise (or for any base).  Other
+        text, Unicode decimal digits included, is read by int()."""
         text = text.strip()
         if not text:
             return ()
+        if base <= 10 and text.isascii() and "," not in text:
+            raw = text.encode("ascii")
+            if raw.translate(None, _ASCII_DIGITS):
+                raise UsageError(f"bad digit string: {text!r}")
+            return tuple(raw.translate(_DIGIT_VALUES))
         try:
             if "," in text:
                 return tuple(map(int, text.split(",")))
@@ -90,46 +115,50 @@ class DigitSystem:
             raise UsageError(f"bad digit string: {text!r}") from exc
 
 
-# Prefixes at most this long take a plain Horner loop in _digits_value.
-_HORNER_LEAF = 64
+def _horner(digits: tuple[int, ...], base: int) -> int:
+    acc = 0
+    for d in digits:
+        acc = acc * base + d
+    return acc
 
 
 def _digits_value(digits: tuple[int, ...], base: int) -> int:
     """The integer whose base-`base` digits are `digits`.
 
-    A Horner loop over a long prefix is quadratic, since its
-    accumulator grows with every digit.  Splitting in halves as
-    high * base**len(low) + low leaves the work to a few large
-    products instead, which is subquadratic.
+    Up to base 36 the digits become characters that int() reads a chunk
+    at a time; a larger base reads its chunks by a Horner loop.  The
+    chunks are joined as high * base**len(low) + low in halves, so the
+    work is a few large products, which is subquadratic (Brent and
+    Zimmermann, Modern Computer Arithmetic, 1.7).
     """
-    if len(digits) <= _HORNER_LEAF:
-        acc = 0
-        for d in digits:
-            acc = acc * base + d
-        return acc
-    mid = len(digits) // 2
-    high, low = digits[:mid], digits[mid:]
-    return _digits_value(high, base) * base ** len(low) + _digits_value(low, base)
+    if not digits:
+        return 0
+    if base <= 36:
+        return _from_digits(bytes(digits).translate(_DIGIT_CHARS), base)
+    return _from_digits(digits, base, _horner)
 
 
 class Cylinder:
     """Points of a digit system sharing a fixed finite prefix, held as
-    the prefix tuple and value, the integer it spells in base b: a child
-    is value * b + d, so a deep descent never re-scans the prefix.  Hull,
-    anchor and the system's hull all come from one formula, _point.
+    the prefix tuple, its value, the integer it spells in base b, and
+    power = b**depth: a child is value * b + d over power * b, so a deep
+    descent never re-scans the prefix.  Hull, anchor, cylinder_box and
+    the system's hull all come from one formula, _over.
     """
 
-    __slots__ = ("system", "prefix", "value")
+    __slots__ = ("system", "prefix", "value", "power")
 
-    def __init__(self, system: DigitSystem, prefix=(), _value=None):
+    def __init__(self, system: DigitSystem, prefix=(), _value=None, _power=None):
         self.system = system
         self.prefix = tuple(prefix)
         if _value is None:
-            bad = [d for d in self.prefix if d not in system.digits]
-            if bad:
+            if set(self.prefix).difference(system.digits):
+                bad = [d for d in self.prefix if d not in system.digits]
                 raise UsageError(f"digits {bad} are not allowed in this system")
             _value = _digits_value(self.prefix, system.base)
+            _power = system.base ** len(self.prefix)
         self.value = _value
+        self.power = _power
 
     @classmethod
     def root(cls, system: DigitSystem) -> "Cylinder":
@@ -142,8 +171,9 @@ class Cylinder:
     def child(self, digit: int) -> "Cylinder":
         if digit not in self.system.digits:
             raise UsageError(f"digit {digit} not allowed")
-        value = self.value * self.system.base + digit
-        return Cylinder(self.system, self.prefix + (digit,), value)
+        b = self.system.base
+        value = self.value * b + digit
+        return Cylinder(self.system, self.prefix + (digit,), value, self.power * b)
 
     def children(self) -> list["Cylinder"]:
         return [self.child(d) for d in self.system.digits]
@@ -165,32 +195,96 @@ class Cylinder:
         b, dmin = sysm.base, sysm.dmin
         power = b**levels
         value = self.value * power + dmin * (power - 1) // (b - 1)
-        return Cylinder(sysm, self.prefix + (dmin,) * levels, value)
+        prefix = self.prefix + (dmin,) * levels
+        return Cylinder(sysm, prefix, value, self.power * power)
 
-    def _point(self, tail: Fraction) -> Fraction:
-        """offset + scale * (value + tail) / b**depth, the point whose
-        digits after the prefix read as tail = sum d_i b^-i."""
+    def _over(self, num: int, den: int) -> tuple[int, int]:
+        """offset + scale * (value + num/den) / b**depth, the point whose
+        digits after the prefix read as num/den = sum d_i b^-i, as an
+        unreduced numerator over den(offset) * den(scale) * den * b**depth."""
         sysm = self.system
-        num, den = tail.numerator, tail.denominator
-        x = Fraction(self.value * den + num, den * sysm.base**self.depth)
-        return sysm.offset + sysm.scale * x
+        offset, scale = sysm.offset, sysm.scale
+        rest = scale.denominator * den * self.power
+        tail = offset.denominator * scale.numerator * (self.value * den + num)
+        return offset.numerator * rest + tail, offset.denominator * rest
+
+    @property
+    def width(self) -> Fraction:
+        """hull().width, with no endpoint made."""
+        sysm = self.system
+        scale = sysm.scale
+        return Fraction(
+            scale.numerator * (sysm.dmax - sysm.dmin),
+            scale.denominator * (sysm.base - 1) * self.power,
+        )
+
+    def hull_ends(self) -> tuple[int, int, int]:
+        """The hull as integers (lo, hi, den), unreduced: it is [lo/den,
+        hi/den] with den = den(offset) * den(scale) * (b - 1) * b**depth."""
+        span = self.system.base - 1
+        lo, den = self._over(self.system.dmin, span)
+        hi, _ = self._over(self.system.dmax, span)
+        return lo, hi, den
 
     def hull(self) -> RatInterval:
-        span = self.system.base - 1
-        return RatInterval(
-            self._point(Fraction(self.system.dmin, span)),
-            self._point(Fraction(self.system.dmax, span)),
-        )
+        return RatInterval.over(*self.hull_ends())
 
     def anchor(self) -> Fraction:
         """The all-minimum-digit tail point: hull.lo, a member of S."""
-        return self._point(Fraction(self.system.dmin, self.system.base - 1))
+        return Fraction(*self._over(self.system.dmin, self.system.base - 1))
 
     def prefix_str(self) -> str:
         return DigitSystem.digits_str(self.system.base, self.prefix)
 
     def __repr__(self):
         return f"Cylinder({self.system.base}:{self.prefix_str()!r})"
+
+
+def cylinder_box(cylinders) -> Box:
+    """The box of the cylinders' hulls, over a denominator their digits
+    give, with no gcd.  The hull of a cylinder of depth L is over
+    s * b**L, s = den(offset) * den(scale) * (b - 1); the axes of one
+    base b share lcm(their s) * b**(their greatest L), and those of
+    several bases the lcm of each base's denominator.  Each side keeps
+    its own cylinder's smaller denominator too, which its Fraction
+    endpoints are reduced from.
+    """
+    cylinders = tuple(cylinders)
+    parts = []  # the s of each axis
+    small, deepest = {}, {}  # base -> lcm of its axes' s, its deepest axis
+    for c in cylinders:
+        sysm = c.system
+        b = sysm.base
+        parts.append(sysm.offset.denominator * sysm.scale.denominator * (b - 1))
+        small[b] = math.lcm(small.get(b, 1), parts[-1])
+        if b not in deepest or c.depth > deepest[b].depth:
+            deepest[b] = c
+    dens = {b: small[b] * deepest[b].power for b in small}
+    den = math.lcm(*dens.values())
+    pairs, ends = [], []
+    for c, s in zip(cylinders, parts):
+        b = c.system.base
+        lift = small[b] // s * b ** (deepest[b].depth - c.depth)
+        if len(dens) > 1:
+            lift *= den // dens[b]
+        ends.append(c.hull_ends())
+        lo, hi, _ = ends[-1]
+        pairs.append((lo * lift, hi * lift))
+    return Box.over(den, pairs, ends)
+
+
+def nests_strictly(outer, inner) -> bool:
+    """True when the box of the inner cylinders' hulls sits strictly
+    inside that of the outer ones on every axis.  Each axis compares its
+    two hulls over their shared power of b, cylinder_box of the pair,
+    as integers: no division and no gcd."""
+    if len(outer) != len(inner):
+        return False
+    for pair in zip(outer, inner):
+        _, ((lo, hi), (inner_lo, inner_hi)) = cylinder_box(pair).scaled
+        if not lo < inner_lo or not inner_hi < hi:
+            return False
+    return True
 
 
 def rationals_in(
@@ -229,7 +323,7 @@ class ProductSet:
         return len(self.factors)
 
     def hull(self) -> Box:
-        return Box(tuple(f.hull() for f in self.factors))
+        return cylinder_box(Cylinder.root(f) for f in self.factors)
 
     def to_json(self) -> list:
         return [f.to_json() for f in self.factors]

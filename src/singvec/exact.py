@@ -35,11 +35,11 @@ _LEAF_DIGITS = 600
 _EXACT = decimal.Context(
     prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact]
 )
-# _POW2[k] is 2**(_LEAF_BITS << k) as a Decimal and _POW10[k] is
-# 10**(_LEAF_DIGITS << k), each grown by squaring on demand.  They are
-# indexed by width alone, so they are the same for any input.
+# _POW2[k] is 2**(_LEAF_BITS << k) as a Decimal and _POWERS[b][k] is
+# b**(_LEAF_DIGITS << k), each grown by squaring on demand.  They are
+# indexed by base and width alone, so they are the same for any input.
 _POW2 = [decimal.Decimal(1 << _LEAF_BITS)]
-_POW10 = [10**_LEAF_DIGITS]
+_POWERS: dict[int, list[int]] = {}
 
 
 def _split(size: int, leaf: int) -> int:
@@ -59,15 +59,19 @@ def _to_decimal(n: int) -> decimal.Decimal:
     return _EXACT.fma(_to_decimal(hi), _POW2[k], _to_decimal(n - (hi << w)))
 
 
-def _from_digits(text: str) -> int:
-    """The int of a string of decimal digits: hi * 10**len(lo) + lo."""
+def _from_digits(text, base: int = 10, leaf=int) -> int:
+    """The int of a sequence of base-`base` digits: hi * base**len(lo)
+    + lo.  leaf(chunk, base) reads a chunk of at most _LEAF_DIGITS; by
+    default int, which reads digit text, str or bytes."""
     if len(text) <= _LEAF_DIGITS:
-        return int(text)
+        return leaf(text, base)
     k = _split(len(text), _LEAF_DIGITS)
-    while len(_POW10) <= k:
-        _POW10.append(_POW10[-1] * _POW10[-1])
+    powers = _POWERS.setdefault(base, [base**_LEAF_DIGITS])
+    while len(powers) <= k:
+        powers.append(powers[-1] * powers[-1])
     w = _LEAF_DIGITS << k
-    return _from_digits(text[:-w]) * _POW10[k] + _from_digits(text[-w:])
+    high = _from_digits(text[:-w], base, leaf)
+    return high * powers[k] + _from_digits(text[-w:], base, leaf)
 
 
 def int_str(n: int) -> str:
@@ -128,6 +132,15 @@ def rat(text: str) -> Fraction:
         raise UsageError(f"zero denominator: {text!r}") from None
 
 
+def int_pair(text) -> tuple[int, int] | None:
+    """The integers p and q that text spells as 'p/q', or as 'p' with
+    q = 1, read as written and not reduced; None for any other value."""
+    if not isinstance(text, str) or not _RAT_RE.fullmatch(text):
+        return None
+    num, _, den = text.partition("/")
+    return parse_int(num), parse_int(den) if den else 1
+
+
 def rat_str(x: Fraction) -> str:
     """Canonical compact form: '3', '-1/2'."""
     if x.denominator == 1:
@@ -175,11 +188,19 @@ class RatInterval:
     def mid(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
+    @classmethod
+    def over(cls, lo: int, hi: int, den: int) -> "RatInterval":
+        """[lo/den, hi/den] for integers lo <= hi over den > 0: the order
+        is checked on the integers, not by cross-multiplying Fractions."""
+        if lo > hi:
+            raise ValueError("empty interval")
+        interval = object.__new__(cls)
+        object.__setattr__(interval, "lo", Fraction(lo, den))
+        object.__setattr__(interval, "hi", Fraction(hi, den))
+        return interval
+
     def contains(self, x: Fraction) -> bool:
         return self.lo <= x <= self.hi
-
-    def contains_interval(self, other: "RatInterval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
 
     def contains_interior(self, other: "RatInterval") -> bool:
         """True when other sits strictly inside, both endpoints moved."""
@@ -233,19 +254,65 @@ def dist_interval(x: RatInterval) -> RatInterval:
     return RatInterval(Fraction(d_lo, scale), Fraction(d_hi, scale))
 
 
-@dataclass(frozen=True)
 class Box:
-    """Axis-aligned product of closed rational intervals, one per axis."""
+    """Axis-aligned product of closed rational intervals, one per axis.
 
-    sides: tuple[RatInterval, ...]
+    A box is made from its sides, or by Box.over from one integer pair
+    per side over a common denominator; whichever form it lacks is made
+    on first use and kept.  So a box over a denominator known from its
+    digits pays no gcd until its sides are read, and a box of sides
+    pays for its lcm once.  Equality and hash are those of the sides;
+    a box always equals itself at once.
+    """
 
-    def __post_init__(self):
-        if not self.sides:
+    def __init__(self, sides):
+        sides = tuple(sides)
+        if not sides:
             raise ValueError("box needs at least one side")
+        self.__dict__.update(sides=sides, dim=len(sides))
 
-    @property
-    def dim(self) -> int:
-        return len(self.sides)
+    @classmethod
+    def over(cls, den: int, pairs, ends) -> "Box":
+        """The box with sides [lo/den, hi/den], one per (lo, hi) pair of
+        integers, over den > 0; den need not be the least one.  ends
+        holds each side again as (lo, hi, d) over a denominator d of its
+        own, which may be smaller, and the sides and midpoint are
+        reduced from those."""
+        pairs = tuple(pairs)
+        if not pairs:
+            raise ValueError("box needs at least one side")
+        if any(lo > hi for lo, hi in pairs):
+            raise ValueError("empty interval")
+        box = cls.__new__(cls)
+        box.__dict__.update(scaled=(den, pairs), dim=len(pairs), _ends=tuple(ends))
+        return box
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Box is immutable")
+
+    @cached_property
+    def _ends(self) -> tuple[tuple[int, int, int], ...]:
+        """Each side as integers (lo, hi, d), the side [lo/d, hi/d]."""
+        den, pairs = self.scaled
+        return tuple((lo, hi, den) for lo, hi in pairs)
+
+    @cached_property
+    def sides(self) -> tuple[RatInterval, ...]:
+        return tuple(RatInterval.over(*side) for side in self._ends)
+
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """The box over one denominator den, with one pair (den * lo,
+        den * hi) per side.  A box of sides takes the lcm of its
+        endpoints' denominators, once; a box made over a denominator
+        keeps it, which need not be the lcm.  Every reader is invariant
+        when den and the pairs are scaled by one factor: _dot_range,
+        interval_linform, _check_walk, the _sorted_box plane walk of
+        hyperplanes_meeting, and midpoint."""
+        ends = [x for side in self.sides for x in (side.lo, side.hi)]
+        den = math.lcm(*(x.denominator for x in ends))
+        nums = [x.numerator * (den // x.denominator) for x in ends]
+        return den, tuple(zip(nums[::2], nums[1::2]))
 
     def contains_interior(self, other: "Box") -> bool:
         return self.dim == other.dim and all(
@@ -254,17 +321,20 @@ class Box:
 
     @property
     def midpoint(self) -> tuple[Fraction, ...]:
-        return tuple(s.mid for s in self.sides)
+        return tuple(Fraction(lo + hi, 2 * d) for lo, hi, d in self._ends)
 
-    @cached_property
-    def scaled(self) -> tuple[int, tuple[tuple[int, int], ...]]:
-        """The box over one denominator den, the lcm of its endpoints'
-        denominators, and one pair (den * lo, den * hi) per side;
-        computed once per box."""
-        ends = [x for side in self.sides for x in (side.lo, side.hi)]
-        den = math.lcm(*(x.denominator for x in ends))
-        nums = [x.numerator * (den // x.denominator) for x in ends]
-        return den, tuple(zip(nums[::2], nums[1::2]))
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, Box):
+            return NotImplemented
+        return self.sides == other.sides
+
+    def __hash__(self):
+        return hash(self.sides)
+
+    def __repr__(self) -> str:
+        return f"Box(sides={self.sides!r})"
 
     def __str__(self) -> str:
         return " x ".join(str(s) for s in self.sides)

@@ -5,8 +5,9 @@ The height is the sup norm of the coefficient part (m0 excluded); it is
 the quantity the avoidance schedule ramps up.  Enumeration is bounded
 both in height and in the constant term, since only hyperplanes whose
 constant is compatible with a bounded box can meet it.  Form ranges are
-exact integer ranges over one denominator den, the lcm of the box's
-endpoint denominators, taken by the engine's _dot_range.
+exact integer ranges over the box's one denominator den (Box.scaled;
+for a box of cylinders, the one their digits give), taken by the
+engine's _dot_range; meets decides on those integers alone.
 
 The planes that meet a box come from the engine's one candidate walk.
 A direction m meets the box only if its scaled form m . x reaches a
@@ -106,16 +107,26 @@ def _scaled_box(box: Box, n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     return box.scaled
 
 
-def interval_linform(plane: Hyperplane, box: Box) -> RatInterval:
-    """Tight range of sum_j m_j x_j - m0 over a box.
-
-    Coordinatewise monotone, so the extremes are sums of per-coordinate
-    extremes.
-    """
+def _form_range(plane: Hyperplane, box: Box) -> tuple[int, int, int]:
+    """The range of sum_j m_j x_j - m0 over a box as integers (lo, hi)
+    over Box.scaled's den.  Coordinatewise monotone, so the extremes
+    are sums of per-coordinate extremes."""
     den, pairs = _scaled_box(box, plane.dim)
     lo, hi = _dot_range(plane.mvec, pairs)
-    m0 = plane.m0
-    return RatInterval(Fraction(lo, den) - m0, Fraction(hi, den) - m0)
+    shift = plane.m0 * den
+    return lo - shift, hi - shift, den
+
+
+def interval_linform(plane: Hyperplane, box: Box) -> RatInterval:
+    """Tight range of sum_j m_j x_j - m0 over a box."""
+    return RatInterval.over(*_form_range(plane, box))
+
+
+def meets(plane: Hyperplane, box: Box) -> bool:
+    """Whether the plane's zero set meets the box: 0 lies in
+    interval_linform, decided on its integers, with no Fraction made."""
+    lo, hi, _ = _form_range(plane, box)
+    return lo <= 0 <= hi
 
 
 def enumerate_hyperplanes(n: int, height_bound: int, offset_bound: int) -> Iterator[Hyperplane]:

@@ -2,8 +2,9 @@
 
 A PowerValue keeps a positive rational coefficient, a positive rational
 base and a rational exponent, all exact.  Order comparisons between two
-such values (or against a plain Fraction) never round: float logs
-decide only when they are far apart, and otherwise both sides are
+such values (or against a plain Fraction) never round: identical
+(coef, base, exp) triples are equal at once, float logs decide only
+when they are far apart, and otherwise both sides are
 raised to the least common multiple of the exponent denominators, which
 turns the comparison into one between ordinary fractions.
 
@@ -184,6 +185,8 @@ class PowerValue:
             other = PowerValue(other)
         if not isinstance(other, PowerValue):
             return NotImplemented  # type: ignore[return-value]
+        if (self.coef, self.base, self.exp) == (other.coef, other.base, other.exp):
+            return 0  # one value written the same way: no power to take
         # float logs decide unless they are within far more than their
         # rounding error of each other; then the exact powers do
         x, dx = self._log_terms()

@@ -219,6 +219,6 @@ def parse_real(text: str) -> RealDescriptor:
         # the repeating tail reads as a geometric series
         b, m = system.base, len(pattern)
         tail = sum(d * b ** (m - 1 - i) for i, d in enumerate(pattern))
-        return ExactReal(cyl._point(Fraction(tail, b**m - 1)))
+        return ExactReal(Fraction(*cyl._over(tail, b**m - 1)))
     return ExactReal(rat(text))
 

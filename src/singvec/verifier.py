@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .certificates import Certificate
+from .digitsets import Cylinder, nests_strictly
 from .engine import (
     MAX_SCAN_WORK,
     _check_work,
@@ -45,6 +46,7 @@ from .hyperplanes import (
     coordinate_hyperplane,
     hyperplanes_meeting,
     interval_linform,
+    meets,
 )
 
 # The per-step checks, named as the flags of StepReport.
@@ -130,6 +132,7 @@ def verify_certificate(
         fail(None, "integrity", f"certificate has {len(steps)} steps, "
              f"its spec asks for {len(schedule)}")
     hulls = [step.hull for step in steps]
+    roots = tuple(Cylinder.root(f) for f in cert.spec.product.factors)
     heights = {}  # step index -> norm height of its pin
     pins = {}  # step index -> the plane x_k = p/q of its pin
     for idx, step in enumerate(steps):
@@ -154,12 +157,13 @@ def verify_certificate(
             fail(idx, "integrity", "recorded height value does not match the norm")
         anchor = Fraction(step.p, step.q)
         pins[idx] = coordinate_hyperplane(step.k, anchor, n)
-        prev = hulls[idx - 1] if idx else cert.spec.product.hull()
-        if not prev.contains_interior(hulls[idx]):
+        prev = steps[idx - 1].cylinders if idx else roots
+        if not nests_strictly(prev, step.cylinders):
             fail(idx, "nesting", "box is not strictly inside the previous box")
         if idx and not (idx - 1 in heights and heights[idx] > heights[idx - 1]):
             fail(idx, "phi_increase", "height value did not strictly increase")
-        if not hulls[idx].sides[step.k - 1].contains(anchor):
+        lo, hi, den = step.cylinders[step.k - 1].hull_ends()
+        if not lo * step.q <= step.p * den <= hi * step.q:
             fail(idx, "anchor_in_box", "pin anchor left the box")
 
     # bound chain: pin nu against the box after step nu+1
@@ -194,7 +198,7 @@ def verify_certificate(
         for plane in by_step.get(step.nu, ()):
             if plane.dim != n:
                 fail(idx, "avoidance", f"avoided plane {plane} has wrong dimension")
-            elif interval_linform(plane, hulls[idx]).contains(Fraction(0)):
+            elif meets(plane, hulls[idx]):
                 fail(idx, "avoidance", f"avoided plane {plane} still meets the box")
         if idx >= len(schedule):
             fail(idx, "integrity")  # a step past the schedule: no threshold
@@ -217,7 +221,7 @@ def verify_certificate(
     if not failures:  # so the steps are those of the spec, at least one
         if spot_checks is None:
             spot_checks = default_spot_checks(cert)
-        midpoint = hulls[-1].midpoint
+        midpoint = hulls[-1].midpoint if spot_checks else None
         for t in spot_checks:
             bound = cert.spec.phi.value_at(t)
             # Cheap fixed precision first: the enclosure pass gives sound

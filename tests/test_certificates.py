@@ -1,4 +1,5 @@
 """Certificate data model and the versioned JSON wire format."""
+import hashlib
 import json
 import sys
 from dataclasses import replace
@@ -30,6 +31,7 @@ from singvec.certificates import (
     power_to_json,
 )
 from singvec.exact import digit_limit
+from singvec.verifier import verify_certificate
 
 F = Fraction
 THIRDS = DigitSystem(3, (0, 2))
@@ -178,6 +180,75 @@ def test_final_box_written_and_read_on_its_own():
     again = certificate_loads(replace(cert, final_box=other).dumps())
     assert again.final_box == other
     assert again.steps[-1].box == cert.steps[-1].box
+
+
+# Deep certificates, each a few hundred kB to 1.6 MB: bytes frozen from a
+# build whose boxes were Fraction boxes with an lcm denominator.
+DEEP = {
+    "twofold-sup-7": (
+        2, NormSpec("sup"), "pow:5", 7,
+        "047c594206ba18f0a2252cf53ccaf5ce920bcd5a91a0d6791e3f9b2d758eec26",
+    ),
+    "twofold-2/3,1/3-7": (
+        2, NormSpec("weighted", (F(2, 3), F(1, 3))), "pow:5", 7,
+        "3b06b5f0d97b87f97b4351dbd3ce69c0805f290894d9a6fe455e79f8641b4334",
+    ),
+    # construct --cantor 3:0,2 (four times) --steps 12, the CI smoke
+    "fourfold-sup-12": (
+        4, NormSpec("sup"), "pow:3", 12,
+        "08dbf8c01f8c8c1437727ed39940566d6543138369e1a2868b8db9edfe54796c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP))
+def test_deep_certificate_bytes_are_frozen(name):
+    n, norm, phi, steps, digest = DEEP[name]
+    spec = ConstructionSpec(
+        product=ProductSet((THIRDS,) * n),
+        norm=norm,
+        phi=PhiSpec.parse(phi),
+        steps=steps,
+    )
+    data = construct(spec).dumps().encode()
+    assert hashlib.sha256(data).hexdigest() == digest
+    loaded = certificate_loads(data)
+    assert all(step.box is step.hull for step in loaded.steps)
+    report = verify_certificate(loaded, spot_checks=())
+    assert report.ok and not report.failures
+
+
+def test_loaded_box_is_its_hull_only_when_it_spells_it():
+    cert = construct(small_spec(3))
+    obj = json.loads(cert.dumps())
+    loaded = certificate_from_json(obj)
+    assert all(step.box is step.hull for step in loaded.steps)
+    assert loaded.final_box is loaded.steps[-1].box
+    lo = loaded.steps[1].box.sides[0].lo
+    # the same value over a denominator the hull's does not divide, or
+    # padded with blanks, is read as it stands, and is equal
+    prime = 1_000_003
+    for text in (f"{prime * lo.numerator}/{prime * lo.denominator}", f" {lo} "):
+        obj["steps"][1]["box"][0][0] = text
+        again = certificate_from_json(obj)
+        assert again.steps[1].box is not again.steps[1].hull
+        assert again.steps[1].box == again.steps[1].hull
+        assert verify_certificate(again, spot_checks=()).ok
+    # another value is read as it stands, and fails integrity as before
+    obj["steps"][1]["box"][0][0] = f"{lo.numerator - 1}/{lo.denominator}"
+    report = verify_certificate(certificate_from_json(obj), spot_checks=())
+    assert not report.steps[1].integrity
+    assert "step 2: recorded box does not match its cylinders" in report.failures
+    # an end whose denominator does not divide the hull's is not matched
+    # by the quotient alone: hi/q, with den // q = 1, is another value
+    obj["steps"][1]["box"][0][0] = str(lo)
+    _, hi, den = loaded.steps[1].cylinders[0].hull_ends()
+    obj["steps"][1]["box"][0][1] = f"{hi}/{den // 2 + 1}"
+    report = verify_certificate(certificate_from_json(obj), spot_checks=())
+    assert "step 2: recorded box does not match its cylinders" in report.failures
+    obj["steps"][1]["box"][0][0] = f"{lo.numerator}/0"
+    with pytest.raises(SchemaError, match="zero denominator"):
+        certificate_from_json(obj)
 
 
 def test_huge_pins_round_trip_under_the_default_digit_guard():

@@ -1,6 +1,7 @@
 """Digit systems and their cylinder tree: hulls, anchors, descent,
 rational enumeration."""
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from singvec import (
+    Box,
     Cylinder,
     DigitSystem,
     ProductSet,
@@ -15,12 +17,25 @@ from singvec import (
     UsageError,
     rationals_in,
 )
-from singvec.digitsets import _HORNER_LEAF
+from singvec import hyperplanes
+from singvec.digitsets import cylinder_box, nests_strictly
+from singvec.exact import _LEAF_DIGITS
+from singvec.hyperplanes import (
+    hyperplanes_meeting,
+    interval_linform,
+    make_primitive,
+    meets,
+)
 
 F = Fraction
 THIRDS = DigitSystem(3, (0, 2))
 HEX = DigitSystem(16, (0, 7, 15), offset=F(-1, 5), scale=F(3, 2))
 SHIFTED = DigitSystem(5, (1, 2, 4), offset=F(-1, 3), scale=F(7, 2))
+
+
+def contains_interval(outer, inner) -> bool:
+    """inner lies in outer, endpoints included."""
+    return outer.lo <= inner.lo and inner.hi <= outer.hi
 
 
 def test_system_validation():
@@ -72,7 +87,7 @@ def test_children_partition_hull_endpoints():
     assert kids[0].hull().lo == hull.lo
     assert kids[-1].hull().hi == hull.hi
     for kid in kids:
-        assert hull.contains_interval(kid.hull())
+        assert contains_interval(hull, kid.hull())
 
 
 def test_descend_min_keeps_anchor():
@@ -80,7 +95,7 @@ def test_descend_min_keeps_anchor():
     deep = cyl.descend_min(40)
     assert deep.depth == 42
     assert deep.anchor() == cyl.anchor()
-    assert cyl.hull().contains_interval(deep.hull())
+    assert contains_interval(cyl.hull(), deep.hull())
     assert cyl.descend_min(0) is cyl
 
 
@@ -106,11 +121,11 @@ digit_strat = st.lists(st.sampled_from((0, 2)), max_size=12)
 @st.composite
 def system_prefix(draw):
     """A digit system and a prefix whose length lies on either side of
-    the Horner leaf, or several splits past it."""
+    the leaf int() reads, or several splits past it."""
     system = draw(st.sampled_from((THIRDS, HEX)))
     size = draw(
-        st.sampled_from((_HORNER_LEAF, _HORNER_LEAF + 1, 2 * _HORNER_LEAF + 1))
-        | st.integers(0, 5 * _HORNER_LEAF)
+        st.sampled_from((_LEAF_DIGITS, _LEAF_DIGITS + 1, 2 * _LEAF_DIGITS + 1))
+        | st.integers(0, 5 * _LEAF_DIGITS)
     )
     digits = st.sampled_from(system.digits)
     return system, tuple(draw(st.lists(digits, min_size=size, max_size=size)))
@@ -119,18 +134,19 @@ def system_prefix(draw):
 @settings(deadline=None)
 @given(system_prefix())
 @example((THIRDS, ()))
-@example((HEX, (15,) * (4 * _HORNER_LEAF + 3)))
+@example((HEX, (15,) * (4 * _LEAF_DIGITS + 3)))
 def test_horner_value_matches_incremental(case):
     system, prefix = case
     direct = Cylinder(system, prefix)
     walked = Cylinder.root(system).extend(prefix)
     assert direct.value == walked.value
     b = system.base
-    assert direct.value == sum(d * b ** i for i, d in enumerate(reversed(prefix)))
-    # the anchor is the prefix followed by an all-minimum-digit tail
+    spelled = sum(d * b ** i for i, d in enumerate(reversed(prefix)))
+    assert direct.value == spelled
+    # the anchor is the prefix followed by an all-minimum-digit tail; the
+    # prefix's digit sum sum(d_i / b**i) is spelled / b**len(prefix)
     assert direct.anchor() == walked.anchor() == system.offset + system.scale * (
-        sum(F(d, b ** (i + 1)) for i, d in enumerate(prefix))
-        + F(system.dmin, (b - 1) * b ** len(prefix))
+        F(spelled, b ** len(prefix)) + F(system.dmin, (b - 1) * b ** len(prefix))
     )
 
 
@@ -145,7 +161,7 @@ def test_deep_prefix_value_closed_form():
 def test_child_hull_nests(prefix, digit):
     cyl = Cylinder(THIRDS, tuple(prefix))
     kid = cyl.child(digit)
-    assert cyl.hull().contains_interval(kid.hull())
+    assert contains_interval(cyl.hull(), kid.hull())
     assert kid.value == 3 * cyl.value + digit
     assert kid.hull().width == cyl.hull().width / 3
 
@@ -177,7 +193,7 @@ def test_cylinder_paths_agree_with_digit_sum(case):
     hi = system.offset + system.scale * (head + system.dmax * tail)
     assert direct.hull() == walked.hull() == RatInterval(lo, hi)
     assert direct.anchor() == lo
-    assert system.hull().contains_interval(direct.hull())
+    assert contains_interval(system.hull(), direct.hull())
 
 
 def test_rationals_in_first_items():
@@ -233,3 +249,187 @@ def test_product_set():
     assert ProductSet.from_json(prod.to_json()) == prod
     with pytest.raises(UsageError):
         ProductSet((THIRDS,))
+
+
+# -- the prefix codec ---------------------------------------------------
+
+
+@given(
+    st.integers(2, 16).flatmap(
+        lambda b: st.tuples(st.just(b), st.lists(st.integers(0, b - 1), max_size=40))
+    )
+)
+@example((10, [9, 0, 3]))
+@example((16, [15]))
+def test_prefix_text_round_trips(case):
+    base, digits = case
+    digits = tuple(digits)
+    text = DigitSystem.digits_str(base, digits)
+    assert ("," in text) == (base > 10 and len(digits) > 1)
+    if base <= 10:
+        assert text == "".join(map(str, digits))
+    assert DigitSystem.parse_digits(base, text) == digits
+
+
+def test_prefix_text_round_trips_past_base_36():
+    digits = (39, 0, 17, 38)
+    text = DigitSystem.digits_str(40, digits)
+    assert text == "39,0,17,38"
+    assert DigitSystem.parse_digits(40, text) == digits
+
+
+@pytest.mark.parametrize(
+    "base, text",
+    [
+        (3, "0x"), (3, "0 2"), (3, " 0 2"), (3, "0\t2"), (3, "0.2"), (3, "0-2"),
+        (3, "+"), (3, "-1"), (3, "²"), (3, "0,x"), (3, "0,,2"), (16, "a"),
+        (16, "1e2"), (10, "0 9"),
+    ],
+)
+def test_non_digit_prefix_text_is_refused(base, text):
+    with pytest.raises(UsageError, match="bad digit string"):
+        DigitSystem.parse_digits(base, text)
+
+
+# outcomes of parse_digits before its ASCII path, which Unicode text
+# still takes: int() reads any Unicode decimal digit
+UNICODE_PREFIXES = [
+    (3, "٠٢", (0, 2)),  # Arabic-Indic
+    (3, "٠2", (0, 2)),
+    (3, "０２", (0, 2)),  # fullwidth
+    (3, "𝟐0", (2, 0)),  # mathematical bold
+    (3, "²", None),  # a superscript is no decimal digit
+    (3, "\xa002", (0, 2)),  # no-break space, stripped
+    (3, "0\xa0", (0,)),
+    (16, "١٠,١٥", (10, 15)),
+    (3, " 0, 2 ", (0, 2)),
+    (3, "+0,2", (0, 2)),
+    (16, "1_0", (10,)),
+    (16, "10,+15", (10, 15)),
+]
+
+
+@pytest.mark.parametrize("base, text, digits", UNICODE_PREFIXES)
+def test_prefix_text_outside_ascii_reads_as_before(base, text, digits):
+    if digits is None:
+        with pytest.raises(UsageError, match="bad digit string"):
+            DigitSystem.parse_digits(base, text)
+    else:
+        assert DigitSystem.parse_digits(base, text) == digits
+
+
+def test_long_prefix_value_matches_horner():
+    rng = random.Random(5)
+    prefix = tuple(rng.choice(THIRDS.digits) for _ in range(10**5))
+    acc = 0
+    for d in prefix:
+        acc = acc * 3 + d
+    assert Cylinder(THIRDS, prefix).value == acc
+
+
+def test_prefix_value_past_base_36_matches_horner():
+    system = DigitSystem(40, (0, 13, 39))
+    rng = random.Random(7)
+    prefix = tuple(rng.choice(system.digits) for _ in range(3 * _LEAF_DIGITS + 5))
+    acc = 0
+    for d in prefix:
+        acc = acc * 40 + d
+    assert Cylinder(system, prefix).value == acc
+    assert Cylinder.root(system).extend(prefix).value == acc
+
+
+def test_disallowed_digits_are_named_in_order():
+    with pytest.raises(UsageError, match=r"digits \[1, 1\] are not allowed"):
+        Cylinder(THIRDS, (0, 1, 2, 1))
+
+
+# -- boxes of cylinders on integers -------------------------------------
+
+
+def horner_hull(cyl: Cylinder) -> RatInterval:
+    """The hull from the digit sum, by a Horner loop and Fractions."""
+    system, b = cyl.system, cyl.system.base
+    value = 0
+    for d in cyl.prefix:
+        value = value * b + d
+    head = F(value, b**cyl.depth)
+    tail = F(1, (b - 1) * b**cyl.depth)
+    return RatInterval(
+        system.offset + system.scale * (head + system.dmin * tail),
+        system.offset + system.scale * (head + system.dmax * tail),
+    )
+
+
+@st.composite
+def cylinder_lists(draw):
+    """One to three cylinders of one base or of mixed bases 2..12, with
+    random offsets and scales and prefixes of 0..300 digits, the same
+    cylinders a few digits deeper, and a plane-walk height."""
+    n = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        bases = [draw(st.integers(2, 12))] * n
+    else:
+        bases = [draw(st.integers(2, 12)) for _ in range(n)]
+    cyls, deeper = [], []
+    for b in bases:
+        digits = tuple(draw(st.sets(st.integers(0, b - 1), min_size=2)))
+        offset = draw(st.fractions(-5, 5, max_denominator=60))
+        scale = draw(st.fractions(F(1, 50), 5, max_denominator=60))
+        system = DigitSystem(b, digits, offset, scale)
+        depth = draw(st.sampled_from((0, 1, 300)) | st.integers(0, 300))
+        prefix = draw(st.lists(st.sampled_from(system.digits), min_size=depth, max_size=depth))
+        more = draw(st.lists(st.sampled_from(system.digits), max_size=4))
+        cyls.append(Cylinder(system, prefix))
+        deeper.append(Cylinder(system, prefix + more))
+    height = draw(st.integers(1, {1: 6, 2: 4, 3: 2}[n]))
+    return cyls, deeper, height
+
+
+def plane_walk_charge(n, height, box):
+    """The work _check_walk charges for a walk over box."""
+    charged = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hyperplanes, "_charge", lambda work, *_: charged.append(work))
+        hyperplanes._check_walk(n, height, box)
+    return charged
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(cylinder_lists())
+@example((
+    [Cylinder(THIRDS, (0, 2)), Cylinder(HEX, (7,))],
+    [Cylinder(THIRDS, (0, 2, 2, 0)), Cylinder(HEX, (7, 7))],
+    2,
+))
+@example((
+    [Cylinder(SHIFTED, (4,) * 300), Cylinder(SHIFTED, ())],
+    [Cylinder(SHIFTED, (4,) * 300 + (2,)), Cylinder(SHIFTED, (2,))],
+    4,
+))
+def test_cylinder_box_matches_the_lcm_box_of_its_hulls(case):
+    cyls, deeper, height = case
+    n = len(cyls)
+    box = cylinder_box(cyls)
+    oracle = Box(tuple(horner_hull(c) for c in cyls))
+    inner_oracle = Box(tuple(horner_hull(c) for c in deeper))
+    # the same reduced sides, over a denominator that need not be the lcm
+    assert box.sides == oracle.sides and box == oracle
+    assert tuple(c.hull() for c in cyls) == oracle.sides
+    assert box.midpoint == oracle.midpoint
+    den, pairs = box.scaled
+    assert den % oracle.scaled[0] == 0
+    # every reader of the scaled form gives the same answer on both
+    planes = list(hyperplanes_meeting(n, height, box))
+    assert planes == list(hyperplanes_meeting(n, height, oracle))
+    assert plane_walk_charge(n, height, box) == plane_walk_charge(n, height, oracle)
+    probes = planes + [make_primitive(m0, m) for m0 in (-1, 0, 2) for m in
+                       itertools.product((-2, 0, 1), repeat=n) if any(m)]
+    for plane in probes:
+        form = interval_linform(plane, box)
+        assert form == interval_linform(plane, oracle)
+        assert meets(plane, box) == meets(plane, oracle) == form.contains(0)
+    # nesting on integers, both ways, against the Fraction sides
+    assert nests_strictly(cyls, deeper) == oracle.contains_interior(inner_oracle)
+    assert nests_strictly(deeper, cyls) == inner_oracle.contains_interior(oracle)
+    assert nests_strictly(cyls, cyls) is False
+    assert nests_strictly(cyls[:-1], deeper) is False

@@ -18,6 +18,11 @@ small_nat = st.integers(min_value=0, max_value=10**12)
 root_order = st.integers(min_value=1, max_value=9)
 
 
+def contains_interval(outer, inner) -> bool:
+    """inner lies in outer, endpoints included."""
+    return outer.lo <= inner.lo and inner.hi <= outer.hi
+
+
 def test_iroot_frozen():
     # cross-checked against math.isqrt and paper-and-pencil cubes
     assert iroot(0, 3) == 0
@@ -164,6 +169,61 @@ def test_comparison_matches_exact_powers(pair):
     assert (b < a, b == a, b > a) == (want > 0, want == 0, want < 0)
 
 
+def test_identical_triples_are_equal_before_any_log_or_power(monkeypatch):
+    # a pin height at the 15th power is the cost the shortcut skips
+    heights = [
+        PowerValue(3**5000 + 2, Fraction(1, 15)),
+        PowerValue(10**400 + 1, Fraction(2, 3), Fraction(5, 7)),
+        PowerValue(Fraction(22, 7)),
+    ]
+    copies = [PowerValue(h.base, h.exp, h.coef) for h in heights]
+
+    def refuse(self):
+        raise AssertionError("identical triples took the float-log path")
+
+    monkeypatch.setattr(PowerValue, "_log_terms", refuse)
+    for a, b in zip(heights, copies):
+        assert a is not b
+        assert a == b and a <= b and a >= b
+        assert not (a < b or a > b or a != b)
+
+
+def test_equal_values_written_apart_take_the_exact_path(monkeypatch):
+    taken = []
+    log_terms = PowerValue._log_terms
+
+    def spy(self):
+        taken.append(self)
+        return log_terms(self)
+
+    monkeypatch.setattr(PowerValue, "_log_terms", spy)
+    # float logs cannot settle an equality, so reaching them means the
+    # exact powers decide
+    assert PowerValue(4, Fraction(1, 2)) == PowerValue(2)
+    assert PowerValue(9, Fraction(3, 4)) == PowerValue(3, Fraction(3, 2))
+    assert PowerValue(2, Fraction(1, 2), 2) == PowerValue(8, Fraction(1, 2))
+    assert len(taken) == 6
+
+
+@given(
+    base=st.fractions(min_value=Fraction(1, 10**6), max_value=10**6).filter(
+        lambda x: x > 0 and x != 1
+    ),
+    exp=st.fractions(min_value=-8, max_value=8, max_denominator=30).filter(
+        lambda e: e.denominator > 1
+    ),
+    k=st.integers(min_value=50, max_value=80),
+    sign=st.sampled_from([1, -1]),
+)
+def test_neighbours_an_ulp_apart_still_order(base, exp, k, sign):
+    # same base and exponent, coefficients a relative 2**-k apart: float
+    # logs cannot tell them apart, the exact powers must
+    a = PowerValue(base, exp)
+    b = PowerValue(base, exp, 1 + sign * Fraction(1, 2**k))
+    assert (a < b, a == b, a > b) == (sign > 0, False, sign < 0)
+    assert (b > a, b != a) == (sign > 0, True)
+
+
 def test_equal_values_hash_equal():
     # each group is one value written several ways
     F = Fraction
@@ -265,7 +325,7 @@ def test_enclose_narrows_with_bits():
     v = PowerValue(2, Fraction(1, 2))
     wide = v.enclose(16)
     tight = v.enclose(64)
-    assert wide.contains_interval(tight)
+    assert contains_interval(wide, tight)
     assert tight.width < Fraction(1, 10**18)
     root2 = math.sqrt(2)
     assert float(tight.lo) <= root2 <= float(tight.hi)
