@@ -8,17 +8,30 @@ deliberately boring: exact rationals as "p/q" strings, irrational
 height values as {"base": "p/q", "exp": "a/c"} pairs, no floats, no
 timestamps, fixed key order, so identical runs produce identical bytes.
 
+Box endpoints cost one radix conversion per axis each way.  dumps
+writes a box of its step's hulls with Cylinder.hull_text: the lower
+end is converted to decimal once and everything else is decimal
+arithmetic, each end reduced by a gcd that the known primes of its
+denominator give.  dumps writes its own JSON, the bytes of
+json.dumps(indent=2), with integers through int_str.
+
 Parsing is strict: anything structurally off raises SchemaError (the
 file is not a certificate), and so does a step whose rescan the plane
 walk's own charge refuses; claims that parse but are false are left
-for the verifier to reject.  A recorded box that spells the hulls of
-its step's cylinders is read as that hull itself, matched on integers
-with no Fraction made; any other box is read as it is written.
+for the verifier to reject.  A recorded box that is, character for
+character, the text dumps writes for its step's hulls is read as that
+hull itself: per axis only the lower end's numerator is parsed into
+binary, and the other three texts are compared as strings with exact
+decimal results.  Any other box, an equal one spelled otherwise too,
+is read as it is written by box_from_json, and the verifier compares
+it with the hulls by value.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 
@@ -26,11 +39,13 @@ from .digitsets import Cylinder, DigitSystem, ProductSet, cylinder_box
 from .engine import NormSpec
 from .errors import SchemaError, UsageError
 from .exact import (
+    _EXACT,
     Box,
     RatInterval,
-    digit_limit,
-    int_pair,
+    dec_product,
+    int_str,
     json_int,
+    known_gcd,
     parse_int,
     rat,
     rat_str,
@@ -282,6 +297,12 @@ class Step:
         return cylinder_box(self.cylinders)
 
     def to_json(self) -> dict:
+        # decided on integers, not by identity with self.hull: a step
+        # rebuilt by dataclasses.replace has lost its cached hull
+        if self.box._ends == tuple(c.hull_ends() for c in self.cylinders):
+            box = [list(c.hull_text()) for c in self.cylinders]
+        else:
+            box = box_to_json(self.box)
         return {
             "nu": self.nu,
             "k": self.k,
@@ -292,7 +313,7 @@ class Step:
                 None if self.bound_used is None
                 else power_to_json(self.bound_used)
             ),
-            "box": box_to_json(self.box),
+            "box": box,
             "cylinders": [{"prefix": c.prefix_str()} for c in self.cylinders],
         }
 
@@ -332,31 +353,74 @@ class Certificate:
         }
 
     def dumps(self) -> str:
-        # json renders a step's p and q with int.__repr__, under the
-        # interpreter's digit guard; a pin may be longer than it allows
-        with digit_limit(0):
-            return json.dumps(self.to_json(), indent=2) + "\n"
+        """json.dumps(self.to_json(), indent=2) plus a newline, the same
+        bytes, with integers written by int_str: no digit guard applies
+        and a long pin costs no quadratic int.__repr__."""
+        out: list[str] = []
+        _write_json(self.to_json(), "\n", out)
+        out.append("\n")
+        return "".join(out)
+
+
+_DIGITS = b"0123456789"
+
+
+def _only(text: str, chars: bytes) -> bool:
+    """True when text is ASCII and made of chars alone."""
+    return text.isascii() and not text.encode("ascii").translate(None, chars)
+
+
+def _write_json(node, newline: str, out: list[str]) -> None:
+    """Append node as json.dumps(node, indent=2) writes it, newline being
+    the line break and indent it stands at.  Keys are strings."""
+    if isinstance(node, str) and _only(node, _DIGITS + b"/-"):
+        out.append(f'"{node}"')  # nothing in it needs an escape
+    elif isinstance(node, int) and not isinstance(node, bool):
+        out.append(int_str(node))
+    elif isinstance(node, dict) and node:
+        inner = newline + "  "
+        out.append("{")
+        for i, (key, value) in enumerate(node.items()):
+            out.append(("," if i else "") + inner + json.dumps(key) + ": ")
+            _write_json(value, inner, out)
+        out.append(newline + "}")
+    elif isinstance(node, (list, tuple)) and node:
+        inner = newline + "  "
+        out.append("[")
+        for i, value in enumerate(node):
+            out.append(("," if i else "") + inner)
+            _write_json(value, inner, out)
+        out.append(newline + "]")
+    else:  # other strings, None, booleans, {} and []
+        out.append(json.dumps(node))
 
 
 def _spells(obj, cylinders) -> bool:
-    """True when the recorded box obj writes exactly the hulls of the
-    cylinders.  Each endpoint p/q is read as integers and matched with
-    the hull end lo/den by exact division: q divides den and p * (den
-    // q) is lo.  The reduced p/q that dumps writes always divides, so
-    no gcd and no Fraction is taken."""
+    """True when the recorded box obj is the text dumps writes for the
+    hulls of the cylinders.  On each axis only the lower end's numerator
+    P is read into binary: with g = gcd(lo, den) from den's known primes,
+    P * g = lo makes Decimal(P) * g lo in decimal, and Cylinder.hull_text
+    from there must give the axis's text, character for character.  Any
+    other spelling, of the same box or not, fails the match."""
     if type(obj) is not list or len(obj) != len(cylinders):
         return False
     for pair, cyl in zip(obj, cylinders):
         if type(pair) is not list or len(pair) != 2:
             return False
-        lo, hi, den = cyl.hull_ends()
-        for text, end in zip(pair, (lo, hi)):
-            read = int_pair(text)
-            if read is None or read[1] == 0:
+        lo_dec, factors = None, cyl.den_factors()
+        if factors is not None:
+            text = pair[0] if type(pair[0]) is str else ""
+            numerator = text.partition("/")[0]
+            digits = numerator[1:] if numerator.startswith("-") else numerator
+            if not digits or not _only(digits, _DIGITS):
                 return False
-            lift, rem = divmod(den, read[1])
-            if rem or read[0] * lift != end:
+            lo = cyl.hull_ends()[0]
+            g = known_gcd(lo, factors)
+            if parse_int(numerator) * math.prod(p**m for p, m in g) != lo:
                 return False
+            lo_dec = _EXACT.multiply(Decimal(numerator), dec_product(g))
+        if pair != list(cyl.hull_text(lo_dec)):
+            return False
     return True
 
 

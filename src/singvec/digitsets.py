@@ -10,8 +10,10 @@ value t, taken as integers over a denominator its digits give: its hull
 is a closed rational interval (t = dmin/(b-1) and dmax/(b-1)) and its
 anchor (the all-minimum-digit tail point) is a rational member of S.
 A box of cylinders (cylinder_box) is built on those integers with no
-gcd.  Anchors of deeper and deeper cylinders supply the dense rationals
-that the pinning construction consumes.
+gcd, and a hull is written as text (hull_text) at one binary-to-decimal
+conversion, reduced through the known primes of its denominator.
+Anchors of deeper and deeper cylinders supply the dense rationals that
+the pinning construction consumes.
 
 Prefixes are read and written as text; for base <= 10 ASCII text goes
 through bytes.translate, and a prefix's value is read from digit
@@ -21,12 +23,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
+from functools import cached_property
 from itertools import product as iproduct
 from typing import Iterator
 
 from .errors import UsageError
-from .exact import Box, RatInterval, _from_digits, json_int, rat, rat_str
+from .exact import (
+    _EXACT,
+    Box,
+    RatInterval,
+    _from_digits,
+    _to_decimal,
+    dec_product,
+    json_int,
+    known_gcd,
+    rat,
+    rat_str,
+    small_factors,
+)
 
 # Digits 0..35 as the characters int(_, base) reads for them, and the
 # ASCII decimal digit characters back as the digits they spell.
@@ -68,6 +84,22 @@ class DigitSystem:
 
     def hull(self) -> RatInterval:
         return Cylinder.root(self).hull()
+
+    @property
+    def small_den(self) -> int:
+        """s = den(offset) * den(scale) * (b - 1): a cylinder of depth L
+        has its hull over s * b**L."""
+        return self.offset.denominator * self.scale.denominator * (self.base - 1)
+
+    @cached_property
+    def _den_primes(self) -> tuple[tuple[int, int, int], ...] | None:
+        """(p, v_p(s), v_p(b)) for each prime p of s * b; None when s or
+        b has a prime factor too large for small_factors."""
+        s, b = small_factors(self.small_den), small_factors(self.base)
+        if s is None or b is None:
+            return None
+        s, b = dict(s), dict(b)
+        return tuple((p, s.get(p, 0), b.get(p, 0)) for p in sorted(s | b))
 
     def to_json(self) -> dict:
         return {
@@ -229,6 +261,40 @@ class Cylinder:
     def hull(self) -> RatInterval:
         return RatInterval.over(*self.hull_ends())
 
+    def den_factors(self) -> tuple[tuple[int, int], ...] | None:
+        """The prime factorization of hull_ends' den as (p, e) pairs, from
+        those of s and b; None when they do not factor over small primes."""
+        primes = self.system._den_primes
+        if primes is None:
+            return None
+        return tuple((p, vs + self.depth * vb) for p, vs, vb in primes)
+
+    def hull_text(self, lo_dec: Decimal | None = None) -> tuple[str, str]:
+        """The hull's two ends as rat_str writes them, at one conversion
+        from binary to decimal: lo is converted, or given as lo_dec, its
+        exact value; hi is lo + (hi - lo), a small decimal add; den is
+        Decimal(s) * b**L.  Each end and den are divided in decimal by
+        their gcd, which known_gcd gives from den's primes.  A system
+        whose denominators do not factor over small primes takes
+        rat_str."""
+        lo, hi, den = self.hull_ends()
+        factors = self.den_factors()
+        if factors is None:
+            return rat_str(Fraction(lo, den)), rat_str(Fraction(hi, den))
+        if lo_dec is None:
+            lo_dec = _to_decimal(abs(lo))
+            if lo < 0:
+                lo_dec = lo_dec.copy_negate()
+        hi_dec = _EXACT.add(lo_dec, _to_decimal(hi - lo))
+        sysm = self.system
+        den_dec = _EXACT.multiply(
+            Decimal(sysm.small_den), _EXACT.power(Decimal(sysm.base), self.depth)
+        )
+        return (
+            _reduced_text(lo, lo_dec, den_dec, factors),
+            _reduced_text(hi, hi_dec, den_dec, factors),
+        )
+
     def anchor(self) -> Fraction:
         """The all-minimum-digit tail point: hull.lo, a member of S."""
         return Fraction(*self._over(self.system.dmin, self.system.base - 1))
@@ -238,6 +304,20 @@ class Cylinder:
 
     def __repr__(self):
         return f"Cylinder({self.system.base}:{self.prefix_str()!r})"
+
+
+def _reduced_text(x: int, x_dec: Decimal, den_dec: Decimal, factors) -> str:
+    """rat_str(Fraction(x, den)) for x_dec = x and den_dec = den, exact
+    Decimals, and den's prime factorization: both are divided by g =
+    gcd(x, den) in decimal, g built from its primes."""
+    if x == 0:
+        return "0"
+    g = known_gcd(x, factors)
+    if g:
+        g_dec = dec_product(g)
+        x_dec = _EXACT.divide_int(x_dec, g_dec)
+        den_dec = _EXACT.divide_int(den_dec, g_dec)
+    return str(x_dec) if den_dec == 1 else f"{x_dec}/{den_dec}"
 
 
 def cylinder_box(cylinders) -> Box:
@@ -253,9 +333,8 @@ def cylinder_box(cylinders) -> Box:
     parts = []  # the s of each axis
     small, deepest = {}, {}  # base -> lcm of its axes' s, its deepest axis
     for c in cylinders:
-        sysm = c.system
-        b = sysm.base
-        parts.append(sysm.offset.denominator * sysm.scale.denominator * (b - 1))
+        b = c.system.base
+        parts.append(c.system.small_den)
         small[b] = math.lcm(small.get(b, 1), parts[-1])
         if b not in deepest or c.depth > deepest[b].depth:
             deepest[b] = c

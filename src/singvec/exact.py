@@ -3,7 +3,9 @@ nearest integer.
 
 Values are Fractions or integers, never floats, so every comparison the
 verifier and the constructor make is exact; int_str and parse_int write
-and read long integers in subquadratic time.
+and read long integers in subquadratic time.  known_gcd reduces over a
+denominator whose primes are known, and dec_product builds such a
+product in decimal, so neither needs a conversion from binary.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import SchemaError, UsageError
 
@@ -30,6 +32,10 @@ _DEC_RE = re.compile(r"^[+-]?(\d+\.\d*|\.\d+|\d+)$")
 # are subquadratic.
 _LEAF_BITS = 2048
 _LEAF_DIGITS = 600
+
+# small_factors tries primes below this; denominators come from the
+# digits (b, b - 1) and a system's offset and scale, so they are small.
+_TRIAL = 1 << 16
 
 # Exact decimal arithmetic: integers of any size, never rounded.
 _EXACT = decimal.Context(
@@ -95,6 +101,72 @@ def parse_int(text: str) -> int:
     return _from_digits(text)
 
 
+@lru_cache(maxsize=256)
+def small_factors(n: int) -> tuple[tuple[int, int], ...] | None:
+    """The prime factorization of n >= 1 as (p, e) pairs, p increasing,
+    by trial division below _TRIAL; None when a factor it cannot reach
+    is left."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if p >= _TRIAL:
+            return None
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            out.append((p, e))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
+def _valuation(x: int, p: int, cap: int) -> int:
+    """min(v_p(x), cap) for x != 0, by squaring: x is divided by p, p**2,
+    p**4, ... while they divide it, then by the same powers back down,
+    so a valuation v costs O(log v) reductions."""
+    powers, v = [], 0
+    power = p
+    while (1 << len(powers)) <= cap - v:
+        quo, rem = divmod(x, power)
+        if rem:
+            break
+        x = quo
+        v += 1 << len(powers)
+        powers.append(power)
+        power *= power
+    for k in reversed(range(len(powers))):
+        if (1 << k) <= cap - v:
+            quo, rem = divmod(x, powers[k])
+            if not rem:
+                x = quo
+                v += 1 << k
+    return v
+
+
+def known_gcd(x: int, factors) -> tuple[tuple[int, int], ...]:
+    """gcd(x, den) for den = prod p**e over the (p, e) pairs of its prime
+    factorization, as the pairs (p, m) with m = min(v_p(x), e) > 0.  No
+    gcd of x and den is taken; x = 0 gives den."""
+    out = []
+    for p, e in factors:
+        m = e if x == 0 else _valuation(x, p, e)
+        if m:
+            out.append((p, m))
+    return tuple(out)
+
+
+def dec_product(factors) -> decimal.Decimal:
+    """prod p**e over (p, e) pairs as an exact Decimal, raised to its
+    powers in decimal: no binary-to-decimal conversion."""
+    out = decimal.Decimal(1)
+    for p, e in factors:
+        out = _EXACT.multiply(out, _EXACT.power(decimal.Decimal(p), e))
+    return out
+
+
 @contextmanager
 def digit_limit(limit: int):
     """The interpreter's int<->str digit guard held at limit (0: none)
@@ -130,15 +202,6 @@ def rat(text: str) -> Fraction:
         )
     except ZeroDivisionError:
         raise UsageError(f"zero denominator: {text!r}") from None
-
-
-def int_pair(text) -> tuple[int, int] | None:
-    """The integers p and q that text spells as 'p/q', or as 'p' with
-    q = 1, read as written and not reduced; None for any other value."""
-    if not isinstance(text, str) or not _RAT_RE.fullmatch(text):
-        return None
-    num, _, den = text.partition("/")
-    return parse_int(num), parse_int(den) if den else 1
 
 
 def rat_str(x: Fraction) -> str:
@@ -201,10 +264,6 @@ class RatInterval:
 
     def contains(self, x: Fraction) -> bool:
         return self.lo <= x <= self.hi
-
-    def contains_interior(self, other: "RatInterval") -> bool:
-        """True when other sits strictly inside, both endpoints moved."""
-        return self.lo < other.lo and other.hi < self.hi
 
     def intersects(self, other: "RatInterval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
@@ -313,11 +372,6 @@ class Box:
         den = math.lcm(*(x.denominator for x in ends))
         nums = [x.numerator * (den // x.denominator) for x in ends]
         return den, tuple(zip(nums[::2], nums[1::2]))
-
-    def contains_interior(self, other: "Box") -> bool:
-        return self.dim == other.dim and all(
-            a.contains_interior(b) for a, b in zip(self.sides, other.sides)
-        )
 
     @property
     def midpoint(self) -> tuple[Fraction, ...]:

@@ -1,8 +1,10 @@
 """Certificate data model and the versioned JSON wire format."""
 import hashlib
 import json
+import math
 import sys
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -30,7 +32,7 @@ from singvec.certificates import (
     power_from_json,
     power_to_json,
 )
-from singvec.exact import digit_limit
+from singvec.exact import _EXACT, _to_decimal, digit_limit, known_gcd
 from singvec.verifier import verify_certificate
 
 F = Fraction
@@ -249,6 +251,67 @@ def test_loaded_box_is_its_hull_only_when_it_spells_it():
     obj["steps"][1]["box"][0][0] = f"{lo.numerator}/0"
     with pytest.raises(SchemaError, match="zero denominator"):
         certificate_from_json(obj)
+
+
+def test_box_text_other_than_canonical_loads_through_box_from_json():
+    cert = construct(small_spec(3))
+    obj = json.loads(cert.dumps())
+    loaded = certificate_from_json(obj)
+    assert all(step.box is step.hull for step in loaded.steps)
+    report = verify_certificate(loaded, spot_checks=())
+    assert report.ok
+    lo_text = obj["steps"][1]["box"][0][0]
+    lo = F(lo_text)
+    _, _, den = loaded.steps[1].cylinders[0].hull_ends()
+    # a factor of the hull's den left in the end: still over a divisor
+    f = next(p for p in (2, 3) if den // lo.denominator % p == 0)
+    for text in ("0" + lo_text, f"{f * lo.numerator}/{f * lo.denominator}"):
+        assert F(text) == lo and text != lo_text
+        obj["steps"][1]["box"][0][0] = text
+        again = certificate_from_json(obj)
+        assert again.steps[1].box is not again.steps[1].hull
+        assert again.steps[1].box == again.steps[1].hull
+        assert verify_certificate(again, spot_checks=()) == report
+    # a lower end one step of g off, with the upper end written from it
+    # as dumps would: only the parse of the numerator tells them apart
+    cyl = loaded.steps[1].cylinders[0]
+    g = math.prod(p**m for p, m in known_gcd(cyl.hull_ends()[0], cyl.den_factors()))
+    off = _EXACT.multiply(Decimal(lo.numerator - 1), _to_decimal(g))
+    obj["steps"][1]["box"][0] = [f"{lo.numerator - 1}/{lo.denominator}",
+                                 cyl.hull_text(off)[1]]
+    again = certificate_from_json(obj)
+    assert again.steps[1].box != again.steps[1].hull
+    report = verify_certificate(again, spot_checks=())
+    assert "step 2: recorded box does not match its cylinders" in report.failures
+
+
+def test_step_writes_its_box_as_it_is_unless_it_is_its_hull():
+    cert = construct(small_spec(3))
+    step = cert.steps[1]
+    text = step.to_json()["box"]
+    assert text == box_to_json(step.box)
+    # the same box made from its sides writes the same text; another box
+    # is written as it is, not as the hull of the step's cylinders
+    same = box_from_json(text)
+    assert replace(step, box=same).to_json()["box"] == text
+    other = cert.steps[0].box
+    assert replace(step, box=other).to_json()["box"] == box_to_json(other) != text
+
+
+def test_dumps_writes_no_int_repr():
+    # int.__repr__ refuses a 10**5-digit pin under a guard of 640 digits;
+    # json.dumps with no guard is the oracle for the bytes
+    cert = construct(small_spec())
+    pin = 10**100_000 - 3
+    huge = replace(cert, steps=cert.steps[:-1] + (
+        replace(cert.steps[-1], p=pin, q=pin + 10),
+    ))
+    with digit_limit(640):
+        text = huge.dumps()
+        with pytest.raises(ValueError):
+            repr(pin)
+    with digit_limit(0):
+        assert text == json.dumps(huge.to_json(), indent=2) + "\n"
 
 
 def test_huge_pins_round_trip_under_the_default_digit_guard():

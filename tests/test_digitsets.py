@@ -1,7 +1,9 @@
 """Digit systems and their cylinder tree: hulls, anchors, descent,
 rational enumeration."""
 import itertools
+import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -19,7 +21,7 @@ from singvec import (
 )
 from singvec import hyperplanes
 from singvec.digitsets import cylinder_box, nests_strictly
-from singvec.exact import _LEAF_DIGITS
+from singvec.exact import _LEAF_DIGITS, int_str, known_gcd, rat_str
 from singvec.hyperplanes import (
     hyperplanes_meeting,
     interval_linform,
@@ -36,6 +38,13 @@ SHIFTED = DigitSystem(5, (1, 2, 4), offset=F(-1, 3), scale=F(7, 2))
 def contains_interval(outer, inner) -> bool:
     """inner lies in outer, endpoints included."""
     return outer.lo <= inner.lo and inner.hi <= outer.hi
+
+
+def contains_interior(outer, inner) -> bool:
+    """inner sits strictly inside outer on every side."""
+    return outer.dim == inner.dim and all(
+        a.lo < b.lo and b.hi < a.hi for a, b in zip(outer.sides, inner.sides)
+    )
 
 
 def test_system_validation():
@@ -429,7 +438,55 @@ def test_cylinder_box_matches_the_lcm_box_of_its_hulls(case):
         assert form == interval_linform(plane, oracle)
         assert meets(plane, box) == meets(plane, oracle) == form.contains(0)
     # nesting on integers, both ways, against the Fraction sides
-    assert nests_strictly(cyls, deeper) == oracle.contains_interior(inner_oracle)
-    assert nests_strictly(deeper, cyls) == inner_oracle.contains_interior(oracle)
+    assert nests_strictly(cyls, deeper) == contains_interior(oracle, inner_oracle)
+    assert nests_strictly(deeper, cyls) == contains_interior(inner_oracle, oracle)
     assert nests_strictly(cyls, cyls) is False
     assert nests_strictly(cyls[:-1], deeper) is False
+
+
+# -- hull ends on the wire --------------------------------------------------
+
+
+@st.composite
+def wire_cylinders(draw):
+    """A cylinder of base 2..12 or 40, its offset zero, negative or
+    positive, a random scale, and a prefix of 0..300 digits whose tail
+    may be a long run of dmin or of dmax: a large valuation in b."""
+    b = draw(st.integers(2, 12) | st.just(40))
+    digits = tuple(draw(st.sets(st.integers(0, b - 1), min_size=2)))
+    offset = draw(st.just(F(0)) | st.fractions(-5, 5, max_denominator=60))
+    scale = draw(st.just(F(1)) | st.fractions(F(1, 50), 5, max_denominator=60))
+    system = DigitSystem(b, digits, offset, scale)
+    depth = draw(st.sampled_from((0, 1, 300)) | st.integers(0, 300))
+    head = draw(st.lists(st.sampled_from(system.digits), max_size=depth))
+    run = draw(st.sampled_from((system.dmin, system.dmax)))
+    return Cylinder(system, head + [run] * (depth - len(head)))
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(wire_cylinders())
+@example(Cylinder(THIRDS, (0,) * 300))  # lo = 0
+@example(Cylinder(DigitSystem(3, (0, 2), offset=F(-1)), (2,) * 40))  # hi = 0
+@example(Cylinder(THIRDS, (2, 0) * 700 + (0,) * 1600))  # 3**1600 | lo, 4755 bits
+@example(Cylinder(DigitSystem(10, (0, 5, 9), F(-7, 12), F(5, 8)), (5,) + (0,) * 299))
+def test_hull_text_is_rat_str_of_the_hull(cyl):
+    lo, hi, den = cyl.hull_ends()
+    text = (rat_str(F(lo, den)), rat_str(F(hi, den)))
+    assert cyl.hull_text() == text
+    # lo given in decimal, as the loader has it, writes the same text
+    assert cyl.hull_text(Decimal(int_str(lo))) == text
+    factors = cyl.den_factors()
+    assert math.prod(p**e for p, e in factors) == den
+    for x in (lo, hi, 0):
+        g = known_gcd(x, factors)
+        assert math.prod(p**m for p, m in g) == math.gcd(x, den)
+        assert all(m > 0 for _, m in g)
+
+
+def test_hull_text_over_a_large_prime_takes_rat_str():
+    # 2**61 - 1 is prime and out of small_factors' reach
+    system = DigitSystem(3, (0, 2), offset=F(1, 2**61 - 1))
+    cyl = Cylinder(system, (2, 0, 2))
+    assert cyl.den_factors() is None
+    lo, hi, den = cyl.hull_ends()
+    assert cyl.hull_text() == (rat_str(F(lo, den)), rat_str(F(hi, den)))
