@@ -2,54 +2,39 @@
 
 A certificate is the machine-checkable trace of the nested-box
 construction: the construction spec it ran under, one Step per pin,
-the hyperplanes
-explicitly separated at each step, and the final box.  Serialization is
-deliberately boring: exact rationals as "p/q" strings, irrational
-height values as {"base": "p/q", "exp": "a/c"} pairs, no floats, no
-timestamps, fixed key order, so identical runs produce identical bytes.
+the hyperplanes explicitly separated at each step, and the final box.
+Serialization is deliberately boring: exact rationals as "p/q"
+strings, irrational height values as {"base": "p/q", "exp": "a/c"}
+pairs, no floats, no timestamps, fixed key order, so identical runs
+produce identical bytes.
 
-Box endpoints cost one radix conversion per axis each way.  dumps
-writes a box of its step's hulls with Cylinder.hull_text: the lower
-end is converted to decimal once and everything else is decimal
-arithmetic, each end reduced by a gcd that the known primes of its
-denominator give.  dumps writes its own JSON, the bytes of
-json.dumps(indent=2), with integers through int_str.
+The in-memory certificate holds no box: a step's box is the box of its
+cylinders' hulls (Step.box, made on first use), and the final box is
+the last step's.  dumps writes each with Cylinder.hull_text, and its
+own JSON, the bytes of json.dumps(indent=2), with integers through
+int_str.
 
 Parsing is strict: anything structurally off raises SchemaError (the
 file is not a certificate), and so does a step whose rescan the plane
 walk's own charge refuses; claims that parse but are false are left
-for the verifier to reject.  A recorded box that is, character for
-character, the text dumps writes for its step's hulls is read as that
-hull itself: per axis only the lower end's numerator is parsed into
-binary, and the other three texts are compared as strings with exact
-decimal results.  Any other box, an equal one spelled otherwise too,
-is read as it is written by box_from_json, and the verifier compares
-it with the hulls by value.
+for the verifier to reject.  Each recorded box is judged as it is
+read: it is its step's box when Cylinder.spells takes its text, axis
+by axis, or failing that when box_from_json reads it as an equal box.
+A final box with the last step's text shares that step's verdict.  The
+false ones are kept in Certificate.false_boxes, which the verifier
+reports.
 """
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 
 from .digitsets import Cylinder, DigitSystem, ProductSet, cylinder_box
 from .engine import NormSpec
 from .errors import SchemaError, UsageError
-from .exact import (
-    _EXACT,
-    Box,
-    RatInterval,
-    dec_product,
-    int_str,
-    json_int,
-    known_gcd,
-    parse_int,
-    rat,
-    rat_str,
-)
+from .exact import Box, RatInterval, int_str, json_int, parse_int, rat, rat_str
 from .hyperplanes import Hyperplane, _check_walk
 from .powers import PowerValue
 
@@ -195,10 +180,6 @@ def power_from_json(obj) -> PowerValue:
     raise SchemaError(f"cannot read exact value from {obj!r}")
 
 
-def box_to_json(box: Box) -> list:
-    return [[rat_str(s.lo), rat_str(s.hi)] for s in box.sides]
-
-
 def box_from_json(obj) -> Box:
     sides = []
     for pair in obj:
@@ -278,9 +259,9 @@ class ConstructionSpec:
 @dataclass(frozen=True)
 class Step:
     """One pin: coordinate k fixed near p/q, with the per-coordinate
-    cylinders (and their hull) after this step's narrowing and
-    avoidance descents.  bound_used is phi at the NEXT pin's height and
-    is None on the last step."""
+    cylinders after this step's narrowing and avoidance descents.
+    bound_used is phi at the NEXT pin's height and is None on the last
+    step."""
 
     nu: int
     k: int
@@ -289,20 +270,13 @@ class Step:
     phi_of_q: PowerValue
     bound_used: PowerValue | None
     cylinders: tuple[Cylinder, ...]
-    box: Box
 
     @cached_property
-    def hull(self) -> Box:
-        """The box of its cylinders' hulls, which the verifier checks."""
+    def box(self) -> Box:
+        """The box of its cylinders' hulls."""
         return cylinder_box(self.cylinders)
 
     def to_json(self) -> dict:
-        # decided on integers, not by identity with self.hull: a step
-        # rebuilt by dataclasses.replace has lost its cached hull
-        if self.box._ends == tuple(c.hull_ends() for c in self.cylinders):
-            box = [list(c.hull_text()) for c in self.cylinders]
-        else:
-            box = box_to_json(self.box)
         return {
             "nu": self.nu,
             "k": self.k,
@@ -313,7 +287,7 @@ class Step:
                 None if self.bound_used is None
                 else power_to_json(self.bound_used)
             ),
-            "box": box,
+            "box": [list(c.hull_text()) for c in self.cylinders],
             "cylinders": [{"prefix": c.prefix_str()} for c in self.cylinders],
         }
 
@@ -331,25 +305,30 @@ class AvoidedEntry:
 
 @dataclass(frozen=True)
 class Certificate:
+    """The spec, its steps and the planes they avoided.  false_boxes is
+    what the reader found of the recorded boxes: the index of each step
+    whose box is not its hull, and None when the final box is not the
+    last step's hull; construct leaves it empty."""
+
     spec: ConstructionSpec
     steps: tuple[Step, ...]
     avoided: tuple[AvoidedEntry, ...]
-    final_box: Box
+    false_boxes: tuple[int | None, ...] = ()
+
+    @property
+    def final_box(self) -> Box | None:
+        """The last step's box; None when there is no step."""
+        return self.steps[-1].box if self.steps else None
 
     def to_json(self) -> dict:
         steps = [s.to_json() for s in self.steps]
-        # The final box is the last step's box, and holds the largest
-        # endpoints of all: copy that rendering rather than redo it.
-        if self.steps and self.final_box == self.steps[-1].box:
-            final_box = [list(side) for side in steps[-1]["box"]]
-        else:
-            final_box = box_to_json(self.final_box)
         return {
             "version": SCHEMA_VERSION,
             "spec": self.spec.to_json(),
             "steps": steps,
             "avoided": [a.to_json() for a in self.avoided],
-            "final_box": final_box,
+            # the last step's text, the longest of all, is not redone
+            "final_box": [list(side) for side in steps[-1]["box"]] if steps else [],
         }
 
     def dumps(self) -> str:
@@ -395,33 +374,15 @@ def _write_json(node, newline: str, out: list[str]) -> None:
         out.append(json.dumps(node))
 
 
-def _spells(obj, cylinders) -> bool:
-    """True when the recorded box obj is the text dumps writes for the
-    hulls of the cylinders.  On each axis only the lower end's numerator
-    P is read into binary: with g = gcd(lo, den) from den's known primes,
-    P * g = lo makes Decimal(P) * g lo in decimal, and Cylinder.hull_text
-    from there must give the axis's text, character for character.  Any
-    other spelling, of the same box or not, fails the match."""
-    if type(obj) is not list or len(obj) != len(cylinders):
-        return False
-    for pair, cyl in zip(obj, cylinders):
-        if type(pair) is not list or len(pair) != 2:
-            return False
-        lo_dec, factors = None, cyl.den_factors()
-        if factors is not None:
-            text = pair[0] if type(pair[0]) is str else ""
-            numerator = text.partition("/")[0]
-            digits = numerator[1:] if numerator.startswith("-") else numerator
-            if not digits or not _only(digits, _DIGITS):
-                return False
-            lo = cyl.hull_ends()[0]
-            g = known_gcd(lo, factors)
-            if parse_int(numerator) * math.prod(p**m for p, m in g) != lo:
-                return False
-            lo_dec = _EXACT.multiply(Decimal(numerator), dec_product(g))
-        if pair != list(cyl.hull_text(lo_dec)):
-            return False
-    return True
+def _is_box(recorded, step: Step) -> bool:
+    """True when the recorded box is step's box: its cylinders' hull
+    text, character for character, or failing that, read by
+    box_from_json, equal in value."""
+    cyls = step.cylinders
+    if type(recorded) is list and len(recorded) == len(cyls):
+        if all(c.spells(pair) for c, pair in zip(cyls, recorded)):
+            return True
+    return box_from_json(recorded) == step.box
 
 
 def _step_from_json(obj: dict, product: ProductSet) -> Step:
@@ -433,7 +394,7 @@ def _step_from_json(obj: dict, product: ProductSet) -> Step:
         prefix = DigitSystem.parse_digits(system.base, entry["prefix"])
         cylinders.append(Cylinder(system, prefix))
     bound = obj["bound_used"]
-    fields = dict(
+    return Step(
         nu=json_int(obj["nu"]),
         k=json_int(obj["k"]),
         p=json_int(obj["p"]),
@@ -442,14 +403,6 @@ def _step_from_json(obj: dict, product: ProductSet) -> Step:
         bound_used=None if bound is None else power_from_json(bound),
         cylinders=tuple(cylinders),
     )
-    # a recorded box that spells its hull is that hull, so the verifier
-    # compares the two by identity; any other box is read as it stands
-    hull = cylinder_box(cylinders)
-    recorded = obj["box"]
-    box = hull if _spells(recorded, cylinders) else box_from_json(recorded)
-    step = Step(**fields, box=box)
-    step.__dict__["hull"] = hull  # Step.hull of these cylinders, cached
-    return step
 
 
 def _strict(reader, obj, what: str):
@@ -482,23 +435,30 @@ def _certificate(obj) -> Certificate:
     if version != SCHEMA_VERSION:
         raise SchemaError(f"unsupported certificate version: {version!r}")
     spec = ConstructionSpec.from_json(obj["spec"])
-    steps = tuple(_step_from_json(s, spec.product) for s in obj["steps"])
+    steps, false_boxes = [], []
+    for idx, raw in enumerate(obj["steps"]):
+        steps.append(_step_from_json(raw, spec.product))
+        if not _is_box(raw["box"], steps[-1]):
+            false_boxes.append(idx)
     # refuse here any rescan of a step's hull the verifier could not afford
     for idx, (step, height) in enumerate(zip(steps, spec.avoidance_heights)):
         try:
-            _check_walk(spec.dim, height, step.hull)
+            _check_walk(spec.dim, height, step.box)
         except UsageError as exc:
             raise SchemaError(f"step {idx + 1}: {exc}") from None
     avoided = tuple(
         AvoidedEntry(json_int(a["nu"]), Hyperplane.from_json(a))
         for a in obj["avoided"]
     )
-    # Equal text parses to an equal box: reuse the last step's.
-    if steps and obj["final_box"] == obj["steps"][-1]["box"]:
-        final_box = steps[-1].box
-    else:
-        final_box = box_from_json(obj["final_box"])
-    return Certificate(spec, steps, avoided, final_box)
+    recorded = obj["final_box"]
+    if not steps:
+        box_from_json(recorded)  # read, though no step is there to match
+    elif recorded == obj["steps"][-1]["box"]:  # equal text, equal verdict
+        if len(steps) - 1 in false_boxes:
+            false_boxes.append(None)
+    elif not _is_box(recorded, steps[-1]):
+        false_boxes.append(None)
+    return Certificate(spec, tuple(steps), avoided, tuple(false_boxes))
 
 
 def certificate_from_json(obj) -> Certificate:

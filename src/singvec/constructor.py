@@ -196,26 +196,23 @@ def construct(spec: ConstructionSpec) -> Certificate:
             cyls[j] = _shrink_forced(cyls[j])
         pin_plane = coordinate_hyperplane(k, Fraction(p, q), n)
         height = spec.avoidance_heights[nu - 1]
-        box = cylinder_box(cyls)
         candidates = [
             plane
-            for plane in hyperplanes_meeting(n, height, box)
+            for plane in hyperplanes_meeting(n, height, cylinder_box(cyls))
             if plane != pin_plane
         ]
         for plane in candidates:
             _separate(cyls, plane, k, spec.max_depth)
             avoided.append(AvoidedEntry(nu, plane))
-        if candidates:
-            box = cylinder_box(cyls)
         if not nests_strictly(prev_cyls, cyls):
             raise SingvecError(
                 f"internal error: step {nu} box is not strictly nested"
             )
-        steps.append(Step(nu, k, p, q, phi, None, tuple(cyls), box))
+        steps.append(Step(nu, k, p, q, phi, None, tuple(cyls)))
         prev_phi = phi
         prev_pin = (p, q, k)
         k = k % n + 1
-    return Certificate(spec, tuple(steps), tuple(avoided), steps[-1].box)
+    return Certificate(spec, tuple(steps), tuple(avoided))
 
 
 def extend_spec(spec: ConstructionSpec, extra_steps: int) -> ConstructionSpec:

@@ -10,8 +10,10 @@ value t, taken as integers over a denominator its digits give: its hull
 is a closed rational interval (t = dmin/(b-1) and dmax/(b-1)) and its
 anchor (the all-minimum-digit tail point) is a rational member of S.
 A box of cylinders (cylinder_box) is built on those integers with no
-gcd, and a hull is written as text (hull_text) at one binary-to-decimal
-conversion, reduced through the known primes of its denominator.
+gcd.  This module owns how a hull is written as text: hull_text costs
+one binary-to-decimal conversion, reduced through the known primes of
+its denominator, and spells, which tells that text from any other, one
+decimal-to-binary parse.
 Anchors of deeper and deeper cylinders supply the dense rationals that
 the pinning construction consumes.
 
@@ -39,6 +41,7 @@ from .exact import (
     dec_product,
     json_int,
     known_gcd,
+    parse_int,
     rat,
     rat_str,
     small_factors,
@@ -269,14 +272,39 @@ class Cylinder:
             return None
         return tuple((p, vs + self.depth * vb) for p, vs, vb in primes)
 
-    def hull_text(self, lo_dec: Decimal | None = None) -> tuple[str, str]:
+    def hull_text(self) -> tuple[str, str]:
         """The hull's two ends as rat_str writes them, at one conversion
-        from binary to decimal: lo is converted, or given as lo_dec, its
-        exact value; hi is lo + (hi - lo), a small decimal add; den is
-        Decimal(s) * b**L.  Each end and den are divided in decimal by
-        their gcd, which known_gcd gives from den's primes.  A system
-        whose denominators do not factor over small primes takes
-        rat_str."""
+        from binary to decimal: lo is converted; hi is lo + (hi - lo), a
+        small decimal add; den is Decimal(s) * b**L.  Each end and den
+        are divided in decimal by their gcd, which known_gcd gives from
+        den's primes.  A system whose denominators do not factor over
+        small primes takes rat_str."""
+        return self._text(None)
+
+    def spells(self, pair) -> bool:
+        """True when pair is the list of hull_text's two strings.  Only
+        the lower end's numerator P is read into binary: with g =
+        gcd(lo, den) from den's primes, P * g = lo makes Decimal(P) * g
+        lo in decimal, and hull_text from there must give pair,
+        character for character.  Any other spelling of the hull, or
+        any other value, fails the match."""
+        if type(pair) is not list or len(pair) != 2:
+            return False
+        lo_dec, factors = None, self.den_factors()
+        if factors is not None:
+            numerator = pair[0].partition("/")[0] if type(pair[0]) is str else ""
+            digits = numerator[1:] if numerator.startswith("-") else numerator
+            if not digits or not digits.isascii() or not digits.isdigit():
+                return False
+            lo = self.hull_ends()[0]
+            g = known_gcd(lo, factors)
+            if parse_int(numerator) * math.prod(p**m for p, m in g) != lo:
+                return False
+            lo_dec = _EXACT.multiply(Decimal(numerator), dec_product(g))
+        return pair == list(self._text(lo_dec))
+
+    def _text(self, lo_dec: Decimal | None) -> tuple[str, str]:
+        """hull_text, lo_dec being lo in decimal when it is known."""
         lo, hi, den = self.hull_ends()
         factors = self.den_factors()
         if factors is None:

@@ -1,10 +1,12 @@
 """Independent certificate checking.
 
 The verifier trusts nothing in the file beyond the digit prefixes and
-the construction spec: every hull is recomputed from the prefixes,
+the construction spec: every box is the hull of a step's prefixes,
 every recorded height value and decay bound is recomputed from that
-spec, and the
-geometric conditions are re-checked with exact interval arithmetic.
+spec, and the geometric conditions are re-checked with exact interval
+arithmetic.  The recorded boxes were judged against those hulls when
+the file was read; the verifier reports the ones found false
+(Certificate.false_boxes).
 Every check reports through one fail(step, check, message) rather than
 raising, so a single run surfaces every failing check of every step;
 each step's report is read off those records at the end.  The rescan
@@ -131,12 +133,12 @@ def verify_certificate(
     if len(steps) != len(schedule):
         fail(None, "integrity", f"certificate has {len(steps)} steps, "
              f"its spec asks for {len(schedule)}")
-    hulls = [step.hull for step in steps]
+    hulls = [step.box for step in steps]
     roots = tuple(Cylinder.root(f) for f in cert.spec.product.factors)
     heights = {}  # step index -> norm height of its pin
     pins = {}  # step index -> the plane x_k = p/q of its pin
     for idx, step in enumerate(steps):
-        if hulls[idx] != step.box:
+        if idx in cert.false_boxes:
             fail(idx, "integrity", "recorded box does not match its cylinders")
         if step.nu != idx + 1:
             fail(idx, "integrity", f"step index out of order (expected {idx + 1})")
@@ -213,7 +215,7 @@ def verify_certificate(
                      f"{plane.height()} <= {height} meets the box")
                 break
 
-    if hulls and cert.final_box != hulls[-1]:
+    if None in cert.false_boxes:
         fail(None, "integrity", "final box does not match the last step")
         fail(len(steps) - 1, "integrity")
 

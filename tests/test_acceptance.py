@@ -21,7 +21,6 @@ from pathlib import Path
 
 from singvec import (
     AffineSubspaceSpec,
-    Box,
     ConstructionSpec,
     Cylinder,
     DigitSystem,
@@ -44,7 +43,6 @@ from singvec import (
     transference_constants,
     verify_certificate,
 )
-from singvec.certificates import box_to_json
 from singvec.polys import poly_eval
 
 F = Fraction
@@ -338,7 +336,7 @@ def test_criterion_09_fault_injection_cli(tmp_path):
         Cylinder(system, DigitSystem.parse_digits(3, e["prefix"]))
         for system, e in zip(PRODUCT.factors, widened["steps"][2]["cylinders"])
     ]
-    wide = box_to_json(Box(tuple(c.hull() for c in cyls)))
+    wide = [list(c.hull_text()) for c in cyls]
     widened["steps"][2]["box"] = wide
     widened["final_box"] = wide
     # sanity: the tampered blob still loads, so the exit code below

@@ -187,6 +187,23 @@ def test_certify_zero_denominator_exit_3(tmp_path):
     assert "Traceback" not in out.stderr
 
 
+def test_certify_false_last_box_copied_into_the_final_box_fails_both(tmp_path):
+    # the final box is judged against the last step's hull, not against
+    # that step's recorded text: a false box copied there is false twice
+    path = build_cert(tmp_path, steps="3")
+    import json
+
+    obj = json.loads(path.read_text())
+    obj["steps"][-1]["box"][0][1] = "1"
+    obj["final_box"] = obj["steps"][-1]["box"]
+    bad = tmp_path / "false-last-box.json"
+    bad.write_text(json.dumps(obj))
+    out = run("certify", str(bad), "--spot-checks", "none")
+    assert out.returncode == 4
+    assert "step 3: recorded box does not match its cylinders" in out.stdout
+    assert "final box does not match the last step" in out.stdout
+
+
 def test_certify_zero_pin_denominator_exit_4(tmp_path):
     path = build_cert(tmp_path, steps="3")
     import json

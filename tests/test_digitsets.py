@@ -3,7 +3,6 @@ rational enumeration."""
 import itertools
 import math
 import random
-from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -21,7 +20,7 @@ from singvec import (
 )
 from singvec import hyperplanes
 from singvec.digitsets import cylinder_box, nests_strictly
-from singvec.exact import _LEAF_DIGITS, int_str, known_gcd, rat_str
+from singvec.exact import _LEAF_DIGITS, known_gcd, rat_str
 from singvec.hyperplanes import (
     hyperplanes_meeting,
     interval_linform,
@@ -473,8 +472,11 @@ def test_hull_text_is_rat_str_of_the_hull(cyl):
     lo, hi, den = cyl.hull_ends()
     text = (rat_str(F(lo, den)), rat_str(F(hi, den)))
     assert cyl.hull_text() == text
-    # lo given in decimal, as the loader has it, writes the same text
-    assert cyl.hull_text(Decimal(int_str(lo))) == text
+    # the loader's match, from the lower numerator alone, takes this
+    # text and no other spelling of it
+    assert cyl.spells(list(text))
+    assert not cyl.spells(["0" + text[0], text[1]])
+    assert not cyl.spells(text)  # a tuple is not what json.loads gives
     factors = cyl.den_factors()
     assert math.prod(p**e for p, e in factors) == den
     for x in (lo, hi, 0):
@@ -490,3 +492,4 @@ def test_hull_text_over_a_large_prime_takes_rat_str():
     assert cyl.den_factors() is None
     lo, hi, den = cyl.hull_ends()
     assert cyl.hull_text() == (rat_str(F(lo, den)), rat_str(F(hi, den)))
+    assert cyl.spells(list(cyl.hull_text()))

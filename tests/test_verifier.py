@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from singvec import (
-    Box,
     ConstructionSpec,
     Cylinder,
     DigitSystem,
@@ -19,7 +18,6 @@ from singvec import (
     default_spot_checks,
     verify_certificate,
 )
-from singvec.certificates import box_to_json
 from singvec.exact import rat, rat_str
 
 F = Fraction
@@ -205,7 +203,7 @@ def test_tamper_widened_box(blob):
         Cylinder(system, DigitSystem.parse_digits(3, e["prefix"]))
         for system, e in zip(PRODUCT.factors, blob["steps"][2]["cylinders"])
     ]
-    wide = box_to_json(Box(tuple(c.hull() for c in cyls)))
+    wide = [list(c.hull_text()) for c in cyls]
     blob["steps"][2]["box"] = wide
     blob["final_box"] = wide
     report = verify_certificate(reload(blob), spot_checks=())
@@ -231,7 +229,7 @@ def test_empty_prefixes_fail_fast_with_one_rescan_message_per_step():
         )
     )
     blob = json.loads(cert.dumps())
-    hull = box_to_json(Box((Cylinder(THIRDS, ()).hull(),) * 4))
+    hull = [list(Cylinder(THIRDS, ()).hull_text())] * 4
     for step in blob["steps"]:
         for entry in step["cylinders"]:
             entry["prefix"] = ""
