@@ -25,12 +25,7 @@ from .certificates import (
     default_avoidance_heights,
 )
 from .constructor import construct, extend_spec, refine_point
-from .digitsets import (
-    Cylinder,
-    DigitSystem,
-    ProductSet,
-    rationals_in,
-)
+from .digitsets import Cylinder, DigitSystem, ProductSet, rationals_in
 from .engine import (
     SUP_NORM,
     AffineSubspaceSpec,
@@ -75,7 +70,6 @@ from .hyperplanes import (
     coordinate_hyperplane,
     enumerate_hyperplanes,
     hyperplanes_meeting,
-    interval_linform,
     make_primitive,
 )
 from .powers import PowerValue, iroot

@@ -171,16 +171,12 @@ def _cmd_construct(args) -> int:
     out = sys.stdout if args.output else sys.stderr
     print("step  k  anchor          height          bound", file=out)
     for step in cert.steps:
-        anchor = Fraction(step.p, step.q)
-        bound = (
-            "-" if step.bound_used is None else _fmt_approx(step.bound_used)
-        )
-        print(
-            f"{step.nu:>4}  {step.k}  {_fmt_approx(anchor):<14}  "
-            f"{_fmt_approx(step.phi_of_q):<14}  {bound}",
-            file=out,
-        )
-    widths = "  ".join(_fmt_approx(s.width) for s in cert.final_box.sides)
+        anchor = _fmt_approx(Fraction(step.p, step.q))
+        bound = "-" if step.bound_used is None else _fmt_approx(step.bound_used)
+        height = _fmt_approx(step.phi_of_q)
+        print(f"{step.nu:>4}  {step.k}  {anchor:<14}  {height:<14}  {bound}",
+              file=out)
+    widths = "  ".join(_fmt_approx(c.width) for c in cert.steps[-1].cylinders)
     print(f"final box widths: {widths}", file=out)
     return 0
 

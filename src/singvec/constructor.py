@@ -32,9 +32,9 @@ from .digitsets import Cylinder, cylinder_box, nests_strictly, rationals_in
 from .errors import DepthExhausted, NoRationalFound, SingvecError, UsageError
 from .hyperplanes import (
     Hyperplane,
+    _form_range,
     coordinate_hyperplane,
     hyperplanes_meeting,
-    interval_linform,
     meets,
 )
 from .powers import PowerValue
@@ -151,17 +151,18 @@ def _separate(cyls: list, plane: Hyperplane, pin_k: int, max_depth: int):
 
 
 def _separating_child(cyls: list, plane: Hyperplane, j: int) -> Cylinder:
+    """The first child of cyls[j] whose box the plane misses, else the
+    first that pushes the form's midpoint farthest from zero: children
+    of one depth share _form_range's den, so that is |lo + hi|."""
     trial = list(cyls)
-    best = None
-    best_score = None
+    best = best_score = None
     for child in cyls[j].children():
         trial[j] = child
-        iv = interval_linform(plane, cylinder_box(trial))
-        if not iv.contains(Fraction(0)):
+        lo, hi, _ = _form_range(plane, cylinder_box(trial))
+        if not lo <= 0 <= hi:
             return child
-        score = abs(iv.mid)
-        if best is None or score > best_score:
-            best, best_score = child, score
+        if best is None or abs(lo + hi) > best_score:
+            best, best_score = child, abs(lo + hi)
     return best
 
 

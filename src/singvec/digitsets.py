@@ -10,10 +10,11 @@ value t, taken as integers over a denominator its digits give: its hull
 is a closed rational interval (t = dmin/(b-1) and dmax/(b-1)) and its
 anchor (the all-minimum-digit tail point) is a rational member of S.
 A box of cylinders (cylinder_box) is built on those integers with no
-gcd.  This module owns how a hull is written as text: hull_text costs
-one binary-to-decimal conversion, reduced through the known primes of
-its denominator, and spells, which tells that text from any other, one
-decimal-to-binary parse.
+gcd, and strict nesting of two boxes (nests_strictly) is read from the
+prefixes alone.  This module owns how a hull is written as text:
+hull_text costs one binary-to-decimal conversion, reduced through the
+known primes of its denominator, and spells, which tells that text from
+any other, one decimal-to-binary parse.
 Anchors of deeper and deeper cylinders supply the dense rationals that
 the pinning construction consumes.
 
@@ -382,14 +383,16 @@ def cylinder_box(cylinders) -> Box:
 
 def nests_strictly(outer, inner) -> bool:
     """True when the box of the inner cylinders' hulls sits strictly
-    inside that of the outer ones on every axis.  Each axis compares its
-    two hulls over their shared power of b, cylinder_box of the pair,
-    as integers: no division and no gcd."""
+    inside that of the outer ones, axis by axis of one system.  A hull
+    lies in the base-b cell of its own prefix, so on an axis that holds
+    exactly when the inner prefix extends the outer one by digits with
+    one above dmin and one below dmax.  Only the digits are read."""
     if len(outer) != len(inner):
         return False
-    for pair in zip(outer, inner):
-        _, ((lo, hi), (inner_lo, inner_hi)) = cylinder_box(pair).scaled
-        if not lo < inner_lo or not inner_hi < hi:
+    for out, inn in zip(outer, inner):
+        tail, sysm = inn.prefix[out.depth:], out.system
+        if (inn.prefix[:out.depth] != out.prefix or not tail
+                or max(tail) == sysm.dmin or min(tail) == sysm.dmax):
             return False
     return True
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 import decimal
 import math
 import re
-import sys
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -165,18 +163,6 @@ def dec_product(factors) -> decimal.Decimal:
     for p, e in factors:
         out = _EXACT.multiply(out, _EXACT.power(decimal.Decimal(p), e))
     return out
-
-
-@contextmanager
-def digit_limit(limit: int):
-    """The interpreter's int<->str digit guard held at limit (0: none)
-    for the duration of the block, then restored."""
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(limit)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(old)
 
 
 def json_int(value) -> int:
@@ -366,8 +352,8 @@ class Box:
         endpoints' denominators, once; a box made over a denominator
         keeps it, which need not be the lcm.  Every reader is invariant
         when den and the pairs are scaled by one factor: _dot_range,
-        interval_linform, _check_walk, the _sorted_box plane walk of
-        hyperplanes_meeting, and midpoint."""
+        the form ranges of meets, _check_walk, the _sorted_box plane walk
+        of hyperplanes_meeting, and midpoint."""
         ends = [x for side in self.sides for x in (side.lo, side.hi)]
         den = math.lcm(*(x.denominator for x in ends))
         nums = [x.numerator * (den // x.denominator) for x in ends]

@@ -7,7 +7,8 @@ both in height and in the constant term, since only hyperplanes whose
 constant is compatible with a bounded box can meet it.  Form ranges are
 exact integer ranges over the box's one denominator den (Box.scaled;
 for a box of cylinders, the one their digits give), taken by the
-engine's _dot_range; meets decides on those integers alone.
+engine's _dot_range; meets and the constructor's separating child
+decide on those integers alone, with no Fraction made.
 
 The planes that meet a box come from the engine's one candidate walk.
 A direction m meets the box only if its scaled form m . x reaches a
@@ -28,7 +29,7 @@ from typing import Iterator
 
 from .engine import _charge, _dot_range, _sorted_box, signed_box
 from .errors import NotPrimitive, ZeroForm
-from .exact import Box, RatInterval, int_str, json_int
+from .exact import Box, int_str, json_int
 
 
 @dataclass(frozen=True)
@@ -117,14 +118,9 @@ def _form_range(plane: Hyperplane, box: Box) -> tuple[int, int, int]:
     return lo - shift, hi - shift, den
 
 
-def interval_linform(plane: Hyperplane, box: Box) -> RatInterval:
-    """Tight range of sum_j m_j x_j - m0 over a box."""
-    return RatInterval.over(*_form_range(plane, box))
-
-
 def meets(plane: Hyperplane, box: Box) -> bool:
-    """Whether the plane's zero set meets the box: 0 lies in
-    interval_linform, decided on its integers, with no Fraction made."""
+    """Whether the plane's zero set meets the box: 0 lies in the form's
+    range, decided on its integers, with no Fraction made."""
     lo, hi, _ = _form_range(plane, box)
     return lo <= 0 <= hi
 

@@ -239,3 +239,15 @@ class PowerValue:
             return rat_str(f)
         body = f"({rat_str(self.base)})^({rat_str(self.exp)})"
         return body if self.coef == 1 else f"{rat_str(self.coef)}*{body}"
+
+
+def exceeds(value, num: int, den: int) -> bool:
+    """value > num/den for a positive Fraction or PowerValue and positive
+    integers num and den, not in lowest terms: float logs decide as in
+    PowerValue's order, and only a near tie makes Fraction(num, den)."""
+    value = value if isinstance(value, PowerValue) else PowerValue(value)
+    x, dx = value._log_terms()
+    a, b = math.log(num), math.log(den)
+    if abs(x - (a - b)) > _LOG_MARGIN * (dx + a + b):
+        return x > a - b
+    return value > Fraction(num, den)

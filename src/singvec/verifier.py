@@ -3,10 +3,12 @@
 The verifier trusts nothing in the file beyond the digit prefixes and
 the construction spec: every box is the hull of a step's prefixes,
 every recorded height value and decay bound is recomputed from that
-spec, and the geometric conditions are re-checked with exact interval
-arithmetic.  The recorded boxes were judged against those hulls when
-the file was read; the verifier reports the ones found false
-(Certificate.false_boxes).
+spec, and the geometric conditions are re-checked exactly, each on the
+least data that decides it: nesting on the digit prefixes, a pin's
+bound on the next hull of its own axis as integers, and the planes on
+the box over one denominator.  The recorded boxes were judged against
+those hulls when the file was read; the verifier reports the ones found
+false (Certificate.false_boxes).
 Every check reports through one fail(step, check, message) rather than
 raising, so a single run surfaces every failing check of every step;
 each step's report is read off those records at the end.  The rescan
@@ -44,12 +46,8 @@ from .engine import (
 )
 from .errors import UsageError
 from .exact import RatInterval, int_str, rat_str
-from .hyperplanes import (
-    coordinate_hyperplane,
-    hyperplanes_meeting,
-    interval_linform,
-    meets,
-)
+from .hyperplanes import coordinate_hyperplane, hyperplanes_meeting, meets
+from .powers import exceeds
 
 # The per-step checks, named as the flags of StepReport.
 CHECKS = (
@@ -96,13 +94,21 @@ def default_spot_checks(cert: Certificate) -> tuple[Fraction, ...]:
     """Thresholds at the recorded heights from the second pin on, kept
     to exact rational values whose box scan the engine's budget admits:
     _scan_work of their height caps at most MAX_SCAN_WORK.  psi_enclosure
-    scans each one whole in about T**(n-1) log T steps at threshold T."""
+    scans each one whole in about T**(n-1) log T steps at threshold T.
+    That is at least the largest cap, t**e (e = 1 for sup, n * max(s)
+    for weights s), so a height t >= 2**k with e * k at least the
+    budget's bit length is over it before any cap is taken."""
     norm, n = cert.spec.norm, cert.spec.dim
+    e = 1 if norm.kind == "sup" else n * max(norm.weights)
+
+    def admitted(t) -> bool:
+        k = t.numerator.bit_length() - t.denominator.bit_length() - 1
+        return e * k < MAX_SCAN_WORK.bit_length() and (
+            _scan_work(norm.coordinate_caps(t, n)) <= MAX_SCAN_WORK
+        )
+
     heights = (step.phi_of_q.as_fraction() for step in cert.steps[1:])
-    return tuple(
-        t for t in heights
-        if t is not None and _scan_work(norm.coordinate_caps(t, n)) <= MAX_SCAN_WORK
-    )
+    return tuple(t for t in heights if t is not None and admitted(t))
 
 
 def verify_certificate(
@@ -133,7 +139,6 @@ def verify_certificate(
     if len(steps) != len(schedule):
         fail(None, "integrity", f"certificate has {len(steps)} steps, "
              f"its spec asks for {len(schedule)}")
-    hulls = [step.box for step in steps]
     roots = tuple(Cylinder.root(f) for f in cert.spec.product.factors)
     heights = {}  # step index -> norm height of its pin
     pins = {}  # step index -> the plane x_k = p/q of its pin
@@ -157,8 +162,7 @@ def verify_certificate(
         heights[idx] = norm.phi(qvec)
         if heights[idx] != step.phi_of_q:
             fail(idx, "integrity", "recorded height value does not match the norm")
-        anchor = Fraction(step.p, step.q)
-        pins[idx] = coordinate_hyperplane(step.k, anchor, n)
+        pins[idx] = coordinate_hyperplane(step.k, Fraction(step.p, step.q), n)
         prev = steps[idx - 1].cylinders if idx else roots
         if not nests_strictly(prev, step.cylinders):
             fail(idx, "nesting", "box is not strictly inside the previous box")
@@ -182,11 +186,15 @@ def verify_certificate(
             if bound != cert.spec.phi.value_at(heights[idx + 1]):
                 fail(idx, "bound_chain", "recorded bound does not equal the "
                      "decay bound at the next height")
-            form = interval_linform(pins[idx], hulls[idx + 1])
-            reach = max(abs(form.lo), abs(form.hi))
-            if not reach < bound:
+            # |q x_k - m0| over the next hull on the pinned axis, over den;
+            # hi - lo is small, so the form at hi costs no big product
+            pin, k = pins[idx], step.k - 1
+            lo, hi, den = steps[idx + 1].cylinders[k].hull_ends()
+            at_lo = pin.mvec[k] * lo - pin.m0 * den
+            reach = max(abs(at_lo), abs(at_lo + pin.mvec[k] * (hi - lo)))
+            if not exceeds(bound, reach, den):
                 fail(idx, "bound_chain", "approximation bound fails over the "
-                     f"next box (|form| reaches {rat_str(reach)})")
+                     f"next box (|form| reaches {rat_str(Fraction(reach, den))})")
 
     # avoidance: listed separations hold, and nothing low meets the box
     by_step: dict[int, list] = {}
@@ -200,7 +208,7 @@ def verify_certificate(
         for plane in by_step.get(step.nu, ()):
             if plane.dim != n:
                 fail(idx, "avoidance", f"avoided plane {plane} has wrong dimension")
-            elif meets(plane, hulls[idx]):
+            elif meets(plane, step.box):
                 fail(idx, "avoidance", f"avoided plane {plane} still meets the box")
         if idx >= len(schedule):
             fail(idx, "integrity")  # a step past the schedule: no threshold
@@ -209,7 +217,7 @@ def verify_certificate(
         # plane at or below the threshold other than the pin is a breach;
         # the first one fails the step, so the walk stops there
         height = schedule[idx]
-        for plane in hyperplanes_meeting(n, height, hulls[idx]):
+        for plane in hyperplanes_meeting(n, height, step.box):
             if plane != pins.get(idx):
                 fail(idx, "avoidance", f"plane {plane} at height "
                      f"{plane.height()} <= {height} meets the box")
@@ -223,7 +231,7 @@ def verify_certificate(
     if not failures:  # so the steps are those of the spec, at least one
         if spot_checks is None:
             spot_checks = default_spot_checks(cert)
-        midpoint = hulls[-1].midpoint if spot_checks else None
+        midpoint = steps[-1].box.midpoint if spot_checks else None
         for t in spot_checks:
             bound = cert.spec.phi.value_at(t)
             # Cheap fixed precision first: the enclosure pass gives sound

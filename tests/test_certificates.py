@@ -27,8 +27,10 @@ from singvec import (
     default_avoidance_heights,
 )
 from singvec.certificates import box_from_json, power_from_json, power_to_json
-from singvec.exact import _EXACT, _to_decimal, digit_limit, known_gcd
+from singvec.exact import _EXACT, _to_decimal, known_gcd
 from singvec.verifier import verify_certificate
+
+from helpers import digit_limit
 
 F = Fraction
 THIRDS = DigitSystem(3, (0, 2))

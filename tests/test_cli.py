@@ -18,6 +18,7 @@ from singvec import (
     construct,
 )
 from singvec.cli import _fmt_approx
+from singvec.cli import main as cli_main
 
 CMD = [sys.executable, "-m", "singvec"]
 
@@ -55,6 +56,41 @@ def test_construct_writes_certificate_and_table(tmp_path):
     assert '"version": 1' in path.read_text()
     assert "step  k  anchor" in out.stdout
     assert "final box widths:" in out.stdout
+
+
+# the table of each 6-step pow:5 build on the twofold middle-thirds set
+TABLES = {
+    "sup": """\
+step  k  anchor          height          bound
+   1  1  0.222222222222  9               ~10^-16.70
+   2  2  0.766346593507  2187            ~10^-100.20
+   3  1  0.222222222222  ~10^20.04       ~10^-529.60
+   4  2  0.766346593507  ~10^105.92      ~10^-2760.15
+   5  1  0.222222222222  ~10^552.03      ~10^-14342.26
+   6  2  0.766346593507  ~10^2868.45     -
+final box widths: ~10^-14895.73  ~10^-2868.45
+""",
+    "weighted:2/3,1/3": """\
+step  k  anchor          height          bound
+   1  1  0.222222222222  5.19615242271   ~10^-25.05
+   2  2  0.766346593507  102275.868136   ~10^-105.56
+   3  1  0.222222222222  ~10^21.11       ~10^-833.77
+   4  2  0.766346593507  ~10^166.75      ~10^-3240.25
+   5  1  0.222222222222  ~10^648.05      ~10^-25152.64
+   6  2  0.766346593507  ~10^5030.53     -
+final box widths: ~10^-26017.90  ~10^-3353.69
+""",
+}
+
+
+@pytest.mark.parametrize("norm", sorted(TABLES))
+def test_construct_table_is_frozen(tmp_path, capsys, norm):
+    argv = [
+        "construct", "--cantor", "3:0,2", "--cantor", "3:0,2", "--norm", norm,
+        "--phi", "pow:5", "--steps", "6", "-o", str(tmp_path / "c.json"),
+    ]
+    assert cli_main(argv) == 0
+    assert capsys.readouterr().out == TABLES[norm]
 
 
 def test_construct_stdout_mode_keeps_json_clean(tmp_path):

@@ -18,7 +18,8 @@ from singvec import (
     ProductSet,
     construct,
 )
-from singvec.exact import digit_limit
+
+from helpers import digit_limit
 
 CMD = [sys.executable, "-m", "singvec"]
 SPEC = object()  # stands for the path of the spec file a case writes

@@ -1,5 +1,6 @@
 """The nested-box construction: step invariants, determinism, schedule
 extension."""
+import itertools
 import math
 from fractions import Fraction
 from unittest import mock
@@ -20,7 +21,6 @@ from singvec import (
     UsageError,
     construct,
     extend_spec,
-    interval_linform,
     refine_point,
 )
 from singvec import constructor
@@ -112,8 +112,9 @@ def test_avoided_planes_miss_their_boxes(cert3):
     boxes = {s.nu: s.box for s in cert3.steps}
     assert cert3.avoided
     for entry in cert3.avoided:
-        rng = interval_linform(entry.plane, boxes[entry.nu])
-        assert rng.lo > 0 or rng.hi < 0
+        corners = itertools.product(*((s.lo, s.hi) for s in boxes[entry.nu].sides))
+        values = [entry.plane.form_at(c) for c in corners]
+        assert min(values) > 0 or max(values) < 0
         assert entry.plane.height() <= cert3.spec.avoidance_heights[entry.nu - 1]
 
 

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from singvec import (
@@ -18,15 +18,12 @@ from singvec import (
     UsageError,
     rationals_in,
 )
-from singvec import hyperplanes
+from singvec import digitsets, hyperplanes
 from singvec.digitsets import cylinder_box, nests_strictly
 from singvec.exact import _LEAF_DIGITS, known_gcd, rat_str
-from singvec.hyperplanes import (
-    hyperplanes_meeting,
-    interval_linform,
-    make_primitive,
-    meets,
-)
+from singvec.hyperplanes import hyperplanes_meeting, make_primitive, meets
+
+from helpers import form_interval
 
 F = Fraction
 THIRDS = DigitSystem(3, (0, 2))
@@ -371,8 +368,9 @@ def horner_hull(cyl: Cylinder) -> RatInterval:
 @st.composite
 def cylinder_lists(draw):
     """One to three cylinders of one base or of mixed bases 2..12, with
-    random offsets and scales and prefixes of 0..300 digits, the same
-    cylinders a few digits deeper, and a plane-walk height."""
+    random offsets and scales and prefixes of 0..300 digits, a second
+    cylinder of each system whose prefix extends the first, is cut from
+    it or parts from it, and a plane-walk height."""
     n = draw(st.integers(1, 3))
     if draw(st.booleans()):
         bases = [draw(st.integers(2, 12))] * n
@@ -387,8 +385,9 @@ def cylinder_lists(draw):
         depth = draw(st.sampled_from((0, 1, 300)) | st.integers(0, 300))
         prefix = draw(st.lists(st.sampled_from(system.digits), min_size=depth, max_size=depth))
         more = draw(st.lists(st.sampled_from(system.digits), max_size=4))
+        cut = draw(st.sampled_from((depth, depth, draw(st.integers(0, depth)))))
         cyls.append(Cylinder(system, prefix))
-        deeper.append(Cylinder(system, prefix + more))
+        deeper.append(Cylinder(system, prefix[:cut] + more))
     height = draw(st.integers(1, {1: 6, 2: 4, 3: 2}[n]))
     return cyls, deeper, height
 
@@ -433,14 +432,73 @@ def test_cylinder_box_matches_the_lcm_box_of_its_hulls(case):
     probes = planes + [make_primitive(m0, m) for m0 in (-1, 0, 2) for m in
                        itertools.product((-2, 0, 1), repeat=n) if any(m)]
     for plane in probes:
-        form = interval_linform(plane, box)
-        assert form == interval_linform(plane, oracle)
+        form = form_interval(plane, box)
+        assert form == form_interval(plane, oracle)
         assert meets(plane, box) == meets(plane, oracle) == form.contains(0)
-    # nesting on integers, both ways, against the Fraction sides
-    assert nests_strictly(cyls, deeper) == contains_interior(oracle, inner_oracle)
-    assert nests_strictly(deeper, cyls) == contains_interior(inner_oracle, oracle)
+    # nesting by digits and on integers, both ways, against the Fraction sides
+    for outer, inner, outer_box, inner_box in (
+        (cyls, deeper, oracle, inner_oracle), (deeper, cyls, inner_oracle, oracle)
+    ):
+        want = contains_interior(outer_box, inner_box)
+        assert nests_strictly(outer, inner) == nests_on_integers(outer, inner) == want
     assert nests_strictly(cyls, cyls) is False
     assert nests_strictly(cyls[:-1], deeper) is False
+
+
+# -- nesting by digits ----------------------------------------------------
+
+
+def nests_on_integers(outer, inner) -> bool:
+    """The oracle of nests_strictly: each axis compares its two hulls
+    over their shared power of b, cylinder_box of the pair, as integers."""
+    if len(outer) != len(inner):
+        return False
+    for pair in zip(outer, inner):
+        _, ((lo, hi), (inner_lo, inner_hi)) = cylinder_box(pair).scaled
+        if not lo < inner_lo or not inner_hi < hi:
+            return False
+    return True
+
+
+@st.composite
+def nesting_pair(draw):
+    """Two cylinders of one system of base 2..12 or 40, its digit set
+    with or without 0 and b - 1, its offset and scale random: the second
+    prefix extends the first by any digits, by dmin alone or by dmax
+    alone, equals it, is cut from it, or parts from it.  Either may be
+    the root."""
+    b = draw(st.integers(2, 12) | st.just(40))
+    digits = draw(st.sets(st.integers(0, b - 1)))
+    for edge in (0, b - 1):
+        digits = digits | {edge} if draw(st.booleans()) else digits - {edge}
+    assume(len(digits) >= 2)
+    offset = draw(st.just(F(0)) | st.fractions(-5, 5, max_denominator=60))
+    scale = draw(st.just(F(1)) | st.fractions(F(1, 50), 5, max_denominator=60))
+    system = DigitSystem(b, tuple(digits), offset, scale)
+    some = st.sampled_from(system.digits)
+    depth = draw(st.just(0) | st.integers(0, 40))
+    prefix = draw(st.lists(some, min_size=depth, max_size=depth))
+    tail = draw(
+        st.lists(some, max_size=6)
+        | st.lists(st.just(system.dmin), min_size=1, max_size=6)
+        | st.lists(st.just(system.dmax), min_size=1, max_size=6)
+    )
+    cut = draw(st.sampled_from((depth, draw(st.integers(0, depth)))))
+    return Cylinder(system, prefix), Cylinder(system, prefix[:cut] + tail)
+
+
+@settings(deadline=None, derandomize=True, max_examples=500)
+@given(st.lists(nesting_pair(), min_size=1, max_size=3))
+@example([(Cylinder(THIRDS, ()), Cylinder(THIRDS, (0, 2)))])
+@example([(Cylinder(THIRDS, ()), Cylinder(THIRDS, (0, 0)))])
+@example([(Cylinder(THIRDS, (2,)), Cylinder(THIRDS, (2,)))])
+@example([(Cylinder(SHIFTED, (2, 4)), Cylinder(SHIFTED, (2, 1, 4)))])
+def test_nests_strictly_matches_the_pair_box_test(pairs):
+    outer, inner = zip(*pairs)
+    want = nests_on_integers(outer, inner), nests_on_integers(inner, outer)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(digitsets, "cylinder_box", None)  # the digits alone decide
+        assert (nests_strictly(outer, inner), nests_strictly(inner, outer)) == want
 
 
 # -- hull ends on the wire --------------------------------------------------

@@ -53,7 +53,8 @@ from singvec.engine import (
     _scaled_rows,
     _sorted_box,
 )
-from singvec.exact import digit_limit
+
+from helpers import digit_limit
 
 F = Fraction
 W23 = NormSpec("weighted", (F(2, 3), F(1, 3)))

@@ -12,7 +12,6 @@ from singvec.exact import (
     _LEAF_BITS,
     _LEAF_DIGITS,
     dec_str,
-    digit_limit,
     dist_interval,
     int_str,
     nearest_int_dist,
@@ -20,6 +19,8 @@ from singvec.exact import (
     rat,
     rat_str,
 )
+
+from helpers import digit_limit
 
 rationals = st.fractions(
     min_value=Fraction(-100), max_value=Fraction(100), max_denominator=1000

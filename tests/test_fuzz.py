@@ -10,12 +10,16 @@ report) or 3 (SchemaError).  Then the bytes of both certificates and of
 a spec file are cut at seeded offsets and have seeded bits flipped, and
 nesting bombs, bytes that are not UTF-8 and byte order marks are added;
 those files go through `certify` and `construct --spec` in process, and
-each must end in exit 0, 3 or 4.  Every case runs under its own
+each must end in exit 0, 3 or 4.  The verifier's reports on the leaf
+mutants, each with its label, outcome, step flags and failure texts,
+are folded into one SHA-256, which is frozen: a change to any verdict
+or message on that corpus shows.  Every case runs under its own
 SIGALRM, and all of them in one child process under an address-space
 limit, so a runaway allocation fails the test instead of the host.  Run
 this file directly to see the outcome counts and every defective case.
 """
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -41,7 +45,10 @@ from singvec import (
     verify_certificate,
 )
 from singvec.cli import main as cli_main
-from singvec.exact import digit_limit
+from singvec.exact import int_str
+from singvec.verifier import CHECKS
+
+from helpers import digit_limit
 
 SEED = 20261018
 ALARM_S = 2
@@ -51,6 +58,8 @@ HOSTILE = (
     None, "",
 )
 CUTS = FLIPS = 40  # seeded truncations and bit flips per file
+# the SHA-256 of the verifier's reports on the leaf mutants (main)
+REPORTS_DIGEST = "3cbc87758d866bbeb9367a2c74f3e9513b7f44d58e79e690840816725109a718"
 
 
 def specs() -> dict:
@@ -159,24 +168,33 @@ def byte_mutants(data: bytes, rng: random.Random):
     yield "utf8-bom", b"\xef\xbb\xbf" + data
 
 
-def outcome(text: str) -> str:
-    """What certify makes of a certificate: exit 0, 4 or 3."""
+def outcome(text: str) -> tuple[str, str]:
+    """What certify makes of a certificate, exit 0, 4 or 3, and the
+    verifier's report as text: each step's number and flags, then each
+    failure.  A SchemaError gives its code alone, since the decoder's
+    messages vary with the Python version."""
     try:
         cert = certificate_loads(text)
     except SchemaError:
-        return "exit 3"
-    return "exit 0" if verify_certificate(cert).ok else "exit 4"
+        return "exit 3", ""
+    report = verify_certificate(cert)
+    lines = [
+        f"{int_str(step.nu)} " + "".join("01"[getattr(step, c)] for c in CHECKS)
+        for step in report.steps
+    ]
+    code = "exit 0" if report.ok else "exit 4"
+    return code, "\n".join(lines + list(report.failures))
 
 
-def cli_outcome(path: str, data: bytes, argv) -> str:
+def cli_outcome(path: str, data: bytes, argv) -> tuple[str, None]:
     """The exit code of the command line on argv once data is written
-    to path, run in process with its output dropped; an exception
-    escaping it is a traceback."""
+    to path, run in process with its output dropped, and no report; an
+    exception escaping it is a traceback."""
     with open(path, "wb") as fh:
         fh.write(data)
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
-        return f"exit {cli_main(argv)}"
+        return f"exit {cli_main(argv)}", None
 
 
 def cases(rng: random.Random, path: str):
@@ -201,11 +219,13 @@ def main() -> int:
     signal.signal(signal.SIGALRM, _alarm)
     tally: Counter = Counter()
     bad = []
+    reports = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         for label, case in cases(rng, os.path.join(tmp, "input.json")):
             signal.setitimer(signal.ITIMER_REAL, ALARM_S)
+            report = None
             try:
-                result = case()
+                result, report = case()
             except Timeout:
                 result = f"timeout after {ALARM_S} s"
             except Exception as exc:  # noqa: BLE001 -- any raise is a defect
@@ -216,7 +236,10 @@ def main() -> int:
             tally[result if ok else "defect"] += 1
             if not ok:
                 bad.append(f"{label}: {result}")
+            if report is not None:
+                reports.update(f"{label}\n{result}\n{report}\n\n".encode())
     print(dict(sorted(tally.items())))
+    print(f"reports digest: {reports.hexdigest()}")
     print("\n".join(bad))
     return 1 if bad else 0
 
@@ -236,6 +259,7 @@ def test_mutated_certificates_give_a_report_or_a_schema_error():
     )
     assert out.returncode == 0, out.stdout + out.stderr
     assert "exit 0" in out.stdout and "exit 3" in out.stdout and "exit 4" in out.stdout
+    assert f"reports digest: {REPORTS_DIGEST}" in out.stdout
     assert time.monotonic() - start < 15
 
 

@@ -25,11 +25,12 @@ from singvec import (
     coordinate_hyperplane,
     enumerate_hyperplanes,
     hyperplanes_meeting,
-    interval_linform,
     make_primitive,
 )
 from singvec import engine, hyperplanes
 from singvec.engine import _dot_range, signed_box
+
+from helpers import form_interval
 
 F = Fraction
 
@@ -70,14 +71,14 @@ def test_coordinate_hyperplane_height_is_denominator():
         coordinate_hyperplane(4, F(1, 2), 3)
 
 
-def test_interval_linform_exact_on_box():
+def test_form_range_exact_on_box():
     p = Hyperplane(1, (2, -3))
     box = Box((RatInterval(F(0), F(1)), RatInterval(F(0), F(1))))
-    iv = interval_linform(p, box)
+    iv = form_interval(p, box)
     # extremes of 2x - 3y - 1 over the unit square
     assert (iv.lo, iv.hi) == (F(-4), F(1))
     with pytest.raises(ZeroForm):
-        interval_linform(p, Box((RatInterval(F(0), F(1)),)))
+        form_interval(p, Box((RatInterval(F(0), F(1)),)))
 
 
 corner_picks = st.lists(st.booleans(), min_size=2, max_size=2)
@@ -88,7 +89,7 @@ corner_picks = st.lists(st.booleans(), min_size=2, max_size=2)
     st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
     corner_picks,
 )
-def test_interval_linform_attained_at_corners(m0, mvec, picks):
+def test_form_range_attained_at_corners(m0, mvec, picks):
     if all(c == 0 for c in mvec):
         return
     g = math.gcd(m0, *mvec)
@@ -96,7 +97,7 @@ def test_interval_linform_attained_at_corners(m0, mvec, picks):
         return
     p = Hyperplane(m0, mvec)
     box = Box((RatInterval(F(0), F(1, 3)), RatInterval(F(1, 2), F(2))))
-    iv = interval_linform(p, box)
+    iv = form_interval(p, box)
     corner = tuple(
         side.hi if pick else side.lo for side, pick in zip(box.sides, picks)
     )
@@ -136,13 +137,13 @@ def test_hyperplanes_meeting_only_yields_crossers():
     hit = list(hyperplanes_meeting(2, 3, box))
     assert hit
     for p in hit:
-        iv = interval_linform(p, box)
+        iv = form_interval(p, box)
         assert iv.lo <= 0 <= iv.hi
     # and nothing with the same bounds that crosses was skipped
     full = [
         p
         for p in enumerate_hyperplanes(2, 3, 10)
-        if interval_linform(p, box).contains(F(0))
+        if form_interval(p, box).contains(F(0))
     ]
     assert set(hit) == set(full)
 
@@ -226,7 +227,7 @@ def test_form_ranges_are_exact_on_big_denominators(box, height):
     corners = list(itertools.product(*((s.lo, s.hi) for s in box.sides)))
     want = []
     for p in enumerate_hyperplanes(n, height, reach + 1):
-        iv = interval_linform(p, box)
+        iv = form_interval(p, box)
         values = [p.form_at(c) for c in corners]
         assert (iv.lo, iv.hi) == (min(values), max(values))
         if iv.contains(F(0)):

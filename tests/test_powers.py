@@ -7,12 +7,13 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from singvec import PowerValue, iroot
-from singvec.exact import digit_limit
-from singvec.powers import _IROOT_LEAF_BITS
+from singvec.powers import _IROOT_LEAF_BITS, exceeds
+
+from helpers import digit_limit
 
 small_nat = st.integers(min_value=0, max_value=10**12)
 root_order = st.integers(min_value=1, max_value=9)
@@ -222,6 +223,26 @@ def test_neighbours_an_ulp_apart_still_order(base, exp, k, sign):
     b = PowerValue(base, exp, 1 + sign * Fraction(1, 2**k))
     assert (a < b, a == b, a > b) == (sign > 0, False, sign < 0)
     assert (b > a, b != a) == (sign > 0, True)
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(
+    power_pairs(),
+    st.sampled_from(["free", "exact", "lo", "hi"]),
+    positive,
+    st.integers(min_value=8, max_value=200),
+    st.sampled_from([1, 6, 3**300 * 2**77]) | st.integers(1, 10**40),
+)
+@example((PowerValue(2, Fraction(1, 2)), None), "hi", Fraction(1), 60, 7**200)
+def test_exceeds_matches_exact_powers(pair, kind, free, bits, g):
+    # a ratio unrelated to the value, equal to it, or an end of its
+    # enclosure, written over a common factor g
+    value = free if kind == "exact" else pair[0]
+    ratio = free if kind in ("free", "exact") else getattr(value.enclose(bits), kind)
+    assume(ratio > 0)
+    power = value if isinstance(value, PowerValue) else PowerValue(value)
+    want = exact_cmp(power, PowerValue(ratio)) > 0
+    assert exceeds(value, ratio.numerator * g, ratio.denominator * g) == want
 
 
 def test_equal_values_hash_equal():

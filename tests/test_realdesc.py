@@ -20,7 +20,8 @@ from singvec import (
     parse_real,
 )
 from singvec import polys
-from singvec.exact import digit_limit
+
+from helpers import digit_limit
 
 F = Fraction
 widths = st.fractions(

@@ -1,5 +1,6 @@
 """Certificate verification: honest certificates pass, every tampered
 claim is caught by the specific check that owns it."""
+import dataclasses
 import json
 import time
 from fractions import Fraction
@@ -12,12 +13,15 @@ from singvec import (
     DigitSystem,
     NormSpec,
     PhiSpec,
+    PowerValue,
     ProductSet,
+    RatInterval,
     certificate_from_json,
     construct,
     default_spot_checks,
     verify_certificate,
 )
+from singvec import Box, engine
 from singvec.exact import rat, rat_str
 
 F = Fraction
@@ -96,6 +100,74 @@ def test_default_spot_checks_fit_the_scan_budget(factors, norm, steps, expected)
     report = verify_certificate(cert)
     assert report.ok
     assert tuple(s.t for s in report.spot_checks) == expected
+
+
+def test_default_spot_checks_rule_out_huge_heights_by_size(monkeypatch):
+    # caps of 2**5000 would be 2**(5000 * 4/3) and 2**(5000 * 2/3): the
+    # size of the height alone puts its scan over budget, no cap is taken
+    cert = construct(
+        ConstructionSpec(
+            product=PRODUCT,
+            norm=NormSpec("weighted", (F(2, 3), F(1, 3))),
+            phi=PhiSpec("pow", exponent=F(5)),
+            steps=3,
+        )
+    )
+    caps, power_floor = [], engine.power_floor
+
+    def counted(t, e):
+        caps.append(t)
+        return power_floor(t, e)
+
+    monkeypatch.setattr(engine, "power_floor", counted)
+    heights = (PowerValue(9), PowerValue(2**5000), PowerValue(F(3**9000, 7)))
+    steps = tuple(
+        dataclasses.replace(step, phi_of_q=h) for step, h in zip(cert.steps, heights)
+    )
+    cert = dataclasses.replace(cert, steps=steps)
+    assert default_spot_checks(cert) == ()
+    assert caps == []
+    # a height the budget admits still takes its exact caps
+    cert = dataclasses.replace(
+        cert, steps=(steps[0], dataclasses.replace(steps[1], phi_of_q=PowerValue(9)))
+    )
+    assert default_spot_checks(cert) == (F(9),)
+    assert caps == [F(9), F(9)]
+
+
+def test_weighted_pipeline_reads_no_box_sides(monkeypatch):
+    # the per-step checks read digits, hull ends and scaled boxes: no
+    # box is reduced to Fraction sides and no RatInterval is made over
+    # integers, in construct and in verify_certificate
+    def refused(*args):
+        raise AssertionError("read on the per-step path")
+
+    monkeypatch.setattr(Box, "sides", property(refused))
+    monkeypatch.setattr(RatInterval, "over", classmethod(refused))
+    cert = construct(
+        ConstructionSpec(
+            product=PRODUCT,
+            norm=NormSpec("weighted", (F(2, 3), F(1, 3))),
+            phi=PhiSpec("pow", exponent=F(5)),
+            steps=3,
+        )
+    )
+    report = verify_certificate(cert)
+    assert report.ok and len(report.steps) == 3
+
+
+def test_bound_chain_reads_the_reduced_pin(blob):
+    # 4/18 is the plane 9 x_1 = 2 of 2/9, so its form reaches as far
+    blob["steps"][0]["bound_used"] = rat_str(rat(blob["steps"][0]["bound_used"]) / 10**40)
+    reduced = verify_certificate(reload(blob), spot_checks=())
+    blob["steps"][0]["p"], blob["steps"][0]["q"] = 4, 18
+    report = verify_certificate(reload(blob), spot_checks=())
+    message = (
+        "step 1: approximation bound fails over the next box "
+        "(|form| reaches 7/1350851717672992089)"
+    )
+    assert message in reduced.failures and message in report.failures
+    assert not reduced.steps[0].bound_chain and not report.steps[0].bound_chain
 
 
 def test_spot_check_below_covered_range_fails(cert):
