@@ -391,8 +391,8 @@ def _step_from_json(obj: dict, product: ProductSet) -> Step:
     if len(raw) != product.dim:
         raise SchemaError("one cylinder per coordinate required")
     for entry, system in zip(raw, product.factors):
-        prefix = DigitSystem.parse_digits(system.base, entry["prefix"])
-        cylinders.append(Cylinder(system, prefix))
+        word = DigitSystem.parse_word(system.base, entry["prefix"])
+        cylinders.append(Cylinder(system, word))
     bound = obj["bound_used"]
     return Step(
         nu=json_int(obj["nu"]),

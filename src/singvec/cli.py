@@ -125,11 +125,9 @@ def _fmt_approx(value) -> str:
     """Display rendering of a value >= 0 that survives astronomically
     large ones: ~10^x outside 1e-15..1e15, else 12 significant digits of
     a 40-digit decimal evaluation, whose cost does not grow with the
-    exponent."""
-    if value == 0:
-        return "0"
+    exponent; a Fraction's, by _fmt_ratio, from integer division."""
     if not isinstance(value, PowerValue):
-        value = PowerValue(value)
+        return _fmt_ratio(value.numerator, value.denominator)
     log10 = value.log_float() / math.log(10)
     if abs(log10) >= 15:
         return f"~10^{log10:.2f}"
@@ -140,6 +138,23 @@ def _fmt_approx(value) -> str:
             for f in (value.coef, value.base, value.exp)
         )
         d = coef * (exp * base.ln()).exp()
+        ctx.prec = 12
+        return f"{float(+d):.12g}"
+
+
+def _fmt_ratio(p: int, q: int) -> str:
+    """_fmt_approx(Fraction(p, q)), q > 0, with no gcd or decimal conversion:
+    m = p * 10**s // q of 42 digits or more, and a sticky digit, round to 40."""
+    if p <= 0:
+        return "0" if p == 0 else "-" + _fmt_ratio(-p, q)
+    log10 = (math.log(p) - math.log(q)) / math.log(10)
+    if abs(log10) >= 15:
+        return f"~10^{log10:.2f}"
+    s = 42 - math.floor(log10)
+    m, r = divmod(p * 10**s, q)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        d = Decimal(10 * m + (r > 0)).scaleb(-s - 1)
         ctx.prec = 12
         return f"{float(+d):.12g}"
 
@@ -171,7 +186,7 @@ def _cmd_construct(args) -> int:
     out = sys.stdout if args.output else sys.stderr
     print("step  k  anchor          height          bound", file=out)
     for step in cert.steps:
-        anchor = _fmt_approx(Fraction(step.p, step.q))
+        anchor = _fmt_ratio(step.p, step.q)
         bound = "-" if step.bound_used is None else _fmt_approx(step.bound_used)
         height = _fmt_approx(step.phi_of_q)
         print(f"{step.nu:>4}  {step.k}  {anchor:<14}  {height:<14}  {bound}",

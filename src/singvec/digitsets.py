@@ -3,23 +3,23 @@
 A DigitSystem fixes a base b and an allowed digit set D of size >= 2;
 the point set is S = {offset + scale * sum d_i b^-i : d_i in D}.  The
 middle-thirds set is base 3 with digits {0, 2}.  A Cylinder is the set
-of points sharing a finite digit prefix, held as that prefix, the
-integer it spells in base b and b**depth.  Every point it names comes
-from one formula, offset + scale * (value + t) / b**depth for a tail
-value t, taken as integers over a denominator its digits give: its hull
-is a closed rational interval (t = dmin/(b-1) and dmax/(b-1)) and its
-anchor (the all-minimum-digit tail point) is a rational member of S.
-A box of cylinders (cylinder_box) is built on those integers with no
-gcd, and strict nesting of two boxes (nests_strictly) is read from the
-prefixes alone.  This module owns how a hull is written as text:
-hull_text costs one binary-to-decimal conversion, reduced through the
-known primes of its denominator, and spells, which tells that text from
-any other, one decimal-to-binary parse.
-Anchors of deeper and deeper cylinders supply the dense rationals that
-the pinning construction consumes.
+of points sharing a finite digit prefix, held as its word (one character
+chr(d) per digit d), the integer it spells in base b and b**depth.
+Every point it names comes from one formula, offset + scale * (value +
+t) / b**depth for a tail value t, taken as integers over a denominator
+its digits give: its hull is a closed rational interval (t = dmin/(b-1)
+and dmax/(b-1)) and its anchor (the all-minimum-digit tail point) is a
+rational member of S.  A box of cylinders (cylinder_box) is built on
+those integers with no gcd, and strict nesting of two boxes
+(nests_strictly) is read from the words alone.  This module owns how a
+hull is written as text: hull_text costs one binary-to-decimal
+conversion, reduced through the known primes of its denominator, and
+spells, which tells that text from any other, one decimal-to-binary
+parse.  Anchors of deeper and deeper cylinders supply the dense
+rationals that the pinning construction consumes.
 
-Prefixes are read and written as text; for base <= 10 ASCII text goes
-through bytes.translate, and a prefix's value is read from digit
+Prefixes are read and written as text, for base <= 10 by one
+str.translate of ASCII text, and a word's value is read from digit
 characters in chunks that int() takes, joined by subquadratic products.
 """
 from __future__ import annotations
@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import product as iproduct
 from typing import Iterator
 
@@ -48,13 +48,11 @@ from .exact import (
     small_factors,
 )
 
-# Digits 0..35 as the characters int(_, base) reads for them, and the
-# ASCII decimal digit characters back as the digits they spell.
-_DIGIT_CHARS = bytes.maketrans(
-    bytes(range(36)), b"0123456789abcdefghijklmnopqrstuvwxyz"
-)
-_ASCII_DIGITS = b"0123456789"
-_DIGIT_VALUES = bytes.maketrans(_ASCII_DIGITS, bytes(range(10)))
+# The word characters of digits 0..35 to the characters int(_, base)
+# reads for them, and the ASCII decimal digits back to word characters.
+_WORD_DIGITS = "".join(map(chr, range(36)))
+_DIGIT_CHARS = str.maketrans(_WORD_DIGITS, "0123456789abcdefghijklmnopqrstuvwxyz")
+_TEXT_WORD = str.maketrans("0123456789", _WORD_DIGITS[:10])
 
 
 @dataclass(frozen=True)
@@ -71,8 +69,8 @@ class DigitSystem:
         object.__setattr__(self, "digits", digits)
         if len(digits) < 2:
             raise UsageError("need at least 2 allowed digits (perfectness)")
-        if digits[0] < 0 or digits[-1] >= self.base:
-            raise UsageError("digits must lie in 0..base-1")
+        if digits[0] < 0 or digits[-1] >= min(self.base, 0x110000):  # chr's range
+            raise UsageError("digits must lie in 0..base-1 and below 1114112")
         object.__setattr__(self, "offset", Fraction(self.offset))
         object.__setattr__(self, "scale", Fraction(self.scale))
         if self.scale <= 0:
@@ -123,102 +121,103 @@ class DigitSystem:
         )
 
     @staticmethod
-    def digits_str(base: int, digits: tuple[int, ...]) -> str:
+    def digits_str(base: int, word) -> str:  # a word, or digits as ints
+        word = word if type(word) is str else "".join(map(chr, word))
         if base <= 10:
-            return bytes(digits).translate(_DIGIT_CHARS).decode("ascii")
-        return ",".join(map(str, digits))
+            return word.translate(_DIGIT_CHARS)
+        return ",".join(map(str, map(ord, word)))
 
     @staticmethod
     def parse_digits(base: int, text: str) -> tuple[int, ...]:
-        """The digits text spells: one character per digit for base <=
-        10, comma-separated numbers otherwise (or for any base).  Other
-        text, Unicode decimal digits included, is read by int()."""
+        return tuple(map(ord, DigitSystem.parse_word(base, text)))
+
+    @staticmethod
+    def parse_word(base: int, text: str) -> str:
+        """The word text spells: one character per digit for base <= 10,
+        comma-separated numbers otherwise (or for any base).  Other text,
+        Unicode decimal digits included, is read by int()."""
         text = text.strip()
         if not text:
-            return ()
+            return ""
         if base <= 10 and text.isascii() and "," not in text:
-            raw = text.encode("ascii")
-            if raw.translate(None, _ASCII_DIGITS):
+            if not text.isdigit():  # ASCII: only 0-9, no control character
                 raise UsageError(f"bad digit string: {text!r}")
-            return tuple(raw.translate(_DIGIT_VALUES))
+            return text.translate(_TEXT_WORD)
         try:
-            if "," in text:
-                return tuple(map(int, text.split(",")))
-            if base > 10:
-                return (int(text),)
-            return tuple(map(int, text))
-        except ValueError as exc:
+            numbers = text.split(",") if "," in text or base > 10 else text
+            return "".join(map(chr, map(int, numbers)))
+        except (ValueError, OverflowError) as exc:
             raise UsageError(f"bad digit string: {text!r}") from exc
 
 
-def _horner(digits: tuple[int, ...], base: int) -> int:
+def _horner(word: str, base: int) -> int:
     acc = 0
-    for d in digits:
+    for d in map(ord, word):
         acc = acc * base + d
     return acc
 
 
-def _digits_value(digits: tuple[int, ...], base: int) -> int:
-    """The integer whose base-`base` digits are `digits`.
-
-    Up to base 36 the digits become characters that int() reads a chunk
-    at a time; a larger base reads its chunks by a Horner loop.  The
-    chunks are joined as high * base**len(low) + low in halves, so the
-    work is a few large products, which is subquadratic (Brent and
-    Zimmermann, Modern Computer Arithmetic, 1.7).
-    """
-    if not digits:
-        return 0
+def _digits_value(word: str, base: int) -> int:
+    """The integer whose base-`base` digits are the word's: up to base
+    36 int() reads its characters a chunk at a time, a larger base a
+    Horner loop, and the chunks are joined as high * base**len(low) +
+    low in halves, a few large products, which is subquadratic (Brent
+    and Zimmermann, Modern Computer Arithmetic, 1.7)."""
     if base <= 36:
-        return _from_digits(bytes(digits).translate(_DIGIT_CHARS), base)
-    return _from_digits(digits, base, _horner)
+        return _from_digits(word.translate(_DIGIT_CHARS) or "0", base)
+    return _from_digits(word, base, _horner)
 
 
 class Cylinder:
     """Points of a digit system sharing a fixed finite prefix, held as
-    the prefix tuple, its value, the integer it spells in base b, and
-    power = b**depth: a child is value * b + d over power * b, so a deep
-    descent never re-scans the prefix.  Hull, anchor, cylinder_box and
-    the system's hull all come from one formula, _over.
-    """
+    its word (given as one, or as digits), its value, the integer it
+    spells in base b, and power = b**depth: a child appends chr(d) and
+    is value * b + d over power * b, so a deep descent never re-scans
+    the prefix.  Hull, anchor, cylinder_box and the system's hull all
+    come from one formula, _over."""
 
-    __slots__ = ("system", "prefix", "value", "power")
+    __slots__ = ("system", "word", "value", "power")
 
-    def __init__(self, system: DigitSystem, prefix=(), _value=None, _power=None):
+    def __init__(self, system: DigitSystem, prefix="", _value=None, _power=None):
         self.system = system
-        self.prefix = tuple(prefix)
         if _value is None:
-            if set(self.prefix).difference(system.digits):
-                bad = [d for d in self.prefix if d not in system.digits]
+            digits = None if type(prefix) is str else tuple(prefix)
+            allowed = system.digits
+            if digits is not None and set(digits).issubset(allowed):
+                prefix = "".join(map(chr, digits))
+            if type(prefix) is not str or prefix.translate(dict.fromkeys(allowed)):
+                bad = [d for d in digits or map(ord, prefix) if d not in allowed]
                 raise UsageError(f"digits {bad} are not allowed in this system")
-            _value = _digits_value(self.prefix, system.base)
-            _power = system.base ** len(self.prefix)
+            _value = _digits_value(prefix, system.base)
+            _power = system.base ** len(prefix)
+        self.word = prefix
         self.value = _value
         self.power = _power
 
     @classmethod
     def root(cls, system: DigitSystem) -> "Cylinder":
-        return cls(system, ())
+        return cls(system, "")
+
+    @property
+    def prefix(self) -> tuple[int, ...]:  # the digits, read from the word
+        return tuple(map(ord, self.word))
 
     @property
     def depth(self) -> int:
-        return len(self.prefix)
+        return len(self.word)
 
     def child(self, digit: int) -> "Cylinder":
         if digit not in self.system.digits:
             raise UsageError(f"digit {digit} not allowed")
         b = self.system.base
         value = self.value * b + digit
-        return Cylinder(self.system, self.prefix + (digit,), value, self.power * b)
+        return Cylinder(self.system, self.word + chr(digit), value, self.power * b)
 
     def children(self) -> list["Cylinder"]:
         return [self.child(d) for d in self.system.digits]
 
     def extend(self, digits) -> "Cylinder":
-        cyl = self
-        for d in digits:
-            cyl = cyl.child(d)
-        return cyl
+        return reduce(Cylinder.child, digits, self)
 
     def descend_min(self, levels: int) -> "Cylinder":
         """Follow the smallest digit `levels` times, in O(1) arithmetic.
@@ -231,8 +230,7 @@ class Cylinder:
         b, dmin = sysm.base, sysm.dmin
         power = b**levels
         value = self.value * power + dmin * (power - 1) // (b - 1)
-        prefix = self.prefix + (dmin,) * levels
-        return Cylinder(sysm, prefix, value, self.power * power)
+        return Cylinder(sysm, self.word + chr(dmin) * levels, value, self.power * power)
 
     def _over(self, num: int, den: int) -> tuple[int, int]:
         """offset + scale * (value + num/den) / b**depth, the point whose
@@ -329,7 +327,7 @@ class Cylinder:
         return Fraction(*self._over(self.system.dmin, self.system.base - 1))
 
     def prefix_str(self) -> str:
-        return DigitSystem.digits_str(self.system.base, self.prefix)
+        return DigitSystem.digits_str(self.system.base, self.word)
 
     def __repr__(self):
         return f"Cylinder({self.system.base}:{self.prefix_str()!r})"
@@ -385,14 +383,14 @@ def nests_strictly(outer, inner) -> bool:
     """True when the box of the inner cylinders' hulls sits strictly
     inside that of the outer ones, axis by axis of one system.  A hull
     lies in the base-b cell of its own prefix, so on an axis that holds
-    exactly when the inner prefix extends the outer one by digits with
-    one above dmin and one below dmax.  Only the digits are read."""
+    exactly when the inner word extends the outer one by a tail that
+    strip shows is neither all dmin nor all dmax."""
     if len(outer) != len(inner):
         return False
     for out, inn in zip(outer, inner):
-        tail, sysm = inn.prefix[out.depth:], out.system
-        if (inn.prefix[:out.depth] != out.prefix or not tail
-                or max(tail) == sysm.dmin or min(tail) == sysm.dmax):
+        tail, sysm = inn.word[len(out.word):], out.system
+        if (not inn.word.startswith(out.word) or not tail.strip(chr(sysm.dmin))
+                or not tail.strip(chr(sysm.dmax))):
             return False
     return True
 

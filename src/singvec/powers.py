@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
+from itertools import count, islice
 
 from .exact import RatInterval, rat_str
 
@@ -57,7 +59,18 @@ def iroot(n: int, k: int) -> int:
         x = y
 
 
+@lru_cache(maxsize=256)
+def _witnesses(k: int) -> tuple[int, ...]:  # the first eight primes p = 1 (mod k)
+    primes = (p for p in count(k + 1, k)
+              if all(p % d for d in range(2, math.isqrt(p) + 1)))
+    return tuple(islice(primes, 8))
+
+
 def _is_perfect_power(n: int, k: int) -> int | None:
+    """r with r**k == n >= 0, else None.  Euler's criterion, n**((p-1)/k)
+    = 1 (mod p) for each witness p not dividing n, rules most out first."""
+    if any((a := n % p) and pow(a, (p - 1) // k, p) != 1 for p in _witnesses(k)):
+        return None
     r = iroot(n, k)
     return r if r**k == n else None
 
@@ -98,8 +111,8 @@ class PowerValue:
         c = self.exp.denominator
         a = self.exp.numerator
         p = _is_perfect_power(self.base.numerator, c)
-        q = _is_perfect_power(self.base.denominator, c)
-        if p is None or q is None:
+        q = None if p is None else _is_perfect_power(self.base.denominator, c)
+        if q is None:
             return None
         return self.coef * Fraction(p, q) ** a
 

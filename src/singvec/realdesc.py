@@ -205,8 +205,7 @@ def parse_real(text: str) -> RealDescriptor:
         if len(nums) < 3:
             raise UsageError("cylinder system needs a base and >= 2 digits")
         system = DigitSystem(nums[0], tuple(nums[1:]))
-        prefix = DigitSystem.parse_digits(system.base, parts[2])
-        cyl = Cylinder(system, prefix)
+        cyl = Cylinder(system, DigitSystem.parse_word(system.base, parts[2]))
         policy = parts[3]
         if policy in ("min", "max"):
             pattern = (system.dmin,) if policy == "min" else (system.dmax,)

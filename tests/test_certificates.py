@@ -13,6 +13,7 @@ from singvec import (
     Box,
     Certificate,
     ConstructionSpec,
+    Cylinder,
     DigitSystem,
     NormSpec,
     PhiSpec,
@@ -237,6 +238,79 @@ def test_deep_certificate_bytes_are_frozen(name):
     assert loaded.false_boxes == ()
     report = verify_certificate(loaded, spot_checks=())
     assert report.ok and not report.failures
+
+
+# construct --cantor 300:0,7,299 --cantor 40:1,39 --steps 4, the CI
+# smoke's second file: prefixes in the comma form, words past Latin-1
+MIXED_BASES_DIGEST = "a74131bca7d7b2269a8074f15784c46a7bddc2a78c59d2a7a65001d27482d89f"
+
+
+def test_mixed_large_base_certificate_bytes_are_frozen():
+    product = ProductSet((DigitSystem(300, (0, 7, 299)), DigitSystem(40, (1, 39))))
+    spec = ConstructionSpec(product, NormSpec("sup"), PhiSpec.parse("pow:3"), 4)
+    data = construct(spec).dumps().encode()
+    assert hashlib.sha256(data).hexdigest() == MIXED_BASES_DIGEST
+    loaded = certificate_loads(data)
+    assert loaded.false_boxes == () and loaded.dumps().encode() == data
+    assert "," in loaded.steps[-1].cylinders[0].prefix_str()
+    assert verify_certificate(loaded).ok
+
+
+def test_certificate_pipeline_builds_no_digit_tuple(monkeypatch):
+    # ASCII prefixes of base <= 10 go from text to word and back with
+    # no tuple of digits on the way
+    def refuse(*args):
+        raise AssertionError("a digit tuple was built")
+
+    monkeypatch.setattr(Cylinder, "prefix", property(refuse))
+    monkeypatch.setattr(DigitSystem, "parse_digits", staticmethod(refuse))
+    text = construct(small_spec(3)).dumps()
+    loaded = certificate_loads(text)
+    assert loaded.dumps() == text
+    assert verify_certificate(loaded, ()).ok
+
+
+BASE10 = ProductSet((THIRDS, DigitSystem(10, (0, 5, 9))))
+
+
+@pytest.mark.parametrize(
+    "axis, text, outcome",
+    [
+        # control characters that look like the word characters of 0, 2
+        (0, "\x00\x02", "schema"),
+        (1, "\x00\x02", "schema"),
+        (0, "\x1c0200", "ok"),  # a separator str.strip removes, as before
+        (0, "\u0663", "schema"),  # a Unicode 3, not an allowed digit
+        (1, "\u0663", "schema"),
+        (0, "1", "schema"),
+        (1, "7", "schema"),
+        (1, "9,-1", "schema"),
+        (1, "1114112", "schema"),
+        (0, "", "report"),
+        (1, "", "report"),
+        (1, "5,0,5", "ok"),  # the comma form on base 10
+        (1, "\uff19", "report"),  # a fullwidth 9, read by int()
+    ],
+)
+def test_hostile_prefix_text_keeps_its_reader_outcome(axis, text, outcome):
+    spec = ConstructionSpec(BASE10, NormSpec("sup"), PhiSpec.parse("pow:3"), 2)
+    blob = json.loads(construct(spec).dumps())
+    assert [c["prefix"] for c in blob["steps"][0]["cylinders"]] == ["0200", "505"]
+    blob["steps"][0]["cylinders"][axis]["prefix"] = text
+    if outcome == "schema":
+        with pytest.raises(SchemaError):
+            certificate_loads(json.dumps(blob))
+        return
+    report = verify_certificate(certificate_loads(json.dumps(blob)), ())
+    assert report.ok == (outcome == "ok")
+
+
+def test_a_digit_no_character_holds_is_a_schema_error():
+    obj = json.loads(construct(small_spec()).dumps())
+    obj["spec"]["product"][0]["base"] = 2 * 10**6
+    obj["spec"]["product"][0]["digits"] = [0, 1114112]
+    with pytest.raises(SchemaError, match="below 1114112"):
+        certificate_from_json(obj)
 
 
 def test_loaded_box_is_its_hull_only_when_it_spells_it():

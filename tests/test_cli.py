@@ -1,12 +1,18 @@
 """Command-line interface: subcommand output, exit-code contract,
 byte-level determinism."""
 import csv
+import json
+import math
+import random
 import subprocess
 import sys
 import time
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from singvec import (
     ConstructionSpec,
@@ -17,7 +23,7 @@ from singvec import (
     ProductSet,
     construct,
 )
-from singvec.cli import _fmt_approx
+from singvec.cli import _fmt_approx, _fmt_ratio
 from singvec.cli import main as cli_main
 
 CMD = [sys.executable, "-m", "singvec"]
@@ -125,6 +131,25 @@ def test_construct_usage_errors(tmp_path):
     out = run("construct")
     assert out.returncode == 1
     assert "need --cantor factors or --spec file" in out.stderr
+
+
+def test_construct_refuses_a_digit_no_character_holds(tmp_path, capsys):
+    # a prefix word holds one character per digit: chr stops at 0x10FFFF
+    argv = ["construct", "--cantor", "2000000:0,1114112", "--cantor", "3:0,2"]
+    assert cli_main(argv + ["-o", str(tmp_path / "c.json")]) == 1
+    assert "below 1114112" in capsys.readouterr().err
+
+
+def test_construct_table_shows_a_negative_anchor(tmp_path, capsys):
+    # a factor offset by -1 pins below 0; its anchor once raised here
+    spec = ConstructionSpec(
+        ProductSet((DigitSystem(3, (0, 2), offset=Fraction(-1)), DigitSystem(3, (0, 2)))),
+        NormSpec("sup"), PhiSpec.parse("pow:3"), 2,
+    )
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec.to_json()))
+    assert cli_main(["construct", "--spec", str(path), "-o", str(tmp_path / "c.json")]) == 0
+    assert "   1  1  -0.777777777778  9 " in capsys.readouterr().out
 
 
 def test_construct_depth_exhausted_exit_2(tmp_path):
@@ -452,6 +477,57 @@ def test_display_digits_of_an_irrational_power():
     assert _fmt_approx(PowerValue(10, Fraction(-40))) == "~10^-40.00"
     assert _fmt_approx(Fraction(1, 3)) == "0.333333333333"
     assert _fmt_approx(Fraction(0)) == "0"
+
+
+def decimal_approx(p: int, q: int) -> str:
+    """The anchor column as construct rendered it before integer
+    division: Fraction(p, q) through PowerValue and a 40-digit Decimal
+    quotient, then 12 digits."""
+    value = Fraction(p, q)
+    if value == 0:
+        return "0"
+    value = PowerValue(value)
+    log10 = value.log_float() / math.log(10)
+    if abs(log10) >= 15:
+        return f"~10^{log10:.2f}"
+    with localcontext() as ctx:
+        ctx.prec = 40
+        coef, base, exp = (
+            Decimal(f.numerator) / f.denominator
+            for f in (value.coef, value.base, value.exp)
+        )
+        d = coef * (exp * base.ln()).exp()
+        ctx.prec = 12
+        return f"{float(+d):.12g}"
+
+
+@st.composite
+def pin_pairs(draw):
+    """(p, q), q > 0 of up to 10**5 bits and unreduced: p/q anywhere, in
+    [0, 1] as an anchor is, or on a tie of its 40th digit."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    top = draw(st.sampled_from((200, 10**4, 10**5)))
+    q = rng.getrandbits(rng.randrange(1, top)) + 1
+    kind = draw(st.sampled_from(("any", "anchor", "tie")))
+    if kind == "any":
+        return rng.getrandbits(rng.randrange(top)), q
+    if kind == "anchor":
+        den = draw(st.integers(1, 10**6))
+        return q * draw(st.integers(0, den)) // den + draw(st.integers(0, 3)), q
+    digits = 10 * rng.randrange(10**39, 10**40) + 5  # 41 digits, ending in 5
+    return digits * q, 10 ** draw(st.integers(26, 55)) * q
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(pin_pairs())
+@example((0, 7))
+@example((10**40 - 1, 10**40))  # rounds up to 1.000...
+@example((125, 10**17))  # just under 10**-15
+def test_anchor_rendering_matches_the_decimal_quotient(pair):
+    p, q = pair
+    assert _fmt_ratio(p, q) == _fmt_approx(Fraction(p, q)) == decimal_approx(p, q)
+    if p:
+        assert _fmt_ratio(-p, q) == "-" + _fmt_ratio(p, q)
 
 
 # -- dirichlet ----------------------------------------------------------

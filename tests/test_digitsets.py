@@ -551,3 +551,108 @@ def test_hull_text_over_a_large_prime_takes_rat_str():
     lo, hi, den = cyl.hull_ends()
     assert cyl.hull_text() == (rat_str(F(lo, den)), rat_str(F(hi, den)))
     assert cyl.spells(list(cyl.hull_text()))
+
+
+# -- digit words against a tuple model -------------------------------------
+
+
+def tuple_value(digits, b) -> int:
+    acc = 0
+    for d in digits:
+        acc = acc * b + d
+    return acc
+
+
+def tuple_nests(outer, inner, system) -> bool:
+    """Strict nesting on one axis, read from digit tuples: the inner
+    prefix extends the outer one by digits not all dmin, not all dmax."""
+    tail = inner[len(outer):]
+    return (inner[:len(outer)] == outer and bool(tail)
+            and max(tail) != system.dmin and min(tail) != system.dmax)
+
+
+@st.composite
+def word_cases(draw):
+    """A system of base 2..12, 40 or 300 (whose word characters pass
+    Latin-1), its digit set with or without 0 and b - 1, a prefix of up
+    to 10**4 digits, digits to append (any, all dmin or all dmax), a
+    number of dmin levels and a cut of the prefix."""
+    b = draw(st.integers(2, 12) | st.sampled_from((40, 300)))
+    digits = draw(st.sets(st.integers(0, b - 1), max_size=6))
+    for edge in (0, b - 1):
+        digits = digits | {edge} if draw(st.booleans()) else digits - {edge}
+    assume(len(digits) >= 2)
+    system = DigitSystem(b, tuple(digits))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    depth = draw(st.integers(0, 40) | st.sampled_from((_LEAF_DIGITS + 1, 10**4)))
+    prefix = tuple(rng.choice(system.digits) for _ in range(depth))
+    some = st.sampled_from(system.digits)
+    more = tuple(draw(
+        st.lists(some, max_size=6)
+        | st.lists(st.just(system.dmin), min_size=1, max_size=6)
+        | st.lists(st.just(system.dmax), min_size=1, max_size=6)
+    ))
+    levels = draw(st.integers(0, 30))
+    cut = draw(st.sampled_from((depth, draw(st.integers(0, depth)))))
+    return system, prefix, more, levels, cut
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(word_cases())
+@example((DigitSystem(300, (0, 7, 299)), (299, 0, 7) * 50, (299,), 3, 150))
+@example((DigitSystem(300, (0, 7, 299)), (7,) * 10**4, (0, 0), 0, 10**4))
+@example((DigitSystem(10, (0, 9)), (9, 0), (0,), 2, 1))
+def test_digit_words_match_the_tuple_model(case):
+    system, prefix, more, levels, cut = case
+    b = system.base
+    cyl = Cylinder(system, prefix)
+    assert type(cyl.word) is str and len(cyl.word) == cyl.depth == len(prefix)
+    assert cyl.prefix == prefix == tuple(map(ord, cyl.word))
+    assert cyl.value == tuple_value(prefix, b) and cyl.power == b ** len(prefix)
+    text = cyl.prefix_str()
+    assert text == ("" if b <= 10 else ",").join(map(str, prefix))
+    assert DigitSystem.parse_digits(b, text) == prefix
+    assert Cylinder(system, DigitSystem.parse_word(b, text)).word == cyl.word
+    # descents: each appends characters and keeps the value incremental
+    digit = (more + (system.dmax,))[0]
+    for got, want in (
+        (cyl.extend(more), prefix + more),
+        (cyl.child(digit), prefix + (digit,)),
+        (cyl.descend_min(levels), prefix + (system.dmin,) * levels),
+    ):
+        assert got.prefix == want and got.word == Cylinder(system, want).word
+        assert got.value == tuple_value(want, b) and got.power == b ** len(want)
+    # nesting of the cut prefix grown by more, both ways, against the
+    # tuple model and the pair-box test on integers
+    outer, inner = cyl, Cylinder(system, prefix[:cut] + more)
+    for a, c in ((outer, inner), (inner, outer)):
+        want = tuple_nests(a.prefix, c.prefix, system)
+        assert nests_strictly((a,), (c,)) == nests_on_integers((a,), (c,)) == want
+
+
+@pytest.mark.parametrize(
+    "text, digits",
+    [
+        ("\x00\x02", None),  # control characters that look like word characters
+        ("\x1c02", (0, 2)),  # a separator str.strip removes, as before
+        ("٣", (3,)),  # a Unicode digit, read by int()
+        ("", ()),
+        ("0,2", (0, 2)),
+        ("0,-1", None),  # no character holds -1
+        ("0,1114112", None),  # nor 0x110000
+    ],
+)
+def test_hostile_prefix_text(text, digits):
+    if digits is None:
+        with pytest.raises(UsageError, match="bad digit string"):
+            DigitSystem.parse_word(10, text)
+    else:
+        assert DigitSystem.parse_word(10, text) == "".join(map(chr, digits))
+
+
+def test_a_digit_no_character_holds_is_refused():
+    # a word holds digits below 0x110000 = 1114112, chr's range
+    DigitSystem(2 * 10**6, (0, 1114111))
+    for digits in ((0, 1114112), (0, 10**30)):
+        with pytest.raises(UsageError, match="below 1114112"):
+            DigitSystem(10**31, digits)

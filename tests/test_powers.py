@@ -3,6 +3,8 @@ enclosures, integer roots."""
 import itertools
 import math
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -10,8 +12,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from singvec import PowerValue, iroot
-from singvec.powers import _IROOT_LEAF_BITS, exceeds
+from singvec import PowerValue, iroot, powers
+from singvec.powers import _IROOT_LEAF_BITS, _is_perfect_power, _witnesses, exceeds
 
 from helpers import digit_limit
 
@@ -376,3 +378,60 @@ def test_text_needs_no_raised_digit_limit():
         assert exact == str(big)
         assert irrational == f"1/{big}*({big + 1})^(1/2)"
         assert shown == f"PowerValue({big + 1}, 1/2)"
+
+
+# -- perfect powers, decided by residues before any root -------------------
+
+
+def euler_passes(n: int, k: int) -> bool:
+    """n is a k-th power residue modulo every witness prime it is prime to."""
+    return all(n % p == 0 or pow(n, (p - 1) // k, p) == 1 for p in _witnesses(k))
+
+
+@st.composite
+def power_cases(draw):
+    """(n, k): r**k, r**k + 1, r**k - 1 or r**k * p for a witness prime
+    p or a small prime, k = 2..12 with n up to about 2**20000, or k = 9999
+    and 10000, the largest root orders MAX_PHI_EXPONENT admits, over
+    the small r whose roots iroot takes at once."""
+    k = draw(st.integers(2, 12) | st.sampled_from((9999, 10000)))
+    top = 64 if k > 12 else 2 ** (20000 // k)
+    r = draw(st.integers(0, top) | st.sampled_from((0, 1, 2, top)))
+    p = draw(st.sampled_from(_witnesses(k) + (2, 3, 5, 7)))
+    n = draw(st.sampled_from((r**k, r**k + 1, abs(r**k - 1), r**k * p)))
+    return n, k
+
+
+@settings(deadline=None, derandomize=True, max_examples=400)
+@given(power_cases())
+@example((0, 2))
+@example((1, 10000))
+@example((3**20000, 2))
+@example((2**20000 - 1, 2))
+@example((7**10000 * 70001, 10000))  # a witness of 10000 divides n
+def test_perfect_power_test_matches_iroot(case):
+    n, k = case
+    root = iroot(n, k)
+    assert _is_perfect_power(n, k) == (root if root**k == n else None)
+
+
+def test_only_numbers_passing_every_euler_test_reach_iroot(monkeypatch):
+    reached = []
+
+    def spy(n, k):
+        reached.append((n, k))
+        return iroot(n, k)
+
+    monkeypatch.setattr(powers, "iroot", spy)
+    cases = [(n, k) for k in (2, 3, 5, 12) for n in range(2000)]
+    found = {case for case in cases if _is_perfect_power(*case) is not None}
+    assert found == {(r**k, k) for k in (2, 3, 5, 12) for r in range(45) if r**k < 2000}
+    assert all(euler_passes(n, k) for n, k in reached)
+    # few impostors: about one in 2**8 of the squares, fewer for higher k
+    assert len(reached) < 2 * len(found) + 40
+
+
+def test_import_builds_no_witness_table():
+    code = "import singvec.powers as p; print(p._witnesses.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.stdout.strip() == "0", out.stderr
