@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .digitsets import Cylinder, DigitSystem, ProductSet, cylinder_box
-from .engine import NormSpec
+from .engine import NormSpec, _charge
 from .errors import SchemaError, UsageError
 from .exact import Box, RatInterval, int_str, json_int, parse_int, rat, rat_str
 from .hyperplanes import Hyperplane, _check_walk
@@ -214,6 +214,8 @@ class ConstructionSpec:
     def __post_init__(self):
         if self.steps < 1:
             raise UsageError("need at least 1 step")
+        # each step walks at least one plane: charged before any schedule
+        _charge(self.steps, "a construction of {} steps", self.steps)
         if self.max_depth < 1:
             raise UsageError("max_depth must be positive")
         heights = self.avoidance_heights or default_avoidance_heights(self.steps)

@@ -173,8 +173,8 @@ class Cylinder:
     its word (given as one, or as digits), its value, the integer it
     spells in base b, and power = b**depth: a child appends chr(d) and
     is value * b + d over power * b, so a deep descent never re-scans
-    the prefix.  Hull, anchor, cylinder_box and the system's hull all
-    come from one formula, _over."""
+    the prefix.  Hull, anchor, midpoint, cylinder_box and the system's
+    hull all come from one formula, _over."""
 
     __slots__ = ("system", "word", "value", "power")
 
@@ -261,7 +261,8 @@ class Cylinder:
         return lo, hi, den
 
     def hull(self) -> RatInterval:
-        return RatInterval.over(*self.hull_ends())
+        lo, hi, den = self.hull_ends()
+        return RatInterval(Fraction(lo, den), Fraction(hi, den))
 
     def den_factors(self) -> tuple[tuple[int, int], ...] | None:
         """The prime factorization of hull_ends' den as (p, e) pairs, from
@@ -326,6 +327,11 @@ class Cylinder:
         """The all-minimum-digit tail point: hull.lo, a member of S."""
         return Fraction(*self._over(self.system.dmin, self.system.base - 1))
 
+    def midpoint(self) -> Fraction:
+        """hull.mid: the tail (dmin + dmax) / (2 * (b - 1))."""
+        sysm = self.system
+        return Fraction(*self._over(sysm.dmin + sysm.dmax, 2 * (sysm.base - 1)))
+
     def prefix_str(self) -> str:
         return DigitSystem.digits_str(self.system.base, self.word)
 
@@ -352,9 +358,7 @@ def cylinder_box(cylinders) -> Box:
     give, with no gcd.  The hull of a cylinder of depth L is over
     s * b**L, s = den(offset) * den(scale) * (b - 1); the axes of one
     base b share lcm(their s) * b**(their greatest L), and those of
-    several bases the lcm of each base's denominator.  Each side keeps
-    its own cylinder's smaller denominator too, which its Fraction
-    endpoints are reduced from.
+    several bases the lcm of each base's denominator.
     """
     cylinders = tuple(cylinders)
     parts = []  # the s of each axis
@@ -367,16 +371,15 @@ def cylinder_box(cylinders) -> Box:
             deepest[b] = c
     dens = {b: small[b] * deepest[b].power for b in small}
     den = math.lcm(*dens.values())
-    pairs, ends = [], []
+    pairs = []
     for c, s in zip(cylinders, parts):
         b = c.system.base
         lift = small[b] // s * b ** (deepest[b].depth - c.depth)
         if len(dens) > 1:
             lift *= den // dens[b]
-        ends.append(c.hull_ends())
-        lo, hi, _ = ends[-1]
+        lo, hi, _ = c.hull_ends()
         pairs.append((lo * lift, hi * lift))
-    return Box.over(den, pairs, ends)
+    return Box.over(den, pairs)
 
 
 def nests_strictly(outer, inner) -> bool:

@@ -2,10 +2,11 @@
 nearest integer.
 
 Values are Fractions or integers, never floats, so every comparison the
-verifier and the constructor make is exact; int_str and parse_int write
-and read long integers in subquadratic time.  known_gcd reduces over a
-denominator whose primes are known, and dec_product builds such a
-product in decimal, so neither needs a conversion from binary.
+verifier and the constructor make is exact; a Box is integers over one
+denominator.  int_str and parse_int write and read long integers in
+subquadratic time.  known_gcd reduces over a denominator whose primes
+are known, and dec_product builds such a product in decimal, so neither
+needs a conversion from binary.
 """
 from __future__ import annotations
 
@@ -237,17 +238,6 @@ class RatInterval:
     def mid(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    @classmethod
-    def over(cls, lo: int, hi: int, den: int) -> "RatInterval":
-        """[lo/den, hi/den] for integers lo <= hi over den > 0: the order
-        is checked on the integers, not by cross-multiplying Fractions."""
-        if lo > hi:
-            raise ValueError("empty interval")
-        interval = object.__new__(cls)
-        object.__setattr__(interval, "lo", Fraction(lo, den))
-        object.__setattr__(interval, "hi", Fraction(hi, den))
-        return interval
-
     def contains(self, x: Fraction) -> bool:
         return self.lo <= x <= self.hi
 
@@ -300,75 +290,53 @@ def dist_interval(x: RatInterval) -> RatInterval:
 
 
 class Box:
-    """Axis-aligned product of closed rational intervals, one per axis.
-
-    A box is made from its sides, or by Box.over from one integer pair
-    per side over a common denominator; whichever form it lacks is made
-    on first use and kept.  So a box over a denominator known from its
-    digits pays no gcd until its sides are read, and a box of sides
-    pays for its lcm once.  Equality and hash are those of the sides;
-    a box always equals itself at once.
+    """Axis-aligned product of closed rational intervals, one per axis,
+    held as integers: scaled = (den, pairs), the sides [lo/den, hi/den].
+    Box(sides) takes the lcm of their denominators once; Box.over keeps
+    the den it is given, which need not be the least, so a box over a
+    denominator its digits give pays no gcd.  Every reader of scaled,
+    equality included, is invariant when den and the pairs are
+    multiplied by one factor.  The Fraction sides, and the hash, which
+    is theirs, are reduced on first read.
     """
 
     def __init__(self, sides):
-        sides = tuple(sides)
-        if not sides:
-            raise ValueError("box needs at least one side")
-        self.__dict__.update(sides=sides, dim=len(sides))
+        ends = [x for side in sides for x in (side.lo, side.hi)]
+        den = math.lcm(*(x.denominator for x in ends))
+        nums = [x.numerator * (den // x.denominator) for x in ends]
+        self.__dict__.update(Box.over(den, zip(nums[::2], nums[1::2])).__dict__)
 
     @classmethod
-    def over(cls, den: int, pairs, ends) -> "Box":
+    def over(cls, den: int, pairs) -> "Box":
         """The box with sides [lo/den, hi/den], one per (lo, hi) pair of
-        integers, over den > 0; den need not be the least one.  ends
-        holds each side again as (lo, hi, d) over a denominator d of its
-        own, which may be smaller, and the sides and midpoint are
-        reduced from those."""
+        integers, over den > 0."""
         pairs = tuple(pairs)
         if not pairs:
             raise ValueError("box needs at least one side")
         if any(lo > hi for lo, hi in pairs):
             raise ValueError("empty interval")
         box = cls.__new__(cls)
-        box.__dict__.update(scaled=(den, pairs), dim=len(pairs), _ends=tuple(ends))
+        box.__dict__.update(scaled=(den, pairs), dim=len(pairs))
         return box
 
     def __setattr__(self, name, value):
         raise AttributeError("Box is immutable")
 
     @cached_property
-    def _ends(self) -> tuple[tuple[int, int, int], ...]:
-        """Each side as integers (lo, hi, d), the side [lo/d, hi/d]."""
-        den, pairs = self.scaled
-        return tuple((lo, hi, den) for lo, hi in pairs)
-
-    @cached_property
     def sides(self) -> tuple[RatInterval, ...]:
-        return tuple(RatInterval.over(*side) for side in self._ends)
-
-    @cached_property
-    def scaled(self) -> tuple[int, tuple[tuple[int, int], ...]]:
-        """The box over one denominator den, with one pair (den * lo,
-        den * hi) per side.  A box of sides takes the lcm of its
-        endpoints' denominators, once; a box made over a denominator
-        keeps it, which need not be the lcm.  Every reader is invariant
-        when den and the pairs are scaled by one factor: _dot_range,
-        the form ranges of meets, _check_walk, the _sorted_box plane walk
-        of hyperplanes_meeting, and midpoint."""
-        ends = [x for side in self.sides for x in (side.lo, side.hi)]
-        den = math.lcm(*(x.denominator for x in ends))
-        nums = [x.numerator * (den // x.denominator) for x in ends]
-        return den, tuple(zip(nums[::2], nums[1::2]))
-
-    @property
-    def midpoint(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(lo + hi, 2 * d) for lo, hi, d in self._ends)
+        den, pairs = self.scaled
+        return tuple(
+            RatInterval(Fraction(lo, den), Fraction(hi, den)) for lo, hi in pairs
+        )
 
     def __eq__(self, other):
-        if self is other:
-            return True
         if not isinstance(other, Box):
             return NotImplemented
-        return self.sides == other.sides
+        (den, pairs), (oden, opairs) = self.scaled, other.scaled
+        return len(pairs) == len(opairs) and all(
+            lo * oden == olo * den and hi * oden == ohi * den
+            for (lo, hi), (olo, ohi) in zip(pairs, opairs)
+        )
 
     def __hash__(self):
         return hash(self.sides)

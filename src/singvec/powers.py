@@ -22,9 +22,12 @@ from itertools import count, islice
 from .exact import RatInterval, rat_str
 
 
-# Roots of up to this many bits come from Newton's loop started at a
-# power of two.  Longer ones start it from the root of the radicand's
-# top bits, found the same way, which leaves it a few full-size steps.
+# Roots of up to this many bits come from Newton's loop started just
+# above exp(log(n) / k), a float whose relative error is far below
+# 2**-40 at this size; from a power of two above the root, each step
+# would fall by only about x/k.  Longer ones start it from the root of
+# the radicand's top bits, found the same way, which leaves it a few
+# full-size steps.
 _IROOT_LEAF_BITS = 128
 
 
@@ -44,7 +47,7 @@ def iroot(n: int, k: int) -> int:
     if n == 0 or k == 1:
         return n
     if n.bit_length() <= k * _IROOT_LEAF_BITS:
-        x = 1 << -(-n.bit_length() // k)  # power of two at or above the root
+        x = math.floor(math.exp(math.log(n) / k) * (1 + 2**-40)) + 1
     else:
         # r**k <= n >> k*s < (r + 1)**k gives n < ((r + 1) << s)**k: an
         # overestimate whose top half of the bits is already right

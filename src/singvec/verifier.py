@@ -25,8 +25,9 @@ and hyperplane avoidance both ways (listed entries are really
 separated; no plane at or below the step's height threshold meets the
 box except the step's own pin).  Finally the value function is
 spot-checked at requested thresholds against the decay bound at the
-midpoint of the final box; by default at the recorded rational heights
-whose box scan fits the engine's MAX_SCAN_WORK.
+midpoint of the final box, read from the last step's cylinders; by
+default at the recorded rational heights whose box scan fits the
+engine's MAX_SCAN_WORK.
 """
 from __future__ import annotations
 
@@ -231,7 +232,8 @@ def verify_certificate(
     if not failures:  # so the steps are those of the spec, at least one
         if spot_checks is None:
             spot_checks = default_spot_checks(cert)
-        midpoint = steps[-1].box.midpoint if spot_checks else None
+        if spot_checks:
+            midpoint = tuple(c.midpoint() for c in steps[-1].cylinders)
         for t in spot_checks:
             bound = cert.spec.phi.value_at(t)
             # Cheap fixed precision first: the enclosure pass gives sound

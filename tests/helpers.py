@@ -2,6 +2,7 @@
 process that tests/test_fuzz.py starts, whose path holds this folder."""
 import sys
 from contextlib import contextmanager
+from fractions import Fraction
 
 from singvec.exact import RatInterval
 from singvec.hyperplanes import _form_range
@@ -22,4 +23,5 @@ def digit_limit(limit: int):
 def form_interval(plane, box) -> RatInterval:
     """The range of sum_j m_j x_j - m0 over box: _form_range's integers
     over their den, as Fractions."""
-    return RatInterval.over(*_form_range(plane, box))
+    lo, hi, den = _form_range(plane, box)
+    return RatInterval(Fraction(lo, den), Fraction(hi, den))

@@ -3,6 +3,7 @@ exit code, never in a traceback; an over-budget certificate or scan is
 refused at once; a certificate with more or fewer steps than its spec
 fails verification; a certificate's spec rebuilds it."""
 import json
+import resource
 import subprocess
 import sys
 import time
@@ -18,6 +19,8 @@ from singvec import (
     ProductSet,
     construct,
 )
+
+from singvec.exact import int_str
 
 from helpers import digit_limit
 
@@ -230,6 +233,52 @@ def test_huge_spot_threshold_is_refused_before_its_decay_bound(tmp_path):
     assert out.returncode == 1
     assert "over budget" in out.stderr
     assert "Traceback" not in out.stderr
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("construct", "--cantor", "3:0,2", "--cantor", "3:0,2",
+          "--steps", "1000000000"), 1),
+        (("certify", CERT), 3),
+    ],
+    ids=["construct", "certify"],
+)
+def test_huge_step_count_is_refused_in_bounded_memory(tmp_path, cert_blob, argv, code):
+    # a schedule of 10**9 heights would fill the memory before any step
+    blob = json.loads(json.dumps(cert_blob))
+    blob["spec"].update(steps=10**9, avoidance_heights=[])
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(blob))
+    out = subprocess.run(
+        CMD + [str(path) if a is CERT else a for a in argv],
+        capture_output=True, text=True, timeout=20, preexec_fn=_limit_memory,
+    )
+    assert out.returncode == code
+    assert "a construction of 1000000000 steps is over budget" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_respelled_height_certifies_like_the_plain_file(tmp_path, cert_blob):
+    # q**10000 to the power 1/10000 is the recorded height q, and a true
+    # 10000th power passes every Euler test on the way to its root
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps(cert_blob))
+    blob = json.loads(json.dumps(cert_blob))
+    step = blob["steps"][2]
+    assert step["phi_of_q"] == str(step["q"])
+    step["phi_of_q"] = {"base": int_str(step["q"] ** 10000), "exp": "1/10000"}
+    path = tmp_path / "respelled.json"
+    path.write_text(json.dumps(blob))
+    want = run("certify", str(plain))
+    assert want.returncode == 0, want.stderr
+    out = run("certify", str(path), timeout=20)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == want.stdout
 
 
 def test_huge_step_number_is_reported(tmp_path, cert_blob):

@@ -284,4 +284,37 @@ def test_box_predicates():
     assert box.dim == 2
     assert contains_interior(box, inner)
     assert not contains_interior(box, flush)
-    assert box.midpoint == (Fraction(1, 2), Fraction(1, 2))
+    # the sides' lcm, once
+    assert box.scaled == (1, ((0, 1), (0, 1)))
+    assert inner.scaled == (4, ((1, 2), (1, 2)))
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(
+    st.lists(st.tuples(rationals, rationals), min_size=1, max_size=4),
+    st.integers(min_value=1, max_value=10**6),
+    st.data(),
+)
+@example([(Fraction(0), Fraction(1))], 1, None)
+def test_box_over_any_denominator_is_the_box_of_its_sides(ends, m, data):
+    sides = tuple(RatInterval(min(a, b), max(a, b)) for a, b in ends)
+    box = Box(sides)
+    den, pairs = box.scaled
+    lifted = [(m * lo, m * hi) for lo, hi in pairs]
+    for other in (Box.over(m * den, lifted), Box.over(den, pairs)):
+        assert other == box and box == other
+        assert hash(other) == hash(box)
+        assert other.sides == sides
+        assert (repr(other), str(other)) == (repr(box), str(box))
+    # an end moved by one, at either denominator, or one side more or
+    # less, is another box
+    i = data.draw(st.integers(0, len(pairs) - 1)) if data else 0
+    for scale, over in ((1, list(pairs)), (m, lifted)):
+        lo, hi = over[i]
+        for moved in ((lo - 1, hi), (lo, hi + 1)):
+            other = Box.over(scale * den, over[:i] + [moved] + over[i + 1:])
+            assert other != box and box != other
+    assert Box.over(den, pairs + pairs[:1]) != box
+    assert box != Box.over(den, pairs + pairs[:1])
+    if len(pairs) > 1:
+        assert Box.over(den, pairs[:-1]) != box

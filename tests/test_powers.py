@@ -80,6 +80,30 @@ def test_iroot_is_floor_root_on_big_radicands(k, root_bits, rnd, offset):
         assert r == root
 
 
+@st.composite
+def radicands(draw):
+    """(k, n, r): n up to 2**20000, r its k-th root when n is r**k or
+    r**k +- 1, else None."""
+    k = draw(st.integers(min_value=3, max_value=12) | st.sampled_from((9999, 10000)))
+    offset = draw(st.sampled_from((-1, 0, 1, None)))
+    if offset is None:
+        return k, draw(st.integers(min_value=0, max_value=2**20000)), None
+    root = draw(st.integers(min_value=1, max_value=2 ** max(1, 20000 // k)))
+    return k, root**k + offset, root
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(radicands())
+@example((10000, 99999**10000, 99999))  # a start a power of two up took 8.7 s
+@example((10000, 2**10000 - 1, 2))
+def test_iroot_is_floor_root_for_any_order(case):
+    k, n, root = case
+    r = iroot(n, k)
+    assert r**k <= n < (r + 1) ** k
+    if root is not None:
+        assert r == (root if root**k <= n else root - 1)
+
+
 def test_iroot_rejects_bad_input():
     with pytest.raises(ValueError):
         iroot(-1, 2)

@@ -15,8 +15,8 @@ from singvec import (
     PhiSpec,
     PowerValue,
     ProductSet,
-    RatInterval,
     certificate_from_json,
+    certificate_loads,
     construct,
     default_spot_checks,
     verify_certificate,
@@ -135,25 +135,30 @@ def test_default_spot_checks_rule_out_huge_heights_by_size(monkeypatch):
     assert caps == [F(9), F(9)]
 
 
-def test_weighted_pipeline_reads_no_box_sides(monkeypatch):
-    # the per-step checks read digits, hull ends and scaled boxes: no
-    # box is reduced to Fraction sides and no RatInterval is made over
-    # integers, in construct and in verify_certificate
+def pipeline_without_box_sides(monkeypatch, norm):
+    """The report of construct, dumps, certificate_loads and
+    verify_certificate on the 3-step certificate under norm, with
+    Box.sides refused: every check reads digits, hull ends and scaled
+    boxes, and the spot checks read the cylinders' midpoints."""
     def refused(*args):
-        raise AssertionError("read on the per-step path")
+        raise AssertionError("box sides read on the certificate path")
 
     monkeypatch.setattr(Box, "sides", property(refused))
-    monkeypatch.setattr(RatInterval, "over", classmethod(refused))
-    cert = construct(
-        ConstructionSpec(
-            product=PRODUCT,
-            norm=NormSpec("weighted", (F(2, 3), F(1, 3))),
-            phi=PhiSpec("pow", exponent=F(5)),
-            steps=3,
-        )
+    spec = ConstructionSpec(
+        product=PRODUCT, norm=norm, phi=PhiSpec("pow", exponent=F(5)), steps=3
     )
-    report = verify_certificate(cert)
+    report = verify_certificate(certificate_loads(construct(spec).dumps()))
     assert report.ok and len(report.steps) == 3
+    return report
+
+
+def test_weighted_pipeline_reads_no_box_sides(monkeypatch):
+    pipeline_without_box_sides(monkeypatch, NormSpec("weighted", (F(2, 3), F(1, 3))))
+
+
+def test_sup_pipeline_with_a_spot_check_reads_no_box_sides(monkeypatch):
+    report = pipeline_without_box_sides(monkeypatch, NormSpec("sup"))
+    assert [spot.t for spot in report.spot_checks] == [2187]
 
 
 def test_bound_chain_reads_the_reduced_pin(blob):
