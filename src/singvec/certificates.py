@@ -89,22 +89,20 @@ class PhiSpec:
         if any(v <= 0 for _, v in rows) or any(t <= 0 for t, _ in rows):
             raise UsageError("table entries must be positive")
 
-    def value_at(self, t) -> Fraction | PowerValue:
-        """phi(t) for a rational or exact-power threshold."""
+    def value_at(self, t: Fraction | PowerValue) -> PowerValue:
+        """phi(t) for a rational or exact-power threshold, as one
+        PowerValue: a table's row value, or t**-N."""
         if self.kind == "pow":
             if isinstance(t, PowerValue):
-                out = t.pow(-self.exponent)
-            else:
-                out = PowerValue(Fraction(t), -self.exponent)
-            f = out.as_fraction()
-            return f if f is not None else out
+                return t.pow(-self.exponent)
+            return PowerValue(Fraction(t), -self.exponent)
         value = self.rows[0][1]
         for row_t, row_v in self.rows:
             if t >= row_t:
                 value = row_v
             else:
                 break
-        return value
+        return PowerValue(value)
 
     def to_json(self) -> dict:
         if self.kind == "pow":
@@ -145,9 +143,7 @@ class PhiSpec:
 
 
 def power_to_json(value: PowerValue | Fraction):
-    if isinstance(value, Fraction):
-        return rat_str(value)
-    f = value.as_fraction()
+    f = value if isinstance(value, Fraction) else value.as_fraction()
     if f is not None:
         return rat_str(f)
     out = {"base": rat_str(value.base), "exp": rat_str(value.exp)}

@@ -125,9 +125,10 @@ def _fmt_approx(value) -> str:
     """Display rendering of a value >= 0 that survives astronomically
     large ones: ~10^x outside 1e-15..1e15, else 12 significant digits of
     a 40-digit decimal evaluation, whose cost does not grow with the
-    exponent; a Fraction's, by _fmt_ratio, from integer division."""
-    if not isinstance(value, PowerValue):
-        return _fmt_ratio(value.numerator, value.denominator)
+    exponent; a rational value's, by _fmt_ratio, from integer division."""
+    f = value.as_fraction() if isinstance(value, PowerValue) else value
+    if f is not None:
+        return _fmt_ratio(f.numerator, f.denominator)
     log10 = value.log_float() / math.log(10)
     if abs(log10) >= 15:
         return f"~10^{log10:.2f}"

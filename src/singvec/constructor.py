@@ -69,14 +69,6 @@ def _pick_pin(cyl: Cylinder, norm, k: int, n: int, prev_phi):
     raise NoRationalFound(f"pin enumeration exhausted in coordinate {k}", cap)
 
 
-def _check_recordable(value) -> None:
-    """Refuse with UsageError a value that the certificate would record
-    with an exponent that certificate_loads refuses: an irrational
-    PowerValue, which power_to_json writes with its exponent."""
-    if isinstance(value, PowerValue) and value.as_fraction() is None:
-        check_exponent(value.exp, UsageError)
-
-
 def _log(x) -> float:
     """Natural log of a positive Fraction or PowerValue, as a float."""
     if isinstance(x, PowerValue):
@@ -179,10 +171,11 @@ def construct(spec: ConstructionSpec) -> Certificate:
         prev_cyls = tuple(cyls)
         p, q, phi, sub = _pick_pin(cyls[k - 1], spec.norm, k, n, prev_phi)
         cyls[k - 1] = sub
-        _check_recordable(phi)
+        # refuse now an exponent that certificate_loads would refuse
+        check_exponent(phi.exp, UsageError)
         eps = spec.phi.value_at(phi)
         if steps:
-            _check_recordable(eps)
+            check_exponent(eps.exp, UsageError)
             steps[-1] = dataclasses.replace(steps[-1], bound_used=eps)
         if prev_pin is not None:
             pp, pq, pk = prev_pin

@@ -67,7 +67,7 @@ from .errors import (
     UsageError,
 )
 from .exact import RatInterval, dist_scaled, rat, rat_str, size_str
-from .powers import PowerValue, iroot
+from .powers import PowerValue, _is_perfect_power, iroot
 from .realdesc import (
     ExactReal,
     LinearCombinationReal,
@@ -140,16 +140,18 @@ class NormSpec:
             raise UsageError("height of the zero vector is undefined")
         if self.kind == "sup":
             return PowerValue(max(abs(c) for c in q))
-        self.check_dim(len(q))
-        best: PowerValue | None = None
-        for c, s in zip(q, self.weights):
-            if c == 0:
-                continue
-            v = PowerValue(abs(c), Fraction(s.denominator, s.numerator))
-            if best is None or v > best:
-                best = v
-        assert best is not None
-        return best.pow(Fraction(1, len(q)))
+        n = len(q)
+        self.check_dim(n)
+        # the first greatest (|c|**(1/s))**(1/n), each made in one step in
+        # the form certificates record: for s = 1/d, (|c|**d)**(1/n), and
+        # for s = m/d, m > 1, |c|**(d/(m*n))
+        return max(
+            PowerValue(abs(c) ** s.denominator, Fraction(1, n))
+            if s.numerator == 1
+            else PowerValue(abs(c), Fraction(s.denominator, s.numerator * n))
+            for c, s in zip(q, self.weights)
+            if c
+        )
 
     def to_json(self) -> dict:
         if self.kind == "sup":
@@ -666,9 +668,10 @@ def record_sequence(norm: NormSpec, xi, t_max) -> RecordSequence:
             # equal heights can print differently, (27)^(1/2) or
             # (9)^(3/4); the least witness_key at h fixes which: h on
             # the last coordinate that h is a power for, zeros elsewhere
-            j = max(j for j, e in enumerate(exps) if iroot(h, e) ** e == h)
+            j, root = max((j, r) for j, e in enumerate(exps)
+                          if (r := _is_perfect_power(h, e)) is not None)
             least = [0] * len(exps)
-            least[j] = iroot(h, exps[j])
+            least[j] = root
             value = RatInterval(Fraction(g_lo, scale), Fraction(g_hi, scale))
             witness = min((q for _, _, q in group), key=witness_key)
             entries.append(RecordEntry(norm.phi(least), value, witness))

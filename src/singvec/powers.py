@@ -1,12 +1,14 @@
 """Exact arithmetic on numbers of the form coef * base**exp.
 
 A PowerValue keeps a positive rational coefficient, a positive rational
-base and a rational exponent, all exact.  Order comparisons between two
-such values (or against a plain Fraction) never round: identical
-(coef, base, exp) triples are equal at once, float logs decide only
-when they are far apart, and otherwise both sides are
-raised to the least common multiple of the exponent denominators, which
-turns the comparison into one between ordinary fractions.
+base and a rational exponent, all exact.  A rational value has one
+form, its coefficient alone, decided when it is made.  Order
+comparisons between two such values (or against a plain Fraction)
+never round: identical (coef, base, exp) triples are equal at once,
+float logs decide only when they are far apart, and otherwise both
+sides are raised to the least common multiple of the exponent
+denominators, which turns the comparison into one between ordinary
+fractions.
 
 This is the number type used for norm values q -> ||q||**(1/n), decay
 thresholds t**(-w) and the record ledgers built on top of them, where
@@ -79,7 +81,9 @@ def _is_perfect_power(n: int, k: int) -> int | None:
 
 
 class PowerValue:
-    """Immutable positive real coef * base**exp with exact comparisons."""
+    """Immutable positive real coef * base**exp with exact comparisons.
+    A rational value is decided once, as it is made, and held as coef
+    alone with base 1 and exp 0; an irrational one keeps base > 1."""
 
     __slots__ = ("coef", "base", "exp")
 
@@ -91,11 +95,16 @@ class PowerValue:
             raise ValueError("base must be positive")
         if coef <= 0:
             raise ValueError("coefficient must be positive")
-        if exp.denominator == 1:
-            coef *= base**exp
+        c = exp.denominator
+        if c == 1:
+            root = base
+        else:
+            p = _is_perfect_power(base.numerator, c)
+            q = None if p is None else _is_perfect_power(base.denominator, c)
+            root = None if q is None else Fraction(p, q)
+        if root is not None:
+            coef *= root**exp.numerator
             base, exp = Fraction(1), Fraction(0)
-        elif base == 1:
-            exp = Fraction(0)
         elif base < 1:
             base, exp = 1 / base, -exp
         object.__setattr__(self, "coef", coef)
@@ -109,26 +118,17 @@ class PowerValue:
 
     def as_fraction(self) -> Fraction | None:
         """Exact rational value, or None when the value is irrational."""
-        if self.exp == 0:
-            return self.coef
-        c = self.exp.denominator
-        a = self.exp.numerator
-        p = _is_perfect_power(self.base.numerator, c)
-        q = None if p is None else _is_perfect_power(self.base.denominator, c)
-        if q is None:
-            return None
-        return self.coef * Fraction(p, q) ** a
+        return self.coef if self.exp == 0 else None
 
     def pow(self, k) -> "PowerValue":
         """Raise to a rational power, staying exact."""
         k = Fraction(k)
+        if self.exp == 0:
+            return PowerValue(self.coef, k)
         if self.coef == 1:
             return PowerValue(self.base, self.exp * k)
         if k.denominator == 1:
             return PowerValue(self.base, self.exp * k, self.coef ** int(k))
-        f = self.as_fraction()
-        if f is not None:
-            return PowerValue(f, k)
         raise ValueError("cannot take a fractional power of a scaled irrational")
 
     def mul_fraction(self, f) -> "PowerValue":
@@ -236,10 +236,9 @@ class PowerValue:
         return self._cmp(other) == 0
 
     def __hash__(self):
-        f = self.as_fraction()
         # an irrational value hashes its floor, which equal values share
         # however they are written
-        return hash(f if f is not None else self.scaled_bounds(0)[0])
+        return hash(self.coef if self.exp == 0 else self.scaled_bounds(0)[0])
 
     def __repr__(self):
         if self.exp == 0:
@@ -250,9 +249,8 @@ class PowerValue:
         return f"PowerValue({args}, coef={rat_str(self.coef)})"
 
     def __str__(self):
-        f = self.as_fraction()
-        if f is not None:
-            return rat_str(f)
+        if self.exp == 0:
+            return rat_str(self.coef)
         body = f"({rat_str(self.base)})^({rat_str(self.exp)})"
         return body if self.coef == 1 else f"{rat_str(self.coef)}*{body}"
 

@@ -48,7 +48,7 @@ from .engine import (
 from .errors import UsageError
 from .exact import RatInterval, int_str, rat_str
 from .hyperplanes import coordinate_hyperplane, hyperplanes_meeting, meets
-from .powers import exceeds
+from .powers import PowerValue, exceeds
 
 # The per-step checks, named as the flags of StepReport.
 CHECKS = (
@@ -76,7 +76,7 @@ class StepReport:
 class SpotCheck:
     t: Fraction
     value: RatInterval
-    bound: object
+    bound: PowerValue
     ok: bool
 
 
@@ -252,9 +252,8 @@ def verify_certificate(
             ok = value.hi <= bound
             spot_reports.append(SpotCheck(t, value, bound, ok))
             if not ok:
-                shown = rat_str(bound) if isinstance(bound, Fraction) else bound
                 fail(None, "spot", f"spot check at t={rat_str(t)}: value "
-                     f"reaches {rat_str(value.hi)}, decay bound is {shown}")
+                     f"reaches {rat_str(value.hi)}, decay bound is {bound}")
 
     reports = tuple(
         StepReport(step.nu, *((idx, check) not in failed for check in CHECKS))

@@ -4,7 +4,7 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 
-from singvec.exact import RatInterval
+from singvec.exact import Box, RatInterval
 from singvec.hyperplanes import _form_range
 
 
@@ -25,3 +25,17 @@ def form_interval(plane, box) -> RatInterval:
     over their den, as Fractions."""
     lo, hi, den = _form_range(plane, box)
     return RatInterval(Fraction(lo, den), Fraction(hi, den))
+
+
+def contains_interval(outer, inner) -> bool:
+    """inner lies in outer, endpoints included."""
+    return outer.lo <= inner.lo and inner.hi <= outer.hi
+
+
+def contains_interior(outer, inner) -> bool:
+    """inner sits strictly inside outer, on every side of a box."""
+    if isinstance(outer, Box):
+        return outer.dim == inner.dim and all(
+            map(contains_interior, outer.sides, inner.sides)
+        )
+    return outer.lo < inner.lo and inner.hi < outer.hi

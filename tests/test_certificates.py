@@ -220,6 +220,16 @@ DEEP = {
         4, NormSpec("sup"), "pow:3", 12,
         "08dbf8c01f8c8c1437727ed39940566d6543138369e1a2868b8db9edfe54796c",
     ),
+    # rational and irrational heights mixed, weights m/d with m > 1 and
+    # weights 1/d, the two forms NormSpec.phi spells out
+    "threefold-2/5,2/5,1/5-9": (
+        3, NormSpec("weighted", (F(2, 5), F(2, 5), F(1, 5))), "pow:5", 9,
+        "67b427dd2d1314fac62a8ffafeadc17045d3b623b862e8860ac1277ef191b6cf",
+    ),
+    "threefold-1/2,1/3,1/6-9": (
+        3, NormSpec("weighted", (F(1, 2), F(1, 3), F(1, 6))), "pow:5", 9,
+        "78f104d702de45e1a995d118cc2e131f059110ae736214a93fbe6382364afa8e",
+    ),
 }
 
 
@@ -238,6 +248,28 @@ def test_deep_certificate_bytes_are_frozen(name):
     assert loaded.false_boxes == ()
     report = verify_certificate(loaded, spot_checks=())
     assert report.ok and not report.failures
+
+
+@pytest.mark.parametrize("norm", [
+    NormSpec("sup"), NormSpec("weighted", (F(2, 3), F(1, 3))),
+], ids=["sup", "2/3,1/3"])
+def test_built_and_loaded_certificates_hold_one_value_type(norm):
+    # heights and bounds are PowerValues whether built or read, each
+    # rational one held as its Fraction alone, so both sides hold one
+    # triple per value
+    spec = ConstructionSpec(PRODUCT, norm, PhiSpec.parse("pow:5"), 6)
+    built = construct(spec)
+    loaded = certificate_loads(built.dumps())
+    values = [
+        (a.phi_of_q, b.phi_of_q) for a, b in zip(built.steps, loaded.steps)
+    ] + [
+        (a.bound_used, b.bound_used)
+        for a, b in zip(built.steps[:-1], loaded.steps[:-1])
+    ]
+    assert len(values) == 11
+    for a, b in values:
+        assert type(a) is PowerValue and type(b) is PowerValue
+        assert (a.coef, a.base, a.exp) == (b.coef, b.base, b.exp)
 
 
 # construct --cantor 300:0,7,299 --cantor 40:1,39 --steps 4, the CI

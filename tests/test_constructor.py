@@ -25,21 +25,11 @@ from singvec import (
 )
 from singvec import constructor
 
+from helpers import contains_interior, contains_interval
+
 F = Fraction
 THIRDS = DigitSystem(3, (0, 2))
 PRODUCT = ProductSet((THIRDS, THIRDS))
-
-
-def contains_interval(outer, inner) -> bool:
-    """inner lies in outer, endpoints included."""
-    return outer.lo <= inner.lo and inner.hi <= outer.hi
-
-
-def contains_interior(outer, inner) -> bool:
-    """inner sits strictly inside outer on every side."""
-    return outer.dim == inner.dim and all(
-        a.lo < b.lo and b.hi < a.hi for a, b in zip(outer.sides, inner.sides)
-    )
 
 
 def spec_for(steps, **kw):

@@ -23,24 +23,12 @@ from singvec.digitsets import cylinder_box, nests_strictly
 from singvec.exact import _LEAF_DIGITS, known_gcd, rat_str
 from singvec.hyperplanes import hyperplanes_meeting, make_primitive, meets
 
-from helpers import form_interval
+from helpers import contains_interior, contains_interval, form_interval
 
 F = Fraction
 THIRDS = DigitSystem(3, (0, 2))
 HEX = DigitSystem(16, (0, 7, 15), offset=F(-1, 5), scale=F(3, 2))
 SHIFTED = DigitSystem(5, (1, 2, 4), offset=F(-1, 3), scale=F(7, 2))
-
-
-def contains_interval(outer, inner) -> bool:
-    """inner lies in outer, endpoints included."""
-    return outer.lo <= inner.lo and inner.hi <= outer.hi
-
-
-def contains_interior(outer, inner) -> bool:
-    """inner sits strictly inside outer on every side."""
-    return outer.dim == inner.dim and all(
-        a.lo < b.lo and b.hi < a.hi for a, b in zip(outer.sides, inner.sides)
-    )
 
 
 def test_system_validation():

@@ -20,25 +20,11 @@ from singvec.exact import (
     rat_str,
 )
 
-from helpers import digit_limit
+from helpers import contains_interior, contains_interval, digit_limit
 
 rationals = st.fractions(
     min_value=Fraction(-100), max_value=Fraction(100), max_denominator=1000
 )
-
-
-def contains_interval(outer, inner) -> bool:
-    """inner lies in outer, endpoints included."""
-    return outer.lo <= inner.lo and inner.hi <= outer.hi
-
-
-def contains_interior(outer, inner) -> bool:
-    """inner sits strictly inside outer, on every side of a box."""
-    if isinstance(outer, Box):
-        return outer.dim == inner.dim and all(
-            map(contains_interior, outer.sides, inner.sides)
-        )
-    return outer.lo < inner.lo and inner.hi < outer.hi
 
 
 def test_rat_parses_plain_forms():

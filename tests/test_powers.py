@@ -15,15 +15,10 @@ from hypothesis import strategies as st
 from singvec import PowerValue, iroot, powers
 from singvec.powers import _IROOT_LEAF_BITS, _is_perfect_power, _witnesses, exceeds
 
-from helpers import digit_limit
+from helpers import contains_interval, digit_limit
 
 small_nat = st.integers(min_value=0, max_value=10**12)
 root_order = st.integers(min_value=1, max_value=9)
-
-
-def contains_interval(outer, inner) -> bool:
-    """inner lies in outer, endpoints included."""
-    return outer.lo <= inner.lo and inner.hi <= outer.hi
 
 
 def test_iroot_frozen():
@@ -131,6 +126,57 @@ def test_as_fraction_detects_hidden_rationals():
     assert PowerValue(8, Fraction(2, 3)).as_fraction() == 4
 
 
+def root_rule(base: Fraction, exp: Fraction, coef: Fraction) -> Fraction | None:
+    """coef * base**exp when it is rational, else None, by the direct
+    rule: a c-th root of the base's numerator and of its denominator,
+    c the exponent's denominator."""
+    c = exp.denominator
+    p, q = iroot(base.numerator, c), iroot(base.denominator, c)
+    if p**c != base.numerator or q**c != base.denominator:
+        return None
+    return coef * Fraction(p, q) ** exp.numerator
+
+
+def kept_triple(base: Fraction, exp: Fraction, coef: Fraction):
+    """(coef, base, exp) of an irrational value as written: its base
+    turned above 1."""
+    return (coef, base, exp) if base > 1 else (coef, 1 / base, -exp)
+
+
+@settings(deadline=None, derandomize=True, max_examples=400)
+@given(
+    st.integers(min_value=1, max_value=12),  # c, the exponent's denominator
+    st.integers(min_value=-9, max_value=9),  # the exponent's numerator
+    st.integers(min_value=1, max_value=30),  # r and s: bases r**c*u / s**c*v
+    st.integers(min_value=1, max_value=30),
+    st.sampled_from([1, 1, 1, 2, 3, 6, 12, 2**64 + 1]),  # u and v
+    st.sampled_from([1, 1, 2, 5, 10]),
+    st.fractions(min_value=Fraction(1, 50), max_value=50).filter(lambda f: f > 0),
+)
+@example(2, 1, 2, 1, 1, 1, Fraction(1))  # 4**(1/2)
+@example(3, -2, 3, 2, 1, 1, Fraction(5, 7))  # (27/8)**(-2/3)
+@example(6, 5, 1, 1, 2, 1, Fraction(1))  # 2**(5/6)
+def test_rational_values_have_one_form(c, a, r, s, u, v, coef):
+    base = Fraction(r**c * u, s**c * v)
+    exp = Fraction(a, c)
+    value = PowerValue(base, exp, coef)
+    want = root_rule(base, exp, coef)
+    assert value.as_fraction() == want
+    rational = value.exp == 0 and value.base == 1
+    assert rational == (want is not None)
+    if rational:
+        # spelled otherwise, one triple: the value as its coefficient
+        for other in (
+            PowerValue(want),
+            PowerValue(base**2, exp / 2, coef),
+            PowerValue(want**c, Fraction(1, c)),
+            PowerValue(base, exp * c, coef**c).pow(Fraction(1, c)),
+        ):
+            assert (other.coef, other.base, other.exp) == (want, 1, 0)
+    else:
+        assert (value.coef, value.base, value.exp) == kept_triple(base, exp, coef)
+
+
 def test_ordering_without_rounding():
     # 3^(1/2) vs 2^(3/4): raise both to the 4th power -> 81 vs 8
     assert PowerValue(3, Fraction(1, 2)) > PowerValue(2, Fraction(3, 4))
@@ -225,11 +271,13 @@ def test_equal_values_written_apart_take_the_exact_path(monkeypatch):
 
     monkeypatch.setattr(PowerValue, "_log_terms", spy)
     # float logs cannot settle an equality, so reaching them means the
-    # exact powers decide
+    # exact powers decide; a rational value has one form, so two
+    # spellings of it are one triple and reach no log
     assert PowerValue(4, Fraction(1, 2)) == PowerValue(2)
+    assert taken == []
     assert PowerValue(9, Fraction(3, 4)) == PowerValue(3, Fraction(3, 2))
     assert PowerValue(2, Fraction(1, 2), 2) == PowerValue(8, Fraction(1, 2))
-    assert len(taken) == 6
+    assert len(taken) == 4
 
 
 @given(

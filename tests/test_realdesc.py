@@ -21,17 +21,12 @@ from singvec import (
 )
 from singvec import polys
 
-from helpers import digit_limit
+from helpers import contains_interval, digit_limit
 
 F = Fraction
 widths = st.fractions(
     min_value=F(1, 2**80), max_value=F(1, 4), max_denominator=2**80
 )
-
-
-def contains_interval(outer, inner) -> bool:
-    """inner lies in outer, endpoints included."""
-    return outer.lo <= inner.lo and inner.hi <= outer.hi
 
 
 def test_exact_real_is_a_point():
