@@ -59,7 +59,7 @@ from .errors import (
 from .exact import dec_str, int_str, rat_str
 from .powers import PowerValue
 from .realdesc import ProductReal, parse_real
-from .verifier import verify_certificate
+from .verifier import CHECKS, verify_certificate
 
 
 class _Parser(argparse.ArgumentParser):
@@ -199,6 +199,9 @@ def _cmd_construct(args) -> int:
 
 # -- certify ------------------------------------------------------------
 
+# How certify prints each of verifier.CHECKS, in its order.
+_CHECK_LABELS = ("integrity", "nesting", "height", "anchor", "bound", "avoidance")
+
 
 def _cmd_certify(args) -> int:
     with open(args.certificate, "rb") as fh:
@@ -206,15 +209,8 @@ def _cmd_certify(args) -> int:
     report = verify_certificate(cert, args.spot_checks)
     for step in report.steps:
         marks = " ".join(
-            f"{name}={'ok' if value else 'FAIL'}"
-            for name, value in (
-                ("integrity", step.integrity),
-                ("nesting", step.nesting),
-                ("height", step.phi_increase),
-                ("anchor", step.anchor_in_box),
-                ("bound", step.bound_chain),
-                ("avoidance", step.avoidance),
-            )
+            f"{label}={'ok' if getattr(step, check) else 'FAIL'}"
+            for label, check in zip(_CHECK_LABELS, CHECKS)
         )
         print(f"step {int_str(step.nu)}: {marks}")
     for spot in report.spot_checks:

@@ -37,7 +37,7 @@ from .hyperplanes import (
     hyperplanes_meeting,
     meets,
 )
-from .powers import PowerValue
+from .powers import PowerValue, exceeds
 
 # Pins live at most this many levels below the current cylinder; the
 # search is breadth-first so in practice the first or second level
@@ -80,12 +80,13 @@ def _narrow_depth(need: Fraction, base: int, eps) -> int:
     """The smallest depth L >= 0 with need / base**L < eps.
 
     Float logs estimate L; they are right unless need / eps lies within
-    rounding error of a power of base.  The estimate is then settled
-    exactly: step up while L does not fit, and down while L - 1 does.
+    rounding error of a power of base.  The estimate is then settled by
+    powers.exceeds, float logs first and exact only at a near tie: step
+    up while L does not fit, and down while L - 1 does.
     """
 
     def fits(levels: int) -> bool:
-        return need / base**levels < eps
+        return exceeds(eps, need.numerator, need.denominator * base**levels)
 
     depth = max(math.floor((_log(need) - _log(eps)) / math.log(base)) + 1, 0)
     while not fits(depth):

@@ -48,6 +48,12 @@ PrecisionExhausted rather than ever guessing.  psi, records,
 psi_simultaneous, dirichlet_check and lower_bound_check go from 64 to
 4096 bits; the badness scans go from 64 to 1024 bits and then report
 their honest enclosure.
+
+The scans and the bound checks decide on integers, and make a Fraction
+or PowerValue only for a value they return or to enclose an irrational
+number.  A bound c * x**(-a/b) meets a distance d / scale, d >= 0, by
+raising both to the power b: (c.numerator * scale)**b * x.denominator**a
+against d**b * x.numerator**a * c.denominator**b.
 """
 from __future__ import annotations
 
@@ -458,7 +464,7 @@ def _min_dist(rows, caps: Sequence[int], tol) -> tuple[RatInterval, tuple]:
     def step(bits, last):
         table, scale = _scaled_rows(rows, bits)
         min_lo, min_hi, pool = _box_scan(caps, table, scale)
-        narrow = Fraction(min_hi - min_lo, scale) <= tol
+        narrow = (min_hi - min_lo) * tol.denominator <= tol.numerator * scale
         if narrow or (early_unique and len(pool) == 1):
             value = RatInterval(Fraction(min_lo, scale), Fraction(min_hi, scale))
             return value, min((q for _, _, q in pool), key=witness_key)
@@ -573,8 +579,8 @@ def psi_simultaneous(xi, t, tol=None) -> tuple[RatInterval, int]:
 def dirichlet_check(xi, t, mode: str = "dual") -> bool:
     """Whether the pigeonhole guarantee holds at threshold t:
     psi(t) <= t**(-n) in dual mode, or the simultaneous minimum is at
-    most t**(-1/n).  Decided exactly; raises PrecisionExhausted rather
-    than ever rounding the comparison."""
+    most t**(-1/n).  Decided on integers, as the module docstring says;
+    raises PrecisionExhausted rather than ever rounding the comparison."""
     t = Fraction(t)
     if t < 1:
         raise UsageError("threshold must be at least 1")
@@ -583,20 +589,19 @@ def dirichlet_check(xi, t, mode: str = "dual") -> bool:
     if mode not in ("dual", "simultaneous"):
         raise UsageError(f"unknown mode: {mode!r}")
     cap = t.numerator // t.denominator
-    if mode == "dual":
-        threshold = t ** (-n)
-        rows, caps = [row], [cap] * n
-    else:
-        threshold = PowerValue(t, Fraction(-1, n))
-        rows, caps = [[x] for x in row], [cap]
+    if mode == "dual":  # the bound t**(-a/b) is t**(-n)
+        (a, b), rows, caps = (n, 1), [row], [cap] * n
+    else:  # t**(-1/n)
+        (a, b), rows, caps = (1, n), [[x] for x in row], [cap]
     _check_work(caps)
 
     def step(bits, last):
         table, scale = _scaled_rows(rows, bits)
         min_lo, min_hi, _ = _box_scan(caps, table, scale)
-        if threshold >= Fraction(min_hi, scale):
+        bound = scale**b * t.denominator**a
+        if bound >= min_hi**b * t.numerator**a:
             return True
-        if threshold < Fraction(min_lo, scale):
+        if bound < min_lo**b * t.numerator**a:
             return False
         return None
 
@@ -848,7 +853,7 @@ def _badness_scan(rows, caps, w: Fraction, bits: int):
     dist = Fraction(_max_dist(best_q, table, scale)[0], scale)
     if dist == 0:
         return RatInterval(dist, dist), best_q
-    power = PowerValue(max(abs(c) for c in best_q), w).mul_fraction(dist)
+    power = PowerValue(max(abs(c) for c in best_q), w, dist)
     f = power.as_fraction()
     value = RatInterval(f, f) if f is not None else power.enclose(_START_BITS)
     return value, best_q
@@ -916,21 +921,17 @@ def lower_bound_check(
 ) -> tuple[bool, int | None]:
     """Check <q * xi> >= c * q**(-w) for every 1 <= q <= height_cap,
     where xi is the family point at parameter x and w the family
-    exponent.  Returns (True, None) or (False, first failing q)."""
+    exponent.  Returns (True, None) or (False, first failing q).
+    Decided on integers, as the module docstring says."""
     if height_cap < 1:
         raise UsageError("height cap must be at least 1")
     c = Fraction(c)
     if c <= 0:
         raise UsageError("the constant must be positive")
     _check_work([height_cap])
-    w = spec.exponent
+    a, b = spec.exponent.numerator, spec.exponent.denominator
+    c_den = c.denominator**b
     rows = [[x] for x in _scan_row(lift_affine(spec, x))]
-
-    def threshold(q: int):
-        if w.denominator == 1:
-            return c / Fraction(q) ** int(w)
-        return PowerValue(q, -w).mul_fraction(c)
-
     first = 1  # every q below it meets the bound
 
     def step(bits, last):
@@ -938,12 +939,13 @@ def lower_bound_check(
         # later failure must not be reported while it is undecided
         nonlocal first
         table, scale = _scaled_rows(rows, bits)
+        bound = (c.numerator * scale) ** b
         for q in range(first, height_cap + 1):
             d_lo, d_hi = _max_dist((q,), table, scale)
-            thr = threshold(q)
-            if thr <= Fraction(d_lo, scale):
+            weight = q**a * c_den
+            if bound <= d_lo**b * weight:
                 continue
-            if thr > Fraction(d_hi, scale):
+            if bound > d_hi**b * weight:
                 return False, q
             first = q
             return None

@@ -9,7 +9,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from singvec import (
@@ -324,6 +324,24 @@ def test_dirichlet_check_holds_for_rationals(xi, t):
     assert dirichlet_check(xi, t, "simultaneous")
 
 
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(
+    st.integers(1, 3).flatmap(lambda n: st.lists(rationals, min_size=n, max_size=n)),
+    st.fractions(min_value=1, max_value=4, max_denominator=12).filter(
+        lambda t: t.denominator > 1
+    ),
+)
+def test_dirichlet_check_agrees_with_the_value_comparison(xi, t):
+    # off the integers t**(-n) sits below floor(t)**(-n), so both
+    # answers occur
+    n = len(xi)
+    assert dirichlet_check(xi, t, "dual") == (psi(SUP_NORM, xi, t)[0].hi <= t**-n)
+    bound = PowerValue(t, F(-1, n))
+    assert dirichlet_check(xi, t, "simultaneous") == (
+        psi_simultaneous(xi, t)[0].hi <= bound
+    )
+
+
 def test_dirichlet_suite_small_run():
     rep = dirichlet_suite(count=6, t_max=12, seed=7)
     assert rep.ok
@@ -555,6 +573,67 @@ def test_lower_bound_check_reports_the_first_failure():
     c = F(math.floor(iv.lo * 10**50), 10**50) + F(1, 10**40)
     line = AffineSubspaceSpec(("0",), (("1",),))
     assert lower_bound_check(line, (x,), 100, c) == (False, 1)
+
+
+# (s, n) of the families: w = (s + 1)/(n - s) is 2/3, 3/2 and 1
+_LOWER_BOUND_SHAPES = ((1, 4), (2, 4), (1, 3))
+
+
+@st.composite
+def lower_bound_cases(draw):
+    s, n = draw(st.sampled_from(_LOWER_BOUND_SHAPES))
+    small = st.fractions(min_value=0, max_value=1, max_denominator=30)
+    x = tuple(draw(small) for _ in range(s))
+    shift = tuple(draw(small) for _ in range(n - s))
+    matrix = tuple(tuple(draw(small) for _ in range(s)) for _ in range(n - s))
+    c = F(draw(st.integers(1, 20)), draw(st.integers(1, 400)))
+    return shift, matrix, x, c, draw(st.integers(1, 40))
+
+
+def _interval_dist(lo, hi):
+    """Enclosure of <y> for y in [lo, hi], an interval that holds no
+    multiple of 1/2 inside."""
+    assert math.floor(2 * lo) == math.floor(2 * hi)
+    ends = (_dist(lo), _dist(hi))
+    return min(ends), max(ends)
+
+
+def _first_below(shift, matrix, x, c, cap):
+    """(False, the first q <= cap whose distance max_j <q * xi_j> is
+    below c * q**(-w)), by PowerValue's order, else (True, None), for
+    the family point xi = (x, shift + matrix . x).  An irrational shift
+    is enclosed to 10**-100, far inside every gap the examples leave."""
+    w = F(len(x) + 1, len(shift))
+    xi = [(v, v) for v in x]
+    for entry, row in zip(shift, matrix):
+        iv = engine.as_descriptor(entry).enclose(F(1, 10**100))
+        dot = sum(m * v for m, v in zip(row, x))
+        xi.append((iv.lo + dot, iv.hi + dot))
+    for q in range(1, cap + 1):
+        ends = [_interval_dist(q * lo, q * hi) for lo, hi in xi]
+        d_lo, d_hi = max(e[0] for e in ends), max(e[1] for e in ends)
+        bound = PowerValue(q, -w, coef=c)
+        if bound > d_hi:
+            return False, q
+        assert bound <= d_lo, "the oracle cannot decide this case"
+    return True, None
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(lower_bound_cases())
+# c * q**(-w) equals the distance: 8**(-2/3) = 1/4 at the q = 8 of
+# (1/8, 1/512, 0, 0), and 4**(-3/2) = 1/8 at the q = 4 of (1/4, 1/512,
+# 0, 0); a bound met with equality holds
+@example(((F(1, 512), F(0), F(0)), ((F(0),),) * 3, (F(1, 8),), F(1, 16), 10))
+@example(((F(0), F(0)), ((F(0), F(0)),) * 2, (F(1, 4), F(1, 512)), F(1, 16), 6))
+# c lies 10**-40 below <sqrt2> at q = 1: undecided until the enclosure
+# is finer than that, and then the bound holds
+@example((("sqrt2", F(0), F(0)), ((F(0),),) * 3, (F(1, 3),),
+          F((math.isqrt(2 * 10**100) - 10**50) // 10**10 - 1, 10**40), 6))
+def test_lower_bound_check_matches_the_power_order(case):
+    shift, matrix, x, c, cap = case
+    spec = AffineSubspaceSpec(shift, matrix)
+    assert lower_bound_check(spec, x, cap, c) == _first_below(shift, matrix, x, c, cap)
 
 
 # -- brute-force oracles ---------------------------------------------------
