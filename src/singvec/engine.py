@@ -24,15 +24,20 @@ upper end can change nothing and costs one comparison.  So the minimum,
 both of its ends and the pool as a set do not depend on which other
 candidates are seen, or in which order.
 
-_scan takes a whole box from _sorted_box: the scaled residues of the
-last column are sorted once, and each prefix of the other columns (the
-empty one alone, for one column) visits only the sorted neighbours of
-its own target that can still reach the running minimum.  By the
-three-distance theorem those residues are spread evenly, so a box of
-caps T costs about T**(n-1) log T steps instead of T**n.  Records come
-from the top with one such scan each: the least height in the pool of a
-box is its last record, found by an integer height key with the order
-and ties of norm.phi, and the next box stops just below it.
+_scan takes a whole box from _sorted_box: each prefix of the other
+columns walks the circular order of the last column's scaled residues
+outward from its own target, and visits only the neighbours that can
+still reach the running minimum.  With two or more columns the residues
+are sorted once and every prefix shares the sort; by the three-distance
+theorem they are spread evenly, so a box of caps T costs about
+T**(n-1) log T steps instead of T**n.  A box of one column has only the
+empty prefix, whose target is 0, and sorts nothing: Sos's form of the
+theorem gives each next residue up or down from two Farey neighbours of
+the column's residue over the scale (exact.circle_order), so its walk
+costs O(log scale) integer steps plus the candidates it yields.  Records
+come from the top with one such scan each: the least height in the pool
+of a box is its last record, found by an integer height key with the
+order and ties of norm.phi, and the next box stops just below it.
 MAX_SCAN_WORK bounds the steps of a box scan or plane walk before it
 starts.  The source has a second caller, hyperplanes_meeting: with the
 endpoints of a box as the one row and the running bound held at 0, it
@@ -72,7 +77,7 @@ from .errors import (
     PrecisionExhausted,
     UsageError,
 )
-from .exact import RatInterval, dist_scaled, rat, rat_str, size_str
+from .exact import RatInterval, circle_order, dist_scaled, rat, rat_str, size_str
 from .powers import PowerValue, _is_perfect_power, iroot
 from .realdesc import (
     ExactReal,
@@ -376,24 +381,22 @@ def _sorted_box(caps: Sequence[int], table, scale: int, weights=None):
     vector (p, v) has a scaled interval that holds u = p_lo + v*A and is
     no wider than slack = (p_hi - p_lo) + c*(B - A).  So its distance
     lower end is at most r only if v*A mod scale lies within r + slack
-    of -p_lo mod scale, circularly.  The residues v*A mod scale,
-    |v| <= c, are sorted once, each packed with v into one int.  Each
-    prefix walks outward from its target in that order, nearest first,
-    and stops past r + slack, with r the running min_hi, or for a
-    _power_table the e-th root of min_hi // pw_lo[max(|p|_inf, 1)],
-    since |q|_inf >= |p|_inf.  The max over the rows is at least row
-    0's distance, so row 0 alone sets the window.  The zero prefix takes
-    only v >= 1; a box of one column has no other, so sorts only those.
-    Prefixes come in signed_box order.  hyperplanes_meeting calls the
-    source with running bound 0 over the pairs of a box, and restores
-    signed_box order by sorting each prefix's run."""
+    of -p_lo mod scale, circularly.  Each prefix walks outward from its
+    target in circular order of v*A mod scale, nearest first, and stops
+    past r + slack, with r the running min_hi, or for a _power_table the
+    e-th root of min_hi // pw_lo[max(|p|_inf, 1)], since |q|_inf >=
+    |p|_inf.  The max over the rows is at least row 0's distance, so
+    row 0 alone sets the window.  With two or more columns the residues,
+    |v| <= c, are sorted once, each packed with v into one int, and
+    every prefix shares that sort; the zero prefix takes only v >= 1.  A
+    box of one column has only the zero prefix, whose target is 0, and
+    walks v = 1..c by exact.circle_order, sorting nothing.  Prefixes
+    come in signed_box order.  hyperplanes_meeting calls the source with
+    running bound 0 over the pairs of a box, and restores signed_box
+    order by sorting each prefix's run."""
     *head, c = caps
     pairs = table[0]
     a_last, b_last = pairs[-1]
-    width = 2 * c + 1
-    vs = range(-c if head else 1, c + 1)
-    keys = sorted((v * a_last % scale) * width + v + c for v in vs)
-    count = len(keys)
     tail_slack = c * (b_last - a_last)
     if weights is not None:
         pw_lo, _, _, e = weights
@@ -404,6 +407,22 @@ def _sorted_box(caps: Sequence[int], table, scale: int, weights=None):
         if weights is not None:
             bound = iroot(bound // floor, e)
         return bound + slack
+
+    if not head:
+        def walk(running):
+            floor = 1 if weights is None else pw_lo[1]
+            limit = radius(running(), floor, tail_slack)
+            for d, v in circle_order(a_last, scale, c):
+                if d > limit:
+                    break
+                yield (v,)
+                limit = radius(running(), floor, tail_slack)
+
+        return walk
+
+    width = 2 * c + 1
+    keys = sorted((v * a_last % scale) * width + v + c for v in range(-c, c + 1))
+    count = len(keys)
 
     def source(running):
         for p in chain([(0,) * len(head)], signed_box(head)):
@@ -490,14 +509,16 @@ def _height_caps(norm: NormSpec, n: int, t: Fraction) -> tuple[int, ...]:
 
 
 def _scan_work(caps: Sequence[int]) -> int:
-    """Steps a scan of signed_box(caps) takes: the prefixes and sorted
-    keys of _sorted_box."""
+    """Steps a scan of signed_box(caps) may take: the prefixes and sorted
+    keys of _sorted_box, or for one column, which sorts nothing, c + 1
+    as a bound on the box and not on its walk."""
     prefixes = (math.prod(2 * c + 1 for c in caps[:-1]) + 1) // 2
     return prefixes + (2 * caps[-1] + 1 if len(caps) > 1 else caps[-1])
 
 
 def _check_work(caps: Sequence[int]) -> None:
-    """Raise UsageError when _scan_work(caps) is over MAX_SCAN_WORK."""
+    """Raise UsageError when _scan_work(caps), a bound on the box and
+    not on its walk, is over MAX_SCAN_WORK."""
     _charge(_scan_work(caps), "scan of {} caps up to {}", len(caps), max(caps))
 
 

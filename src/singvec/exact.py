@@ -1,5 +1,6 @@
 """Exact rational helpers: parsing, intervals, boxes, distance to the
-nearest integer.
+nearest integer, and the multiples of a residue in order of that
+distance (circle_order).
 
 Values are Fractions or integers, never floats, so every comparison the
 verifier and the constructor make is exact; a Box is integers over one
@@ -276,6 +277,51 @@ def dist_scaled(lo: int, hi: int, scale: int) -> tuple[int, int]:
         db = rb if 2 * rb <= scale else scale - rb
         dhi = da if da >= db else db
     return dlo, dhi
+
+
+def circle_order(a: int, scale: int, c: int):
+    """(d, v) for v = 1..c, d the circular distance of v*a mod scale
+    from 0, nearest first, with no sort.  The residues repeat with
+    period P = scale / gcd(a, scale), so the classes 0..m, m = min(c,
+    P - 1), are distinct, and each yields its members k, k + P, ... <=
+    c, the zero class first.  By the three-distance theorem in Sos's
+    permutation form, with x and y the classes of least and greatest
+    residue in 1..m, the next class up from k is k + x if that is at
+    most m, else k - y if k >= y, else k + x - y; the next one down is
+    the same rule with x and y swapped.  x and y are the denominators
+    of the neighbours of a/scale in the Farey sequence of order m,
+    found by batched mediants in O(log m) steps."""
+    a %= scale
+    period = scale // math.gcd(a, scale)
+    yield from ((0, v) for v in range(period, c + 1, period))
+    m = min(c, period - 1)
+    if m < 1:
+        return
+    num = a * period // scale  # a/scale = num/period in lowest terms
+    p, x, r, y = 0, 1, 1, 1  # p/x < num/period < r/y
+    i = j = 1
+    while i or j:
+        i = min((num * x - p * period - 1) // (r * period - num * y), (m - x) // y)
+        p, x = p + i * r, x + i * y
+        j = min((r * period - num * y - 1) // (num * x - p * period), (m - y) // x)
+        r, y = r + j * p, y + j * x
+
+    def step(k, d, up, gap_up, down, gap_down):
+        if k + up <= m:
+            return k + up, d + gap_up
+        if k >= down:
+            return k - down, d + gap_down
+        return k + up - down, d + gap_up + gap_down
+
+    gx, gy = x * a % scale, -y * a % scale
+    right, left = (x, gx), (y, gy)
+    for _ in range(m):
+        if right[1] <= left[1]:
+            (k, d), right = right, step(*right, x, gx, y, gy)
+        else:
+            (k, d), left = left, step(*left, y, gy, x, gx)
+        for v in range(k, c + 1, period):
+            yield d, v
 
 
 def dist_interval(x: RatInterval) -> RatInterval:

@@ -131,12 +131,6 @@ class PowerValue:
             return PowerValue(self.base, self.exp * k, self.coef ** int(k))
         raise ValueError("cannot take a fractional power of a scaled irrational")
 
-    def mul_fraction(self, f) -> "PowerValue":
-        f = Fraction(f)
-        if f <= 0:
-            raise ValueError("scale must be positive")
-        return PowerValue(self.base, self.exp, self.coef * f)
-
     # -- enclosures --------------------------------------------------
 
     def scaled_bounds(self, bits: int) -> tuple[int, int]:

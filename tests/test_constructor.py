@@ -186,7 +186,7 @@ def narrow_case(draw):
         c = draw(st.integers(2, 4))
         a = draw(st.integers(-2 * c, 2 * c))
         x = Fraction(draw(st.integers(1, 30)), draw(st.integers(1, 30)))
-        eps = PowerValue(x, Fraction(a, c)).mul_fraction(level)
+        eps = PowerValue(x, Fraction(a, c), level)
     elif kind == "tie":
         eps = level
     else:

@@ -698,7 +698,7 @@ def _brute_badness(rows, cap, w):
 def _assert_weighted_value(value, d, m, w):
     """value encloses d * m**w; it is the exact point when that number
     is rational."""
-    exact = PowerValue(m, w).mul_fraction(d).as_fraction() if d else F(0)
+    exact = PowerValue(m, w, d).as_fraction() if d else F(0)
     if exact is not None:
         assert value == RatInterval(exact, exact)
     else:
@@ -1101,6 +1101,64 @@ def test_sorted_source_matches_signed_box_one_column(xi, bits, w, data):
     assert set(got[2]) == set(want[2])
 
 
+def _one_column_case(data):
+    scale = data.draw(st.one_of(
+        st.just(1), st.integers(2, 10**4), st.sampled_from([2**64, 2**128])
+    ))
+    # a multiple of scale // g has period at most g, often below c
+    g = data.draw(st.integers(1, 60))
+    a = data.draw(st.one_of(
+        st.just(0),
+        st.just(scale - 1),
+        st.integers(0, scale - 1),
+        st.integers(0, g).map(lambda k: k * (scale // g)),
+    ))
+    # an enclosure's lower end need not lie in [0, scale)
+    return a + data.draw(st.integers(-2, 2)) * scale, scale
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(st.data(), st.integers(1, 2000))
+def test_one_column_walk_is_the_sorted_circle(data, c):
+    # with the running bound at infinity the source yields each v in
+    # 1..c once, in nondecreasing circular distance of v*a from 0
+    a, scale = _one_column_case(data)
+    source = _sorted_box([c], [[(a, a)]], scale)
+    got = [v for (v,) in source(lambda: math.inf)]
+    assert sorted(got) == list(range(1, c + 1))
+    dists = [min(v * a % scale, -v * a % scale) for v in got]
+    assert dists == sorted(dists)
+
+
+def test_one_column_scans_answer_at_any_height_in_time():
+    # the n = 1 records are the convergent denominators of sqrt2, the
+    # Pell numbers q' = 2q + q'', and the simultaneous minimum's witness
+    # is fixed; each call walks a few neighbours of 0, not 10**6 keys
+    code = (
+        "import time\n"
+        "from singvec import SUP_NORM, psi_simultaneous, record_sequence\n"
+        "t0 = time.perf_counter()\n"
+        "seq = record_sequence(SUP_NORM, ('sqrt2',), 10**6)\n"
+        "t1 = time.perf_counter()\n"
+        "_, q = psi_simultaneous(('sqrt2', 'cbrt2'), 10**6)\n"
+        "t2 = time.perf_counter()\n"
+        "print([e.witness for e in seq.entries], q, t1 - t0, t2 - t1)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    witnesses, q, records_s, simultaneous_s = out.stdout.rsplit(" ", 3)
+    pell = [1, 2]
+    while pell[-1] * 2 + pell[-2] <= 10**6:
+        pell.append(pell[-1] * 2 + pell[-2])
+    assert len(pell) == 16
+    assert ast.literal_eval(witnesses) == [(p,) for p in pell]
+    assert int(q) == 219382
+    assert float(records_s) < 1 and float(simultaneous_s) < 1
+
+
 def test_sorted_source_scans_a_big_box_in_time():
     # a scan of all 2 * 10**10 vectors would never finish in the timeout
     code = (
@@ -1126,8 +1184,8 @@ def test_scan_work_budget():
         record_sequence(SUP_NORM, ("sqrt2", "cbrt2"), 10**40)
     with pytest.raises(UsageError, match="over budget"):
         psi_simultaneous(("sqrt2",), 10**40)
-    # the sorted source walks prefixes and one sorted column, for one
-    # column the empty prefix and its c keys of v >= 1
+    # the sorted source walks prefixes and one sorted column; one column
+    # is charged c + 1, a bound on the box and not on its walk
     _check_work((10**6, 10**6))
     _check_work((10**7 - 1,))
     with pytest.raises(UsageError, match="over budget"):
