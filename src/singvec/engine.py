@@ -39,9 +39,12 @@ come from the top with one such scan each: the least height in the pool
 of a box is its last record, found by an integer height key with the
 order and ties of norm.phi, and the next box stops just below it.
 MAX_SCAN_WORK bounds the steps of a box scan or plane walk before it
-starts.  The source has a second caller, hyperplanes_meeting: with the
-endpoints of a box as the one row and the running bound held at 0, it
-yields the coefficient directions whose form can reach an integer.
+starts.  The source has two more callers, each with its running bound
+held fixed.  lower_bound_check walks one column with the bound at the
+largest distance that can miss c * q**(-w) at q = 1, and decides only
+the q it yields.  hyperplanes_meeting, with the endpoints of a box as
+the one row and the bound at 0, gets the coefficient directions whose
+form can reach an integer.
 
 The pigeonhole suite checks psi and psi_simultaneous themselves.  They
 do not increase with t, so one value settles every threshold up to the
@@ -943,7 +946,17 @@ def lower_bound_check(
     """Check <q * xi> >= c * q**(-w) for every 1 <= q <= height_cap,
     where xi is the family point at parameter x and w the family
     exponent.  Returns (True, None) or (False, first failing q).
-    Decided on integers, as the module docstring says."""
+    Decided on integers, as the module docstring says.
+
+    With c = n/m and w = a/b, a scaled distance d > reach =
+    iroot((n * scale)**b // m**b, b) meets the bound at every q >= 1.
+    The max over the rows is at least row 0's distance, so the
+    one-column walk of _sorted_box, its running bound held at reach,
+    yields every q that can miss it; the least q among them that does
+    not certainly meet the bound is kept, in O(1) memory.  The walk is
+    short for small c, and about height_cap steps when nearly every q
+    comes near the bound (c near 1/2, or a rational point whose zero
+    class is long)."""
     if height_cap < 1:
         raise UsageError("height cap must be at least 1")
     c = Fraction(c)
@@ -956,21 +969,24 @@ def lower_bound_check(
     first = 1  # every q below it meets the bound
 
     def step(bits, last):
-        # stop at the first q the bound does not certainly hold for: a
+        # stop at the least q the bound does not certainly hold for: a
         # later failure must not be reported while it is undecided
         nonlocal first
         table, scale = _scaled_rows(rows, bits)
         bound = (c.numerator * scale) ** b
-        for q in range(first, height_cap + 1):
-            d_lo, d_hi = _max_dist((q,), table, scale)
-            weight = q**a * c_den
-            if bound <= d_lo**b * weight:
-                continue
-            if bound > d_hi**b * weight:
-                return False, q
-            first = q
-            return None
-        return True, None
+        reach = iroot(bound // c_den, b)
+        least = height_cap + 1
+        for (q,) in _sorted_box([height_cap], table, scale)(lambda: reach):
+            if first <= q < least:
+                d_lo, d_hi = _max_dist((q,), table, scale)
+                if bound > d_lo**b * q**a * c_den:
+                    least, d_least = q, d_hi
+        if least > height_cap:
+            return True, None
+        if bound > d_least**b * least**a * c_den:
+            return False, least
+        first = least
+        return None
 
     return _refine(
         step, _START_BITS, _MAX_BITS,

@@ -4,6 +4,7 @@ import ast
 import itertools
 import math
 import random
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -634,6 +635,87 @@ def test_lower_bound_check_matches_the_power_order(case):
     shift, matrix, x, c, cap = case
     spec = AffineSubspaceSpec(shift, matrix)
     assert lower_bound_check(spec, x, cap, c) == _first_below(shift, matrix, x, c, cap)
+
+
+@st.composite
+def lower_bound_walk_cases(draw):
+    # the shapes above and the one-parameter line, (1, 2) with w = 2
+    s, n = draw(st.sampled_from(_LOWER_BOUND_SHAPES + ((1, 2),)))
+    # denominators up to 60 put exact zeros inside the cap; a named root
+    # in the shift makes the scale 2**bits, with enclosures of width one
+    x = tuple(F(draw(st.integers(0, den)), den)
+              for den in draw(st.lists(st.integers(1, 60), min_size=s, max_size=s)))
+    entry = st.one_of(
+        st.fractions(min_value=0, max_value=1, max_denominator=12),
+        st.sampled_from(["sqrt2", "cbrt2"]),
+    )
+    shift = tuple(draw(entry) for _ in range(n - s))
+    small = st.fractions(min_value=0, max_value=1, max_denominator=6)
+    matrix = tuple(tuple(draw(small) for _ in range(s)) for _ in range(n - s))
+    # from no q to every q near the bound; the last branch sets c just
+    # above <x_0>, whose scaled residue sits at the edge of the window
+    c = draw(st.one_of(
+        st.integers(2, 10**6).map(lambda m: F(1, m)),
+        st.builds(F, st.integers(1, 20), st.integers(40, 10**6)),
+        st.just(_dist(x[0]) + F(1, 10**30)),
+    ))
+    return shift, matrix, x, c, draw(st.integers(1, 400))
+
+
+@settings(deadline=None, derandomize=True, max_examples=400)
+@given(lower_bound_walk_cases())
+# (1/2, 1/6) fails at q = 6 and q = 12, 18, ...; q = 2 and q = 4 come
+# first in circle order and hold
+@example(((F(0),), ((F(1, 3),),), (F(1, 2),), F(1, 100), 400))
+# <2q/3> = 1/3 at q = 1, 2 and c just above it, with <cbrt2> below it:
+# q = 1 fails at the window's edge, at a scale of 2**64, which 3 does
+# not divide, and at the exact scale 3
+@example((("cbrt2",), ((F(0),),), (F(2, 3),), F(1, 3) + F(1, 10**30), 7))
+@example(((F(0),), ((F(0),),), (F(2, 3),), F(1, 3) + F(1, 10**30), 7))
+# <3/7> < 1/2 fails at q = 1, the last q in circle order, while q = 7
+# and q = 14 hit the integers first
+@example(((F(0),), ((F(0),),), (F(3, 7),), F(1, 2), 20))
+def test_lower_bound_walk_matches_every_q(case):
+    # the walk decides only the q near the bound, and the least q it
+    # cannot certify is the first failure of the loop over every q
+    shift, matrix, x, c, cap = case
+    spec = AffineSubspaceSpec(shift, matrix)
+    assert lower_bound_check(spec, x, cap, c) == _first_below(shift, matrix, x, c, cap)
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+
+@pytest.mark.parametrize(
+    "spec, x, c, want",
+    [
+        ('(("0",), (("cbrt2",),))', '("cbrt2",)', "F(1, 1000)", (True, None)),
+        # every even q has residue 0 in row 0: the walk's long zero class
+        ('(("0",), (("1/3",),))', "(F(1, 2),)", "F(1, 100)", (False, 6)),
+    ],
+    ids=["cbrt2-line", "rational-line"],
+)
+def test_lower_bound_check_answers_at_a_million_in_time(spec, x, c, want):
+    # the walk visits the q near the bound, not every q up to the cap,
+    # and holds none of them
+    code = (
+        "import time\n"
+        "from fractions import Fraction as F\n"
+        "from singvec import AffineSubspaceSpec, lower_bound_check\n"
+        f"spec = AffineSubspaceSpec(*{spec})\n"
+        "t0 = time.perf_counter()\n"
+        f"out = lower_bound_check(spec, {x}, 10**6, {c})\n"
+        "print(out, time.perf_counter() - t0)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=60, preexec_fn=_limit_memory,
+    )
+    assert out.returncode == 0, out.stderr
+    answer, seconds = out.stdout.rsplit(" ", 1)
+    assert ast.literal_eval(answer) == want
+    assert float(seconds) < 1
 
 
 # -- brute-force oracles ---------------------------------------------------
