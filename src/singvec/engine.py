@@ -61,7 +61,9 @@ The scans and the bound checks decide on integers, and make a Fraction
 or PowerValue only for a value they return or to enclose an irrational
 number.  A bound c * x**(-a/b) meets a distance d / scale, d >= 0, by
 raising both to the power b: (c.numerator * scale)**b * x.denominator**a
-against d**b * x.numerator**a * c.denominator**b.
+against d**b * x.numerator**a * c.denominator**b.  The weighted scans
+order d * m**(a/b), m = |q|_inf, by the same power, the integer key
+d**b * m**a, made per candidate from each end of d's enclosure.
 """
 from __future__ import annotations
 
@@ -345,25 +347,27 @@ def _max_dist(q: Sequence[int], table, scale: int) -> tuple[int, int]:
     return d_lo, d_hi
 
 
-def _scan(cands, table, scale: int, weights=None) -> tuple[int, int, list]:
+def _scan(cands, table, scale: int, w=None) -> tuple[int, int, list]:
     """Integer bounds (min_lo, min_hi) on the least scale * max_i
-    <row_i . q> over nonempty cands, each value times m**w (m = |q|_inf)
-    when weights is a _power_table, and the pool of (lo, hi, q) in
-    candidate order, as the module docstring describes.  cands is an
-    iterable of vectors, or a source such as _sorted_box: a function
-    that takes a getter of the running min_hi and returns one."""
-    if weights is not None:
-        pw_lo, pw_hi, _, e = weights
+    <row_i . q> over nonempty cands, and the pool of (lo, hi, q) in
+    candidate order, as the module docstring describes.  With an
+    exponent w = a/b each candidate's ends d are keyed as d**b * m**a,
+    m = |q|_inf: the order of d * m**w, exact for any enclosure since
+    x -> x**b is monotone on x >= 0.  cands is an iterable of vectors,
+    or a source such as _sorted_box: a function that takes a getter of
+    the running min_hi and returns one."""
+    if w is not None:
+        a, b = w.numerator, w.denominator
     min_lo = min_hi = math.inf
     pool = []
     if callable(cands):
         cands = cands(lambda: min_hi)
     for q in cands:
         lo, hi = _max_dist(q, table, scale)
-        if weights is not None:
-            m = max(abs(c) for c in q)
-            lo = lo**e * pw_lo[m]
-            hi = hi**e * pw_hi[m]
+        if w is not None:
+            weight = max(abs(c) for c in q) ** a
+            lo = lo**b * weight
+            hi = hi**b * weight
         if lo > min_hi:
             continue
         if lo < min_lo:
@@ -375,7 +379,7 @@ def _scan(cands, table, scale: int, weights=None) -> tuple[int, int, list]:
     return min_lo, min_hi, pool
 
 
-def _sorted_box(caps: Sequence[int], table, scale: int, weights=None):
+def _sorted_box(caps: Sequence[int], table, scale: int, w=None):
     """Candidate source for _scan over signed_box(caps): a superset of
     the vectors whose lower end reaches the final min_hi.
 
@@ -386,40 +390,39 @@ def _sorted_box(caps: Sequence[int], table, scale: int, weights=None):
     lower end is at most r only if v*A mod scale lies within r + slack
     of -p_lo mod scale, circularly.  Each prefix walks outward from its
     target in circular order of v*A mod scale, nearest first, and stops
-    past r + slack, with r the running min_hi, or for a _power_table the
-    e-th root of min_hi // pw_lo[max(|p|_inf, 1)], since |q|_inf >=
-    |p|_inf.  The max over the rows is at least row 0's distance, so
-    row 0 alone sets the window.  With two or more columns the residues,
-    |v| <= c, are sorted once, each packed with v into one int, and
-    every prefix shares that sort; the zero prefix takes only v >= 1.  A
-    box of one column has only the zero prefix, whose target is 0, and
-    walks v = 1..c by exact.circle_order, sorting nothing.  Prefixes
-    come in signed_box order.  hyperplanes_meeting calls the source with
-    running bound 0 over the pairs of a box, and restores signed_box
-    order by sorting each prefix's run."""
+    past r + slack, with r the running min_hi, or under an exponent
+    w = a/b the b-th root of min_hi // max(1, |p|_inf)**a, since
+    |q|_inf >= |p|_inf.  The max over the rows is at least row 0's
+    distance, so row 0 alone sets the window.  With two or more columns
+    the residues, |v| <= c, are sorted once, each packed with v into one
+    int, and every prefix shares that sort; the zero prefix takes only
+    v >= 1.  A box of one column has only the zero prefix, whose target
+    is 0, and walks v = 1..c by exact.circle_order, sorting nothing.
+    Prefixes come in signed_box order.  hyperplanes_meeting calls the
+    source with running bound 0 over the pairs of a box, and restores
+    signed_box order by sorting each prefix's run."""
     *head, c = caps
     pairs = table[0]
     a_last, b_last = pairs[-1]
     tail_slack = c * (b_last - a_last)
-    if weights is not None:
-        pw_lo, _, _, e = weights
+    if w is not None:
+        a, b = w.numerator, w.denominator
 
     def radius(bound, floor, slack):
-        if bound == math.inf or not floor:
+        if bound == math.inf:
             return math.inf
-        if weights is not None:
-            bound = iroot(bound // floor, e)
+        if w is not None:
+            bound = iroot(bound // floor, b)
         return bound + slack
 
     if not head:
         def walk(running):
-            floor = 1 if weights is None else pw_lo[1]
-            limit = radius(running(), floor, tail_slack)
+            limit = radius(running(), 1, tail_slack)
             for d, v in circle_order(a_last, scale, c):
                 if d > limit:
                     break
                 yield (v,)
-                limit = radius(running(), floor, tail_slack)
+                limit = radius(running(), 1, tail_slack)
 
         return walk
 
@@ -431,7 +434,7 @@ def _sorted_box(caps: Sequence[int], table, scale: int, weights=None):
         for p in chain([(0,) * len(head)], signed_box(head)):
             p_lo, p_hi = _dot_range(p, pairs)
             slack = p_hi - p_lo + tail_slack
-            floor = 1 if weights is None else pw_lo[max([1, *map(abs, p)])]
+            floor = 1 if w is None else max([1, *map(abs, p)]) ** a
             least = -c if any(p) else 1
             target = -p_lo % scale
             right = bisect_left(keys, target * width)
@@ -460,10 +463,9 @@ def _sorted_box(caps: Sequence[int], table, scale: int, weights=None):
     return source
 
 
-def _box_scan(caps: Sequence[int], table, scale: int, weights=None):
+def _box_scan(caps: Sequence[int], table, scale: int, w=None):
     """_scan over the whole of signed_box(caps), fed by _sorted_box."""
-    source = _sorted_box(caps, table, scale, weights)
-    return _scan(source, table, scale, weights)
+    return _scan(_sorted_box(caps, table, scale, w), table, scale, w)
 
 
 _UNSEPARATED = (
@@ -844,42 +846,26 @@ class BadnessResult:
     height_cap: int
 
 
-def _power_table(w: Fraction, cap: int, bits: int, exact: bool):
-    """Integer weights for m**w, m = 0..cap: (lo, hi, scale, e) such that
-    d**e * lo[m] and d**e * hi[m] order or bound the weighted distance
-    d * m**w.  For w = a/b, on an exact distance or with b = 1, m**a
-    with e = b orders d * m**w exactly.  Otherwise lo and hi bound m**w
-    at scale 2**bits, with e = 1."""
-    if exact or w.denominator == 1:
-        table = [m**w.numerator for m in range(cap + 1)]
-        return table, table, 1, w.denominator
-    los = [0] * (cap + 1)
-    his = [0] * (cap + 1)
-    for m in range(1, cap + 1):
-        los[m], his[m] = PowerValue(m, w).scaled_bounds(bits)
-    return los, his, 1 << bits, 1
-
-
 def _badness_scan(rows, caps, w: Fraction, bits: int):
     """Enclosure of the minimum of |q|_inf**w * max_i <row_i . q> over
     signed_box(caps), and the vector with the least upper end (least
-    witness_key among ties).  Exact on a rational target."""
+    witness_key among ties).  With w = a/b the scan's keys bound
+    (scale * value)**b, so the value is their b-th root over scale:
+    exact, or enclosed at bits, when the key is exact (every rational
+    target), else from the floor of the lower key's root to the ceiling
+    of the upper one's."""
     table, scale = _scaled_rows(rows, bits)
-    weights = _power_table(w, max(caps), bits, _is_rational(rows))
-    min_lo, min_hi, pool = _box_scan(caps, table, scale, weights)
+    min_lo, min_hi, pool = _box_scan(caps, table, scale, w)
     best_q = min((q for _, hi, q in pool if hi == min_hi), key=witness_key)
-    _, _, pw_scale, e = weights
-    if e == 1:
-        total = scale * pw_scale
-        value = RatInterval(Fraction(min_lo, total), Fraction(min_hi, total))
-        return value, best_q
-    # an exact distance times an irrational power: evaluate the winner
-    dist = Fraction(_max_dist(best_q, table, scale)[0], scale)
-    if dist == 0:
-        return RatInterval(dist, dist), best_q
-    power = PowerValue(max(abs(c) for c in best_q), w, dist)
-    f = power.as_fraction()
-    value = RatInterval(f, f) if f is not None else power.enclose(_START_BITS)
+    b = w.denominator
+    if min_lo < min_hi or not min_hi:
+        r = iroot(min_hi, b)
+        hi = r if r**b == min_hi else r + 1
+        value = RatInterval(Fraction(iroot(min_lo, b), scale), Fraction(hi, scale))
+    else:  # an exact positive key
+        power = PowerValue(min_hi, Fraction(1, b), Fraction(1, scale))
+        f = power.as_fraction()
+        value = RatInterval(f, f) if f is not None else power.enclose(bits)
     return value, best_q
 
 

@@ -47,8 +47,6 @@ from singvec.engine import (
     _check_work,
     _failing_thresholds,
     _height_key,
-    _is_rational,
-    _power_table,
     _scan,
     _scan_row,
     _scaled_rows,
@@ -825,6 +823,112 @@ def test_simultaneous_badness_w32_matches_brute_force():
         _assert_weighted_value(value, d, k, w)
 
 
+_NAMED_ROOTS = ("sqrt2", "cbrt2", "alg:-3,0,1:1,2", "alg:-5,0,0,1:1,2")
+
+
+@st.composite
+def weighted_key_cases(draw):
+    """(xi, w, cap) for simultaneous_badness_min, or (rows, None, cap)
+    with rows [shift_i | matrix_i] of an s = 1 (w = 2/3) or s = 2
+    (w = 3/2) family in four coordinates; at least one entry is a named
+    root, the others rational."""
+    shape = draw(st.sampled_from([None, (1, 4), (2, 4)]))
+    if shape is None:
+        size = draw(st.integers(1, 3))
+    else:
+        s, n = shape
+        size = (n - s) * (s + 1)
+    entry = st.one_of(
+        st.sampled_from(_NAMED_ROOTS),
+        st.fractions(min_value=-2, max_value=2, max_denominator=30),
+    )
+    entries = draw(st.lists(entry, min_size=size, max_size=size))
+    if all(isinstance(x, F) for x in entries):
+        entries[draw(st.integers(0, size - 1))] = draw(st.sampled_from(_NAMED_ROOTS))
+    if shape is None:
+        w = draw(st.sampled_from([F(1, 3), F(1, 2), F(2, 3), F(3, 2), F(5, 3), F(7, 4)]))
+        return tuple(entries), w, draw(st.integers(1, 40))
+    rows = [tuple(entries[i:i + s + 1]) for i in range(0, size, s + 1)]
+    return rows, None, draw(st.integers(1, 5))
+
+
+def _dist_range(lo, hi):
+    """Enclosure of <y> for y in [lo, hi]."""
+    ends = (_dist(lo), _dist(hi))
+    d_lo = F(0) if math.ceil(lo) <= hi else min(ends)
+    d_hi = F(1, 2) if math.ceil(lo - F(1, 2)) + F(1, 2) <= hi else max(ends)
+    return d_lo, d_hi
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(weighted_key_cases())
+# the b-th root of the winner's upper key is less than one unit above
+# the minimum at scale 2**64 (sqrt3 at q = 4, cbrt5 at q = 3), so that
+# root rounded down would end below it
+@example((("alg:-3,0,1:1,2",), F(1, 3), 4))
+@example((("alg:-5,0,0,1:1,2",), F(2, 3), 3))
+def test_weighted_key_encloses_the_brute_force_minimum(case):
+    # the engine orders d * m**(a/b) by the integer key d**b * m**a; the
+    # oracle encloses each q's value at 256 bits through PowerValue
+    target, w, cap = case
+    if w is None:
+        rows = target
+        spec = AffineSubspaceSpec([r[0] for r in rows], [r[1:] for r in rows])
+        out = badness_infimum(spec, cap)
+        value, witness, w = out.value, out.witness, out.exponent
+        box = [q for q in itertools.product(range(-cap, cap + 1), repeat=len(rows[0]))
+               if any(q) and _first_nonzero_positive(q)]
+    else:
+        rows = [(x,) for x in target]
+        value, q = simultaneous_badness_min(target, w, cap)
+        witness, box = (q,), [(k,) for k in range(1, cap + 1)]
+    ends = [[engine.as_descriptor(x).enclose(F(1, 2**256)) for x in row] for row in rows]
+
+    def bracket(q):
+        d_lo = d_hi = F(0)
+        for row in ends:
+            lo = sum(c * (iv.lo if c > 0 else iv.hi) for c, iv in zip(q, row))
+            hi = sum(c * (iv.hi if c > 0 else iv.lo) for c, iv in zip(q, row))
+            a, b = _dist_range(lo, hi)
+            d_lo, d_hi = max(d_lo, a), max(d_hi, b)
+        m = max(map(abs, q))
+        return (PowerValue(m, w, d_lo).enclose(256).lo if d_lo else F(0),
+                PowerValue(m, w, d_hi).enclose(256).hi if d_hi else F(0))
+
+    brackets = {q: bracket(q) for q in box}
+    low = min(lo for lo, _ in brackets.values())
+    high = min(hi for _, hi in brackets.values())
+    assert value.lo <= high and low <= value.hi
+    assert value.lo <= brackets[witness][1]
+    assert brackets[witness][0] <= value.hi
+
+
+@pytest.mark.parametrize(
+    "w, cap, want, limit",
+    [("F(1, 2)", "10**6", 470832, 1), ("F(1, 10000)", "1000", 985, 2)],
+    ids=["half-to-a-million", "tiny-exponent"],
+)
+def test_simultaneous_badness_answers_in_time(w, cap, want, limit):
+    # the key is built for the candidates the walk yields, with no table
+    # of m**w up to the cap: the witnesses are Pell denominators of sqrt2
+    code = (
+        "import time\n"
+        "from fractions import Fraction as F\n"
+        "from singvec import simultaneous_badness_min\n"
+        "t0 = time.perf_counter()\n"
+        f"_, q = simultaneous_badness_min(('sqrt2',), {w}, {cap})\n"
+        "print(q, time.perf_counter() - t0)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=60, preexec_fn=_limit_memory,
+    )
+    assert out.returncode == 0, out.stderr
+    q, seconds = out.stdout.split()
+    assert int(q) == want
+    assert float(seconds) < limit
+
+
 def _breaks_bound(v, t, e):
     # v > (1/t)**(1/e): v * t**n > 1 for e = 1/n, v**n * t > 1 for e = n
     if e.denominator == 1:
@@ -1149,11 +1253,8 @@ def test_sorted_source_matches_signed_box(xi, second, bits, w, data):
     if second is not None:
         rows.append(_scan_row((second,) * n))
     table, scale = _scaled_rows(rows, bits)
-    weights = None
-    if w is not None and any(caps):
-        weights = _power_table(w, max(caps), bits, _is_rational(rows))
-    want = _scan(signed_box(caps), table, scale, weights)
-    got = _scan(_sorted_box(caps, table, scale, weights), table, scale, weights)
+    want = _scan(signed_box(caps), table, scale, w)
+    got = _scan(_sorted_box(caps, table, scale, w), table, scale, w)
     assert got[:2] == want[:2]
     assert len(got[2]) == len(want[2])
     assert set(got[2]) == set(want[2])
@@ -1173,11 +1274,8 @@ def test_sorted_source_matches_signed_box_one_column(xi, bits, w, data):
     rows = [_scan_row((x,)) for x in xi[: data.draw(st.integers(1, len(xi)))]]
     caps = [data.draw(st.integers(0, 60))]
     table, scale = _scaled_rows(rows, bits)
-    weights = None
-    if w is not None and any(caps):
-        weights = _power_table(w, max(caps), bits, _is_rational(rows))
-    want = _scan(signed_box(caps), table, scale, weights)
-    got = _scan(_sorted_box(caps, table, scale, weights), table, scale, weights)
+    want = _scan(signed_box(caps), table, scale, w)
+    got = _scan(_sorted_box(caps, table, scale, w), table, scale, w)
     assert got[:2] == want[:2]
     assert len(got[2]) == len(want[2])
     assert set(got[2]) == set(want[2])
