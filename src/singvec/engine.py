@@ -24,27 +24,22 @@ upper end can change nothing and costs one comparison.  So the minimum,
 both of its ends and the pool as a set do not depend on which other
 candidates are seen, or in which order.
 
-_scan takes a whole box from _sorted_box: each prefix of the other
-columns walks the circular order of the last column's scaled residues
-outward from its own target, and visits only the neighbours that can
-still reach the running minimum.  With two or more columns the residues
-are sorted once and every prefix shares the sort; by the three-distance
-theorem they are spread evenly, so a box of caps T costs about
-T**(n-1) log T steps instead of T**n.  A box of one column has only the
-empty prefix, whose target is 0, and sorts nothing: Sos's form of the
-theorem gives each next residue up or down from two Farey neighbours of
-the column's residue over the scale (exact.circle_order), so its walk
-costs O(log scale) integer steps plus the candidates it yields.  Records
-come from the top with one such scan each: the least height in the pool
-of a box is its last record, found by an integer height key with the
-order and ties of norm.phi, and the next box stops just below it.
-MAX_SCAN_WORK bounds the steps of a box scan or plane walk before it
-starts.  The source has two more callers, each with its running bound
-held fixed.  lower_bound_check walks one column with the bound at the
-largest distance that can miss c * q**(-w) at q = 1, and decides only
-the q it yields.  hyperplanes_meeting, with the endpoints of a box as
-the one row and the bound at 0, gets the coefficient directions whose
-form can reach an integer.
+_scan takes a whole box from one of two sources.  The sorted walk,
+_sorted_box, walks each prefix of the other columns outward from its
+own target through the circular order of the last column's scaled
+residues, and visits only the neighbours that can still reach the
+running minimum: all prefixes share one sort, and by the three-distance
+theorem a box of caps T costs about T**(n-1) log T steps.  A box of one
+column sorts nothing: Sos's form of the theorem gives each next residue
+from two Farey neighbours of the column's residue over the scale
+(exact.circle_order).  By Dirichlet's theorem only O(1) vectors reach
+the minimum: an unweighted box of two or more nonzero caps takes them
+from an exact LLL and Fincke-Pohst enumeration, lattice.box_source,
+when it has more than lattice.MIN_PREFIXES prefixes and the
+enumeration's bound is under lattice.COST times their count.
+record_sequence takes one box scan per record, from the top.
+lower_bound_check and hyperplanes_meeting call the sorted walk with
+their running bound held fixed.
 
 The pigeonhole suite checks psi and psi_simultaneous themselves.  They
 do not increase with t, so one value settles every threshold up to the
@@ -67,6 +62,7 @@ d**b * m**a, made per candidate from each end of d's enclosure.
 """
 from __future__ import annotations
 
+import functools
 import math
 import random
 from bisect import bisect_left
@@ -83,6 +79,7 @@ from .errors import (
     UsageError,
 )
 from .exact import RatInterval, circle_order, dist_scaled, rat, rat_str, size_str
+from .lattice import box_source
 from .powers import PowerValue, _is_perfect_power, iroot
 from .realdesc import (
     ExactReal,
@@ -354,8 +351,8 @@ def _scan(cands, table, scale: int, w=None) -> tuple[int, int, list]:
     exponent w = a/b each candidate's ends d are keyed as d**b * m**a,
     m = |q|_inf: the order of d * m**w, exact for any enclosure since
     x -> x**b is monotone on x >= 0.  cands is an iterable of vectors,
-    or a source such as _sorted_box: a function that takes a getter of
-    the running min_hi and returns one."""
+    or a source (_sorted_box, lattice.box_source): a function that takes
+    a getter of the running min_hi and returns one."""
     if w is not None:
         a, b = w.numerator, w.denominator
     min_lo = min_hi = math.inf
@@ -379,7 +376,7 @@ def _scan(cands, table, scale: int, w=None) -> tuple[int, int, list]:
     return min_lo, min_hi, pool
 
 
-def _sorted_box(caps: Sequence[int], table, scale: int, w=None):
+def _sorted_box(caps: Sequence[int], table, scale: int, w=None, column=None):
     """Candidate source for _scan over signed_box(caps): a superset of
     the vectors whose lower end reaches the final min_hi.
 
@@ -393,14 +390,10 @@ def _sorted_box(caps: Sequence[int], table, scale: int, w=None):
     past r + slack, with r the running min_hi, or under an exponent
     w = a/b the b-th root of min_hi // max(1, |p|_inf)**a, since
     |q|_inf >= |p|_inf.  The max over the rows is at least row 0's
-    distance, so row 0 alone sets the window.  With two or more columns
-    the residues, |v| <= c, are sorted once, each packed with v into one
-    int, and every prefix shares that sort; the zero prefix takes only
-    v >= 1.  A box of one column has only the zero prefix, whose target
-    is 0, and walks v = 1..c by exact.circle_order, sorting nothing.
-    Prefixes come in signed_box order.  hyperplanes_meeting calls the
-    source with running bound 0 over the pairs of a box, and restores
-    signed_box order by sorting each prefix's run."""
+    distance, so row 0 alone sets the window.  Prefixes, the zero one
+    taking only v >= 1, share one sort of the residues, column() for a
+    cap of at least c when given; one column walks exact.circle_order.
+    Prefixes come in signed_box order, not the v within each."""
     *head, c = caps
     pairs = table[0]
     a_last, b_last = pairs[-1]
@@ -426,8 +419,11 @@ def _sorted_box(caps: Sequence[int], table, scale: int, w=None):
 
         return walk
 
-    width = 2 * c + 1
-    keys = sorted((v * a_last % scale) * width + v + c for v in range(-c, c + 1))
+    keys = column() if column else _column_keys(a_last, scale, c)
+    width = len(keys)
+    top = width // 2
+    if top > c:
+        keys = [k for k in keys if abs(k % width - top) <= c]
     count = len(keys)
 
     def source(running):
@@ -455,7 +451,7 @@ def _sorted_box(caps: Sequence[int], table, scale: int, w=None):
                         break
                     key = key_l
                     left -= 1
-                v = key % width - c
+                v = key % width - top
                 if v >= least:
                     yield p + (v,)
                     limit = radius(running(), floor, slack)
@@ -463,9 +459,15 @@ def _sorted_box(caps: Sequence[int], table, scale: int, w=None):
     return source
 
 
-def _box_scan(caps: Sequence[int], table, scale: int, w=None):
-    """_scan over the whole of signed_box(caps), fed by _sorted_box."""
-    return _scan(_sorted_box(caps, table, scale, w), table, scale, w)
+def _column_keys(a: int, scale: int, c: int) -> list[int]:
+    """Sorted keys (v*a mod scale) * (2c + 1) + v + c over |v| <= c."""
+    return sorted((v * a % scale) * (2 * c + 1) + v + c for v in range(-c, c + 1))
+
+
+def _box_scan(caps: Sequence[int], table, scale: int, w=None, column=None):
+    """_scan over the whole of signed_box(caps), by the cheaper source."""
+    source = w is None and box_source(caps, table[0], scale)
+    return _scan(source or _sorted_box(caps, table, scale, w, column), table, scale, w)
 
 
 _UNSEPARATED = (
@@ -566,15 +568,11 @@ def psi(
 
 def psi_enclosure(norm: NormSpec, xi, t, bits: int = 128) -> RatInterval:
     """Sound enclosure of the minimal distance at one fixed working
-    precision of bits >= 1, skipping witness resolution.
-
-    A single _scan of the candidate box: both ends are outer bounds,
-    so .hi is always a true upper bound for the value and .lo a true
-    lower bound.  Meant for bulk checks (certificate spot checks) on
-    targets whose exact scale would be huge, such as the midpoint of a
-    final box, so rational targets too are enclosed at scale 2**bits
-    here.
-    """
+    precision of bits >= 1, skipping witness resolution: one box scan,
+    both of whose ends are outer bounds.  Meant for bulk checks
+    (certificate spot checks) on targets whose exact scale would be
+    huge, such as the midpoint of a final box, so rational targets too
+    are enclosed at scale 2**bits here."""
     if bits < 1:
         raise UsageError("working precision must be at least 1 bit")
     t = Fraction(t)
@@ -680,10 +678,11 @@ def record_sequence(norm: NormSpec, xi, t_max) -> RecordSequence:
 
     def step(bits, last):
         table, scale = _scaled_rows([row], bits)
+        column = functools.cache(lambda: _column_keys(table[0][-1][0], scale, top[-1]))
         entries: list[RecordEntry] = []
         caps = top
         while any(caps):
-            _, _, pool = _box_scan(caps, table, scale)
+            _, _, pool = _box_scan(caps, table, scale, column=column)
             keyed = [
                 (max(abs(c) ** e for c, e in zip(q, exps)), lo, hi, q)
                 for lo, hi, q in pool

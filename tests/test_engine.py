@@ -8,6 +8,7 @@ import resource
 import subprocess
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,16 +17,21 @@ from hypothesis import strategies as st
 from singvec import (
     SUP_NORM,
     AffineSubspaceSpec,
+    ConstructionSpec,
     DegenerateRecord,
+    DigitSystem,
     EmptyRange,
     NormSpec,
+    PhiSpec,
     PrecisionExhausted,
     PowerValue,
+    ProductSet,
     RatInterval,
     RecordEntry,
     RecordSequence,
     UsageError,
     badness_infimum,
+    construct,
     dirichlet_check,
     dirichlet_suite,
     exponent_estimate,
@@ -42,10 +48,12 @@ from singvec import (
     simultaneous_badness_min,
     witness_key,
 )
-from singvec import engine
+from singvec import engine, lattice
 from singvec.engine import (
     _check_work,
+    _column_keys,
     _failing_thresholds,
+    _fixed_pairs,
     _height_key,
     _scan,
     _scan_row,
@@ -1253,8 +1261,13 @@ def test_sorted_source_matches_signed_box(xi, second, bits, w, data):
     if second is not None:
         rows.append(_scan_row((second,) * n))
     table, scale = _scaled_rows(rows, bits)
+    # record_sequence shares one sort of a wider last column among boxes
+    wider = data.draw(st.sampled_from([None, 0, 3]))
+    column = None if wider is None else (
+        lambda: _column_keys(table[0][-1][0], scale, caps[-1] + wider)
+    )
     want = _scan(signed_box(caps), table, scale, w)
-    got = _scan(_sorted_box(caps, table, scale, w), table, scale, w)
+    got = _scan(_sorted_box(caps, table, scale, w, column), table, scale, w)
     assert got[:2] == want[:2]
     assert len(got[2]) == len(want[2])
     assert set(got[2]) == set(want[2])
@@ -1308,6 +1321,140 @@ def test_one_column_walk_is_the_sorted_circle(data, c):
     assert sorted(got) == list(range(1, c + 1))
     dists = [min(v * a % scale, -v * a % scale) for v in got]
     assert dists == sorted(dists)
+
+
+# -- lattice candidate source ------------------------------------------
+
+
+def _lattice_scan(caps, table, scale):
+    """_scan fed by the lattice source at any cost, or None for a box of
+    fewer than two nonzero caps, which it never takes."""
+    with mock.patch.multiple(lattice, MIN_PREFIXES=0, COST=math.inf):
+        source = lattice.box_source(caps, table[0], scale)
+    return source and _scan(source, table, scale)
+
+
+def _rational_targets(low, high, dims):
+    """Tuples of dims coordinates a/d in [0, 1), each of denominator d
+    in [low, high] in lowest terms."""
+    den = st.integers(low, high)
+    x = den.flatmap(lambda d: st.integers(0, d - 1).map(lambda a: (a, d)))
+    x = x.filter(lambda ad: math.gcd(*ad) == 1).map(lambda ad: F(*ad))
+    return dims.flatmap(lambda n: st.lists(x, min_size=n, max_size=n).map(tuple))
+
+
+@settings(deadline=None, derandomize=True, max_examples=400)
+@given(
+    st.one_of(_sorted_targets, _rational_targets(1, 10**6, st.integers(2, 4))),
+    st.sampled_from([None, F(1, 3), "sqrt2"]),
+    st.sampled_from([3, 64, 128]),
+    st.data(),
+)
+def test_lattice_source_matches_signed_box(xi, second, bits, data):
+    # the oracle of the sorted source: the same minimum, both ends, and
+    # the same pool as a set, each vector once
+    n = len(xi)
+    cap = st.integers(0, 9 if n == 2 else 4)
+    caps = data.draw(st.lists(cap, min_size=n, max_size=n))
+    rows = [_scan_row(xi)]
+    if second is not None:
+        rows.append(_scan_row((second,) * n))
+    table, scale = _scaled_rows(rows, bits)
+    got = _lattice_scan(caps, table, scale)
+    if got is None:
+        assert sum(map(bool, caps)) < 2
+        return
+    want = _scan(signed_box(caps), table, scale)
+    assert got[:2] == want[:2]
+    assert len(got[2]) == len(want[2])
+    assert set(got[2]) == set(want[2])
+
+
+@settings(deadline=None, derandomize=True, max_examples=120)
+@given(
+    st.one_of(
+        st.sampled_from([
+            ("sqrt2", "cbrt2"),
+            ("cbrt2", "cbrt2"),
+            ("sqrt2", "cbrt2", "alg:-3,0,1:1,2"),
+            ("sqrt2", F(1, 3)),
+        ]),
+        _rational_targets(10**3, 10**6, st.integers(2, 3)),
+    ),
+    st.sampled_from([64, 128]),
+    st.data(),
+)
+def test_lattice_source_matches_the_sorted_walk_on_mid_size_boxes(xi, bits, data):
+    n = len(xi)
+    cap = st.integers(0, 2500 if n == 2 else 70)
+    caps = data.draw(st.lists(cap, min_size=n, max_size=n))
+    table, scale = _scaled_rows([_scan_row(xi)], bits)
+    got = _lattice_scan(caps, table, scale)
+    if got is None:
+        assert sum(map(bool, caps)) < 2
+        return
+    want = _scan(_sorted_box(caps, table, scale), table, scale)
+    assert got[:2] == want[:2]
+    assert len(got[2]) == len(want[2])
+    assert set(got[2]) == set(want[2])
+
+
+def test_the_sorted_walk_is_kept_where_it_is_cheaper():
+    # the 6-step sup certificate's spot target at t = 2187 is a midpoint
+    # of denominator 3**k: its node bound is about 12 times its prefixes
+    thirds = DigitSystem(3, (0, 2))
+    cert = construct(ConstructionSpec(
+        ProductSet((thirds, thirds)), SUP_NORM, PhiSpec("pow", exponent=F(5)), 6
+    ))
+    midpoint = [c.midpoint() for c in cert.steps[-1].cylinders]
+    assert lattice.box_source((2187, 2187), _fixed_pairs(midpoint, 128), 2**128) is None
+    # a box of at most MIN_PREFIXES = 200 prefixes takes no reduction
+    pairs = _fixed_pairs(_scan_row(("sqrt2", "cbrt2", "alg:-3,0,1:1,2")), 64)
+    assert lattice.box_source((199, 5000), pairs[:2], 2**64) is None
+    assert lattice.box_source((9, 9, 5000), pairs, 2**64) is None
+    assert lattice.box_source((200, 5000), pairs[:2], 2**64) is not None
+    assert lattice.box_source((10, 10, 5000), pairs, 2**64) is not None
+    # psi at n = 3 and t = 30 takes the lattice, weighted keys never
+    # ask, and a box of one column is declined
+    chosen, real = [], lattice.box_source
+
+    def spy(*args):
+        chosen.append(real(*args))
+        return chosen[-1]
+
+    with mock.patch.object(engine, "box_source", spy):
+        psi(SUP_NORM, ("sqrt2", "cbrt2", "alg:-3,0,1:1,2"), 30)
+        assert chosen and all(chosen)
+        chosen.clear()
+        badness_infimum(AffineSubspaceSpec(("0",), (("cbrt2",),)), 300)
+        assert not chosen
+        psi_simultaneous(("sqrt2", "cbrt2"), 1000)
+        assert chosen and not any(chosen)
+
+
+def test_lattice_scans_answer_big_boxes_in_time():
+    # the sorted walk took 17.6 s and 11.1 s (162 MiB) on these boxes;
+    # the lattice enumerates a few dozen points of each
+    code = (
+        "import time\n"
+        "from singvec import SUP_NORM, psi\n"
+        "t0 = time.perf_counter()\n"
+        "three = psi(SUP_NORM, ('sqrt2', 'cbrt2', 'alg:-3,0,0,1:1,2'), 2000)[1]\n"
+        "t1 = time.perf_counter()\n"
+        "two = psi(SUP_NORM, ('sqrt2', 'cbrt2'), 10**6)[1]\n"
+        "t2 = time.perf_counter()\n"
+        "status = open('/proc/self/status').read().split('VmHWM:')[1]\n"
+        "print(three, two, t1 - t0, t2 - t1, int(status.split()[0]) / 1024)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    three, two, three_s, two_s, rss = out.stdout.replace(", ", ",").split()
+    assert ast.literal_eval(three) == (160, -1839, 836)
+    assert ast.literal_eval(two) == (726660, -97185)
+    assert float(three_s) < 1 and float(two_s) < 1 and float(rss) < 50
 
 
 def test_one_column_scans_answer_at_any_height_in_time():
