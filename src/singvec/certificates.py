@@ -66,12 +66,7 @@ class PhiSpec:
             object.__setattr__(self, "exponent", Fraction(self.exponent))
             if self.exponent <= 0:
                 raise UsageError("decay exponent must be positive")
-            e = self.exponent
-            if max(e.numerator, e.denominator) > MAX_PHI_EXPONENT:
-                raise UsageError(
-                    f"decay exponent {rat_str(e)} is over budget: numerator "
-                    f"and denominator must be at most {MAX_PHI_EXPONENT}"
-                )
+            check_exponent(self.exponent, UsageError)
             return
         if self.kind != "table":
             raise UsageError(f"unknown bound kind: {self.kind!r}")
