@@ -35,8 +35,8 @@ from two Farey neighbours of the column's residue over the scale
 (exact.circle_order).  By Dirichlet's theorem only O(1) vectors reach
 the minimum: an unweighted box of two or more nonzero caps takes them
 from an exact LLL and Fincke-Pohst enumeration, lattice.box_source,
-when it has more than lattice.MIN_PREFIXES prefixes and the
-enumeration's bound is under lattice.COST times their count.
+past lattice.MIN_PREFIXES prefixes, raced under the walk's own charge;
+a race lost starts over on the walk, so the pool holds each q once.
 record_sequence takes one box scan per record, from the top.
 lower_bound_check and hyperplanes_meeting call the sorted walk with
 their running bound held fixed.
@@ -78,7 +78,7 @@ from .errors import (
     UsageError,
 )
 from .exact import RatInterval, circle_order, dist_scaled, rat, rat_str, size_str
-from .lattice import box_source
+from .lattice import Capped, box_source
 from .powers import PowerValue, _is_perfect_power, iroot
 from .realdesc import (
     ExactReal,
@@ -457,9 +457,13 @@ def _sorted_box(caps: Sequence[int], table, scale: int, w=None):
 
 
 def _box_scan(caps: Sequence[int], table, scale: int, w=None):
-    """_scan over the whole of signed_box(caps), by the cheaper source."""
-    source = w is None and box_source(caps, table[0], scale)
-    return _scan(source or _sorted_box(caps, table, scale, w), table, scale, w)
+    """_scan over the whole of signed_box(caps): lattice.box_source raced
+    under _scan_work(caps), and past that a fresh _sorted_box."""
+    source = w is None and box_source(caps, table[0], scale, _scan_work(caps))
+    try:
+        return _scan(source or _sorted_box(caps, table, scale, w), table, scale, w)
+    except Capped:
+        return _scan(_sorted_box(caps, table, scale, w), table, scale, w)
 
 
 _UNSEPARATED = (

@@ -19,21 +19,26 @@ of the part of x above level i, the level-i coordinate y of x meets
 (d[i + 1] y + sum_k lam[k][i] y_k)**2 <= d[i] (d[i + 1] bound - E), and
 the next E is exact: (d[i] E + N**2) / d[i + 1].  No decision is made
 on a float.
+
+box_source races the sorted walk rather than ask a node bound, which is
+loosest on the near-rational points certificates are built on: its
+balls count every coordinate they try and raise Capped past the walk's
+own charge, and engine._box_scan then starts over on the walk.
 """
 from __future__ import annotations
 
 import math
+from itertools import count
 
 # Boxes with at most this many prefixes take the sorted walk without a
 # reduction: the reduction alone costs about as much as their walk.
 MIN_PREFIXES = 200
-# The lattice is taken when its enumeration bound is under this many
-# times the sorted walk's prefix count: a whole first ball costs about
-# 0.6 us per node of the bound and the walk 1.8-2.1 us per prefix
-# (CHANGES.md), so the lattice is never the dearer one by much.
-COST = 3
 # The Lovasz constant 3/4 of Cohen's algorithm.
 _DELTA = (3, 4)
+
+
+class Capped(Exception):
+    """A box_source tried its cap of coordinates without finishing."""
 
 
 def reduce(basis, weights):
@@ -89,9 +94,12 @@ def reduce(basis, weights):
     return b, d, lam
 
 
-def ball(basis, d, lam, bound):
+def ball(basis, d, lam, bound, tries=None):
     """Each nonzero x = sum_i y_i basis[i] of squared length at most
-    bound, one of each pair x, -x, from the data of reduce."""
+    bound, one of each pair x, -x, from the data of reduce.  Each
+    coordinate tried takes an item of the iterator tries, unbounded by
+    default; past its end ball raises Capped."""
+    tries = count() if tries is None else tries
     n = len(basis)
     y = [0] * n
 
@@ -100,6 +108,8 @@ def ball(basis, d, lam, bound):
         s = math.isqrt(d[i] * (d[i + 1] * bound - e))
         lo, hi = -((s + c) // d[i + 1]), (s - c) // d[i + 1]
         for v in range(max(lo, 0) if upper_zero else lo, hi + 1):
+            if next(tries, None) is None:
+                raise Capped
             y[i] = v
             z = [p + v * q for p, q in zip(x, basis[i])]
             if i:
@@ -112,15 +122,6 @@ def ball(basis, d, lam, bound):
     return level(n - 1, 0, [0] * len(basis[0]), True)
 
 
-def nodes(d, bound) -> int:
-    """A bound on the coordinates ball tries at its last level: the
-    product over levels of the most integers a level's range can hold,
-    at most 2 sqrt(bound * d[i] / d[i + 1]) wide."""
-    return math.prod(
-        1 + math.isqrt(4 * bound * d[i] // d[i + 1]) for i in range(len(d) - 1)
-    )
-
-
 def _reduced(basis, caps, radius):
     """reduce under the form whose ball holds the box of caps times the
     slab of radius, and that ball's squared radius."""
@@ -130,11 +131,12 @@ def _reduced(basis, caps, radius):
     return (*reduce(basis, weights), bound)
 
 
-def box_source(caps, pairs, scale):
+def box_source(caps, pairs, scale, cap):
     """A candidate source for engine._scan over signed_box(caps) with
-    row 0 of its table the enclosures pairs, or None when the sorted walk
-    is cheaper: under two nonzero caps, at most MIN_PREFIXES prefixes,
-    or an enumeration bound of COST times the prefixes or more.
+    row 0 of its table the enclosures pairs, or None for a box of under
+    two nonzero caps or at most MIN_PREFIXES prefixes.  The source raises
+    Capped rather than try more than cap coordinates, counted over all
+    its balls and reductions.
 
     A vector's scaled interval holds u(q) and is no wider than slack =
     sum_j c_j (B_j - A_j), so one whose lower end reaches min_hi has u(q)
@@ -156,24 +158,18 @@ def box_source(caps, pairs, scale):
     slack = sum(c * (pairs[j][1] - pairs[j][0]) for j, c in zip(cols, cs))
     radius = scale // (math.prod(c + 1 for c in cs) - 1) + 2 * slack + 1
     basis = [[int(i == j) for i in range(m)] + [pairs[col][0] % scale]
-             for j, col in enumerate(cols)]
-    first = _reduced(basis + [[0] * m + [scale]], cs, radius)
-    _, d, _, bound = first
-    if nodes(d, bound) >= COST * prefixes:
-        return None
+             for j, col in enumerate(cols)] + [[0] * m + [scale]]
 
     def source(running):
-        seen = set()
-        r, reduced = radius, first
+        seen, tries = set(), iter(range(cap))
+        r, reduced = radius, _reduced(basis, cs, radius)
         while True:
-            for x in ball(*reduced):
+            for x in ball(*reduced, tries):
                 if any(abs(v) > c for v, c in zip(x, cs)) or not any(x[:m]):
                     continue
                 sign = 1 if next(v for v in x if v) > 0 else -1
-                q = [0] * len(caps)
-                for col, v in zip(cols, x):
-                    q[col] = sign * v
-                q = tuple(q)
+                it = iter(x)
+                q = tuple(sign * next(it) if c else 0 for c in caps)
                 if q in seen:
                     continue
                 seen.add(q)

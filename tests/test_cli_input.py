@@ -339,6 +339,56 @@ def test_threefold_certificate_certifies_with_default_spot_checks(tmp_path):
     assert "certificate OK" in out.stdout
 
 
+def _steps_ok(steps):
+    return "".join(
+        f"step {k}: integrity=ok nesting=ok height=ok anchor=ok bound=ok "
+        "avoidance=ok\n"
+        for k in range(1, steps + 1)
+    )
+
+
+@pytest.mark.parametrize(
+    "spec, spots, report, gate_s",
+    [
+        (
+            ("--cantor", "5:1,2,4", "--cantor", "10:0,9", "--phi", "pow:3",
+             "--steps", "5"),
+            (),
+            _steps_ok(5) + "spot t=1000000: value_hi=4793/"
+            "2658455991569831745807614120560689152 "
+            "bound=1/1000000000000000000 ok\n",
+            2,
+        ),
+        (
+            ("--cantor", "3:0,2", "--cantor", "3:0,2", "--norm",
+             "weighted:2/3,1/3", "--phi", "pow:5", "--steps", "3"),
+            ("--spot-checks", "102276"),
+            _steps_ok(3) + "spot t=102276: value_hi=1909/"
+            "340282366920938463463374607431768211456 "
+            "bound=1/11190994246243987925861376 ok\n",
+            1,
+        ),
+    ],
+    ids=["default-spot-1e6", "weighted-spot-102276"],
+)
+def test_near_rational_spot_boxes_certify_in_time(tmp_path, spec, spots, report, gate_s):
+    # a certificate's point lies near a rational point at every scale,
+    # so its spot box takes the lattice in a few dozen coordinates; the
+    # sorted walk of each took 4.9 s (163 MiB) and 8.9 s (201 MiB)
+    cert = tmp_path / "cert.json"
+    out = run("construct", *spec, "-o", str(cert))
+    assert out.returncode == 0, out.stderr
+    t0 = time.perf_counter()
+    out = subprocess.run(
+        CMD + ["certify", str(cert), *spots],
+        capture_output=True, text=True, timeout=60, preexec_fn=_limit_memory,
+    )
+    elapsed = time.perf_counter() - t0
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == report + "certificate OK\n"
+    assert elapsed < gate_s
+
+
 def test_construct_table_prints_at_once(tmp_path):
     # heights and bounds with exponent denominators near 10**4 used to
     # take a root of that order of a million-bit integer per cell

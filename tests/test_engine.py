@@ -1,6 +1,7 @@
 """Minimal-distance engine: exact rational paths, rigorous enclosures,
 records, affine families, weighted scans."""
 import ast
+import inspect
 import itertools
 import math
 import random
@@ -1323,10 +1324,10 @@ def test_one_column_walk_is_the_sorted_circle(data, c):
 
 
 def _lattice_scan(caps, table, scale):
-    """_scan fed by the lattice source at any cost, or None for a box of
-    fewer than two nonzero caps, which it never takes."""
-    with mock.patch.multiple(lattice, MIN_PREFIXES=0, COST=math.inf):
-        source = lattice.box_source(caps, table[0], scale)
+    """_scan fed by the lattice source of any size with no cap, or None
+    for a box of fewer than two nonzero caps, which it never takes."""
+    with mock.patch.object(lattice, "MIN_PREFIXES", 0):
+        source = lattice.box_source(caps, table[0], scale, 10**18)
     return source and _scan(source, table, scale)
 
 
@@ -1366,24 +1367,27 @@ def test_lattice_source_matches_signed_box(xi, second, bits, data):
     assert set(got[2]) == set(want[2])
 
 
-@settings(deadline=None, derandomize=True, max_examples=120)
-@given(
-    st.one_of(
-        st.sampled_from([
-            ("sqrt2", "cbrt2"),
-            ("cbrt2", "cbrt2"),
-            ("sqrt2", "cbrt2", "alg:-3,0,1:1,2"),
-            ("sqrt2", F(1, 3)),
-        ]),
-        _rational_targets(10**3, 10**6, st.integers(2, 3)),
-    ),
-    st.sampled_from([64, 128]),
-    st.data(),
+_mid_size_targets = st.one_of(
+    st.sampled_from([
+        ("sqrt2", "cbrt2"),
+        ("cbrt2", "cbrt2"),
+        ("sqrt2", "cbrt2", "alg:-3,0,1:1,2"),
+        ("sqrt2", F(1, 3)),
+    ]),
+    _rational_targets(10**3, 10**6, st.integers(2, 3)),
 )
-def test_lattice_source_matches_the_sorted_walk_on_mid_size_boxes(xi, bits, data):
+
+
+def _mid_size_box(xi, data):
     n = len(xi)
     cap = st.integers(0, 2500 if n == 2 else 70)
-    caps = data.draw(st.lists(cap, min_size=n, max_size=n))
+    return data.draw(st.lists(cap, min_size=n, max_size=n))
+
+
+@settings(deadline=None, derandomize=True, max_examples=120)
+@given(_mid_size_targets, st.sampled_from([64, 128]), st.data())
+def test_lattice_source_matches_the_sorted_walk_on_mid_size_boxes(xi, bits, data):
+    caps = _mid_size_box(xi, data)
     table, scale = _scaled_rows([_scan_row(xi)], bits)
     got = _lattice_scan(caps, table, scale)
     if got is None:
@@ -1395,23 +1399,89 @@ def test_lattice_source_matches_the_sorted_walk_on_mid_size_boxes(xi, bits, data
     assert set(got[2]) == set(want[2])
 
 
-def test_the_chooser_decisions_on_pinned_boxes():
-    # the 6-step sup certificate's spot target at t = 2187 is a midpoint
-    # of denominator 3**k: its node bound is about 12 times its prefixes,
-    # so it is declined, though the lattice scans it faster: the cost
-    # model's known miss (ROADMAP item 2(b))
+@settings(deadline=None, derandomize=True, max_examples=120)
+@given(_mid_size_targets, st.sampled_from([64, 128]), st.integers(0, 50), st.data())
+def test_a_capped_race_starts_over_on_the_sorted_walk(xi, bits, cap, data):
+    # with the walk's charge cut to cap, most races stop part way and
+    # the box is scanned again from nothing: the same minimum, both ends,
+    # and the same pool as a set, each vector once
+    caps = _mid_size_box(xi, data)
+    table, scale = _scaled_rows([_scan_row(xi)], bits)
+    with mock.patch.object(lattice, "MIN_PREFIXES", 0), \
+            mock.patch.object(engine, "_scan_work", lambda caps: cap):
+        got = engine._box_scan(caps, table, scale)
+    want = _scan(_sorted_box(caps, table, scale), table, scale)
+    assert got[:2] == want[:2]
+    assert len(got[2]) == len(want[2])
+    assert set(got[2]) == set(want[2])
+
+
+def _sup_spot_box():
+    """The 6-step sup certificate's spot box at t = 2187: its caps, and
+    the 128-bit table and scale of the last step's midpoint, a point of
+    denominator 3**k."""
     thirds = DigitSystem(3, (0, 2))
     cert = construct(ConstructionSpec(
         ProductSet((thirds, thirds)), SUP_NORM, PhiSpec("pow", exponent=F(5)), 6
     ))
     midpoint = [c.midpoint() for c in cert.steps[-1].cylinders]
-    assert lattice.box_source((2187, 2187), _fixed_pairs(midpoint, 128), 2**128) is None
+    return (2187, 2187), [_fixed_pairs(midpoint, 128)], 2**128
+
+
+def _coordinates_tried(scan):
+    """scan(), and the coordinates lattice.ball tried in it, counted by a
+    line trace on the one statement that sets a coordinate."""
+    lines, first = inspect.getsourcelines(lattice.ball)
+    target = first + next(i for i, s in enumerate(lines) if s.strip() == "y[i] = v")
+    tried = 0
+
+    def trace(frame, event, arg):
+        nonlocal tried
+        if event == "line" and frame.f_lineno == target and frame.f_code.co_name == "level":
+            tried += 1
+        return trace
+
+    outer = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        out = scan()
+    except lattice.Capped:
+        out = lattice.Capped
+    finally:
+        sys.settrace(outer)
+    return out, tried
+
+
+def test_a_capped_source_tries_at_most_its_cap():
+    caps, table, scale = _sup_spot_box()
+
+    def scan(cap):
+        source = lattice.box_source(caps, table[0], scale, cap)
+        return _coordinates_tried(lambda: _scan(source, table, scale))
+
+    want, total = scan(10**18)
+    assert want[:2] == _scan(_sorted_box(caps, table, scale), table, scale)[:2]
+    for cap in (0, 1, total // 2, total - 1):
+        got, tried = scan(cap)
+        assert got is lattice.Capped and tried <= cap
+    assert scan(total) == (want, total)
+
+
+def test_the_chooser_decisions_on_pinned_boxes():
+    # the 6-step sup certificate's spot box at t = 2187: its worst-case
+    # node bound is about 12 times its 2188 prefixes, but the lattice
+    # finishes under the walk's charge of 6563 steps in a few dozen
+    # coordinates
+    caps, table, scale = _sup_spot_box()
+    source = lattice.box_source(caps, table[0], scale, engine._scan_work(caps))
+    want = _scan(_sorted_box(caps, table, scale), table, scale)
+    assert source is not None and _scan(source, table, scale)[:2] == want[:2]
     # a box of at most MIN_PREFIXES = 200 prefixes takes no reduction
     pairs = _fixed_pairs(_scan_row(("sqrt2", "cbrt2", "alg:-3,0,1:1,2")), 64)
-    assert lattice.box_source((199, 5000), pairs[:2], 2**64) is None
-    assert lattice.box_source((9, 9, 5000), pairs, 2**64) is None
-    assert lattice.box_source((200, 5000), pairs[:2], 2**64) is not None
-    assert lattice.box_source((10, 10, 5000), pairs, 2**64) is not None
+    assert lattice.box_source((199, 5000), pairs[:2], 2**64, 10**7) is None
+    assert lattice.box_source((9, 9, 5000), pairs, 2**64, 10**7) is None
+    assert lattice.box_source((200, 5000), pairs[:2], 2**64, 10**7) is not None
+    assert lattice.box_source((10, 10, 5000), pairs, 2**64, 10**7) is not None
     # psi at n = 3 and t = 30 takes the lattice, weighted keys never
     # ask, and a box of one column is declined
     chosen, real = [], lattice.box_source

@@ -8,9 +8,18 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singvec.lattice import ball, nodes, reduce
+from singvec.lattice import ball, reduce
 
 F = Fraction
+
+
+def nodes(d, bound) -> int:
+    """A bound on the coordinates ball tries at its last level: the
+    product over levels of the most integers a level's range can hold,
+    at most 2 sqrt(bound * d[i] / d[i + 1]) wide."""
+    return math.prod(
+        1 + math.isqrt(4 * bound * d[i] // d[i + 1]) for i in range(len(d) - 1)
+    )
 
 
 def _bases(max_dim=4, entries=30):
