@@ -378,14 +378,16 @@ def _is_box(recorded, step: Step) -> bool:
     return box_from_json(recorded) == step.box
 
 
-def _step_from_json(obj: dict, product: ProductSet) -> Step:
-    cylinders = []
+def _step_from_json(obj: dict, prev: tuple[Cylinder, ...]) -> Step:
+    cylinders = []  # each grown from prev's by its tail, or from the root
     raw = obj["cylinders"]
-    if len(raw) != product.dim:
+    if len(raw) != len(prev):
         raise SchemaError("one cylinder per coordinate required")
-    for entry, system in zip(raw, product.factors):
-        word = DigitSystem.parse_word(system.base, entry["prefix"])
-        cylinders.append(Cylinder(system, word))
+    for entry, start in zip(raw, prev):
+        word = DigitSystem.parse_word(start.system.base, entry["prefix"])
+        start = start if word.startswith(start.word) else Cylinder.root(start.system)
+        tail = Cylinder(start.system, word[len(start.word):])
+        cylinders.append(start._grow(tail.word, tail.value, tail.power))
     bound = obj["bound_used"]
     return Step(
         nu=json_int(obj["nu"]),
@@ -429,8 +431,10 @@ def _certificate(obj) -> Certificate:
         raise SchemaError(f"unsupported certificate version: {version!r}")
     spec = ConstructionSpec.from_json(obj["spec"])
     steps, false_boxes = [], []
+    cylinders = tuple(map(Cylinder.root, spec.product.factors))
     for idx, raw in enumerate(obj["steps"]):
-        steps.append(_step_from_json(raw, spec.product))
+        steps.append(_step_from_json(raw, cylinders))
+        cylinders = steps[-1].cylinders
         if not _is_box(raw["box"], steps[-1]):
             false_boxes.append(idx)
     # refuse here any rescan of a step's hull the verifier could not afford

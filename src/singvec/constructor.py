@@ -69,43 +69,38 @@ def _pick_pin(cyl: Cylinder, norm, k: int, n: int, prev_phi):
     raise NoRationalFound(f"pin enumeration exhausted in coordinate {k}", cap)
 
 
-def _log(x) -> float:
-    """Natural log of a positive Fraction or PowerValue, as a float."""
-    if isinstance(x, PowerValue):
-        return x.log_float()
-    return math.log(x.numerator) - math.log(x.denominator)
-
-
-def _narrow_depth(need: Fraction, base: int, eps) -> int:
-    """The smallest depth L >= 0 with need / base**L < eps.
+def _narrow_depth(need: Fraction, base: int, eps: PowerValue) -> tuple[int, int]:
+    """The smallest depth L >= 0 with need / base**L < eps, and base**L.
 
     Float logs estimate L; they are right unless need / eps lies within
     rounding error of a power of base.  The estimate is then settled by
     powers.exceeds, float logs first and exact only at a near tie: step
-    up while L does not fit, and down while L - 1 does.
-    """
+    up while L does not fit, and down while L - 1 does, base**L made once
+    and moved by one factor of base a step."""
 
-    def fits(levels: int) -> bool:
-        return exceeds(eps, need.numerator, need.denominator * base**levels)
+    def fits(power: int) -> bool:
+        return exceeds(eps, need.numerator, need.denominator * power)
 
-    depth = max(math.floor((_log(need) - _log(eps)) / math.log(base)) + 1, 0)
-    while not fits(depth):
-        depth += 1
-    while depth > 0 and fits(depth - 1):
-        depth -= 1
-    return depth
+    estimate = (PowerValue(need).log_float() - eps.log_float()) / math.log(base)
+    depth = max(math.floor(estimate) + 1, 0)
+    power = base**depth
+    while not fits(power):
+        depth, power = depth + 1, power * base
+    while depth > 0 and fits(lower := power // base):
+        depth, power = depth - 1, lower
+    return depth, power
 
 
-def _narrow_detach(cyl: Cylinder, p: int, q: int, eps) -> Cylinder:
+def _narrow_detach(cyl: Cylinder, p: int, q: int, eps: PowerValue) -> Cylinder:
     """Shrink around the anchor p/q until |q*x - p| < eps holds on the
     whole hull, then step off the anchor with _shrink_forced so both
     hull endpoints move strictly inward relative to the starting hull.
 
     The shrink takes the smallest-digit path to the least depth L with
-    q * width / base**L < eps (strictly); see _narrow_depth."""
+    q * width / base**L < eps (strictly) by _narrow_depth's base**L."""
     need = q * cyl.width  # |q*x - p| <= q*width on [p/q, p/q + width]
-    narrowed = cyl.descend_min(_narrow_depth(need, cyl.system.base, eps))
-    return _shrink_forced(narrowed)
+    depth, power = _narrow_depth(need, cyl.system.base, eps)
+    return _shrink_forced(cyl._descend_min(depth, power))
 
 
 def _shrink_forced(cyl: Cylinder) -> Cylinder:

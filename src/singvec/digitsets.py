@@ -4,19 +4,19 @@ A DigitSystem fixes a base b and an allowed digit set D of size >= 2;
 the point set is S = {offset + scale * sum d_i b^-i : d_i in D}.  The
 middle-thirds set is base 3 with digits {0, 2}.  A Cylinder is the set
 of points sharing a finite digit prefix, held as its word (one character
-chr(d) per digit d), the integer it spells in base b and b**depth.
-Every point it names comes from one formula, offset + scale * (value +
-t) / b**depth for a tail value t, taken as integers over a denominator
-its digits give: its hull is a closed rational interval (t = dmin/(b-1)
-and dmax/(b-1)) and its anchor (the all-minimum-digit tail point) is a
-rational member of S.  A box of cylinders (cylinder_box) is built on
+chr(d) per digit d), the integer it spells in base b and b**depth.  The
+tree grows by one rule: a tail of value v and power P = b**len(tail)
+makes value * P + v over power * P, so a child, a descent and a
+certificate's next prefix cost their tail alone.  Every point a
+cylinder names is offset + scale * (value + t) / b**depth for a tail
+value t, as integers over a denominator its digits give: its hull is a
+closed rational interval and its anchor (the all-minimum-digit tail
+point) a rational member of S, the dense rationals that the pinning
+construction consumes.  A box of cylinders (cylinder_box) is built on
 those integers with no gcd, and strict nesting of two boxes
-(nests_strictly) is read from the words alone.  This module owns how a
-hull is written as text: hull_text costs one binary-to-decimal
-conversion, reduced through the known primes of its denominator, and
-spells, which tells that text from any other, one decimal-to-binary
-parse.  Anchors of deeper and deeper cylinders supply the dense
-rationals that the pinning construction consumes.
+(nests_strictly) is read from the words alone.  A hull's text costs
+one binary-to-decimal conversion (hull_text) and is told from any
+other by one decimal-to-binary parse (spells).
 
 Prefixes are read and written as text, for base <= 10 by one
 str.translate of ASCII text, and a word's value is read from digit
@@ -171,10 +171,10 @@ def _digits_value(word: str, base: int) -> int:
 class Cylinder:
     """Points of a digit system sharing a fixed finite prefix, held as
     its word (given as one, or as digits), its value, the integer it
-    spells in base b, and power = b**depth: a child appends chr(d) and
-    is value * b + d over power * b, so a deep descent never re-scans
-    the prefix.  Hull, anchor, midpoint, cylinder_box and the system's
-    hull all come from one formula, _over."""
+    spells in base b, and power = b**depth.  Each cylinder below it is
+    grown by one rule, _grow, from a tail's own value and power, so no
+    descent re-scans the prefix.  Hull, anchor, midpoint, cylinder_box
+    and the system's hull all come from one formula, _over."""
 
     __slots__ = ("system", "word", "value", "power")
 
@@ -196,7 +196,12 @@ class Cylinder:
 
     @classmethod
     def root(cls, system: DigitSystem) -> "Cylinder":
-        return cls(system, "")
+        return cls(system, "", 0, 1)
+
+    def _grow(self, tail: str, value: int, power: int) -> "Cylinder":
+        """The cylinder of word + tail, tail of value and b**len(tail) = power."""
+        value, power = self.value * power + value, self.power * power
+        return Cylinder(self.system, self.word + tail, value, power)
 
     @property
     def prefix(self) -> tuple[int, ...]:  # the digits, read from the word
@@ -209,9 +214,7 @@ class Cylinder:
     def child(self, digit: int) -> "Cylinder":
         if digit not in self.system.digits:
             raise UsageError(f"digit {digit} not allowed")
-        b = self.system.base
-        value = self.value * b + digit
-        return Cylinder(self.system, self.word + chr(digit), value, self.power * b)
+        return self._grow(chr(digit), digit, self.system.base)
 
     def children(self) -> list["Cylinder"]:
         return [self.child(d) for d in self.system.digits]
@@ -220,17 +223,15 @@ class Cylinder:
         return reduce(Cylinder.child, digits, self)
 
     def descend_min(self, levels: int) -> "Cylinder":
-        """Follow the smallest digit `levels` times, in O(1) arithmetic.
+        """Follow the smallest digit `levels` times, in O(1) arithmetic;
+        the anchor, the hull's low endpoint, does not move."""
+        power = self.system.base ** max(levels, 0)
+        return self._descend_min(levels, power) if levels > 0 else self
 
-        Keeps the anchor fixed: the hull's low endpoint does not move.
-        """
-        if levels <= 0:
-            return self
-        sysm = self.system
-        b, dmin = sysm.base, sysm.dmin
-        power = b**levels
-        value = self.value * power + dmin * (power - 1) // (b - 1)
-        return Cylinder(sysm, self.word + chr(dmin) * levels, value, self.power * power)
+    def _descend_min(self, levels: int, power: int) -> "Cylinder":
+        """descend_min(levels), given power = b**levels."""
+        b, dmin = self.system.base, self.system.dmin
+        return self._grow(chr(dmin) * levels, dmin * (power - 1) // (b - 1), power)
 
     def _over(self, num: int, den: int) -> tuple[int, int]:
         """offset + scale * (value + num/den) / b**depth, the point whose

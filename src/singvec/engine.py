@@ -293,6 +293,17 @@ def _is_rational(rows: Sequence[Sequence]) -> bool:
     return all(isinstance(x, Fraction) for row in rows for x in row)
 
 
+def _rational_part(rows: Sequence[Sequence], caps: Sequence[int]):
+    """Exact zero is only certifiable on the all-rational columns, so a scan
+    takes their sub-box first, exactly: (rows, caps) with every other column
+    0, or None when all columns are rational or no rational cap is nonzero."""
+    exact = [_is_rational([col]) for col in zip(*rows)]
+    caps = [c if ok else 0 for c, ok in zip(caps, exact)]
+    if all(exact) or not any(caps):
+        return None
+    return [[x if ok else Fraction(0) for x, ok in zip(r, exact)] for r in rows], caps
+
+
 def _scaled_rows(rows: Sequence[Sequence], bits: int) -> tuple[list, int]:
     """Integer enclosures of every entry of the scan rows at one common
     scale, and that scale.  Rows of rational entries are zero-width
@@ -549,14 +560,9 @@ def psi(
     t = Fraction(t)
     row = _scan_row(xi)
     caps = _height_caps(norm, len(row), t)
-    # Exact zero is only certifiable on the rational coordinates, so
-    # scan the rational sub-box first, exactly.
-    zero_caps = [
-        c if isinstance(x, Fraction) else 0 for c, x in zip(caps, row)
-    ]
-    if not _is_rational([row]) and any(zero_caps):
-        sub = [x if isinstance(x, Fraction) else Fraction(0) for x in row]
-        value, q = _min_dist([sub], zero_caps, tol)
+    part = _rational_part([row], caps)
+    if part is not None:
+        value, q = _min_dist(*part, tol)
         if value.hi == 0:
             return value, q
     return _min_dist([row], caps, tol)
@@ -889,20 +895,14 @@ def badness_infimum(spec: AffineSubspaceSpec, height_cap: int) -> BadnessResult:
         raise UsageError("height cap must be at least 1")
     w = spec.exponent
     rows = [_scan_row(row) for row in spec.augmented_rows()]
-    exact = [all(isinstance(x, Fraction) for x in col) for col in zip(*rows)]
-    _check_work([height_cap] * len(exact))
-    # Exact zero is only certifiable on the all-rational columns, so scan
-    # that sub-box first, exactly.
-    if any(exact) and not all(exact):
-        sub = [
-            [x if ok else Fraction(0) for x, ok in zip(row, exact)]
-            for row in rows
-        ]
-        zero_caps = [height_cap if ok else 0 for ok in exact]
-        value, q = _badness_scan(sub, zero_caps, w, _START_BITS)
+    caps = [height_cap] * len(rows[0])
+    _check_work(caps)
+    part = _rational_part(rows, caps)
+    if part is not None:
+        value, q = _badness_scan(*part, w, _START_BITS)
         if value.hi == 0:
             return BadnessResult(value, q, w, height_cap)
-    value, q = _refine_badness(rows, [height_cap] * len(exact), w)
+    value, q = _refine_badness(rows, caps, w)
     return BadnessResult(value, q, w, height_cap)
 
 

@@ -27,6 +27,7 @@ from singvec import (
     construct,
     default_avoidance_heights,
 )
+from singvec import digitsets
 from singvec.certificates import box_from_json, power_from_json, power_to_json
 from singvec.exact import _EXACT, _to_decimal, known_gcd
 from singvec.verifier import verify_certificate
@@ -202,6 +203,59 @@ def test_loaded_certificate_dumps_the_boxes_of_its_cylinders():
     tampered = certificate_from_json(blob)
     assert tampered.false_boxes == (1, None)
     assert tampered.dumps() == text
+
+
+def test_reader_parses_each_prefix_tail_once(monkeypatch):
+    # each step's prefix extends the last step's on its axis, so the
+    # reader grows the last cylinder and radix-parses the tail alone:
+    # the characters parsed on an axis add up to its last depth
+    cert = construct(small_spec(6))
+    parsed, parse = [], digitsets._digits_value
+
+    def counted(word, base):
+        parsed.append(len(word))
+        return parse(word, base)
+
+    monkeypatch.setattr(digitsets, "_digits_value", counted)
+    loaded = certificate_loads(cert.dumps())
+    monkeypatch.undo()
+    n = PRODUCT.dim
+    assert len(parsed) == n * len(loaded.steps)  # one tail per step and axis
+    for j, system in enumerate(PRODUCT.factors):
+        depths = [step.cylinders[j].depth for step in loaded.steps]
+        assert sum(parsed[j::n]) == depths[-1] < sum(depths)
+        for built, step in zip(cert.steps, loaded.steps):
+            cyl, whole = step.cylinders[j], Cylinder(system, step.cylinders[j].word)
+            assert cyl.word == built.cylinders[j].word
+            assert (cyl.value, cyl.power) == (whole.value, whole.power)
+
+
+# construct --cantor 3:0,2 --cantor 3:0,2 --phi pow:5 --steps 3 with the
+# first digit of step 2's first prefix flipped, the CI smoke's hostile
+# file: its report, frozen from the reader that parsed every whole word
+FLIPPED_FAILURES = (
+    "step 2: recorded box does not match its cylinders",
+    "step 2: box is not strictly inside the previous box",
+    "step 3: box is not strictly inside the previous box",
+    "step 1: approximation bound fails over the next box (|form| reaches "
+    "8105110306037952541/1350851717672992089)",
+)
+
+
+def test_a_prefix_that_does_not_extend_the_last_is_read_from_the_root():
+    blob = json.loads(construct(small_spec(3)).dumps())
+    entry = blob["steps"][1]["cylinders"][0]
+    entry["prefix"] = {"0": "2", "2": "0"}[entry["prefix"][0]] + entry["prefix"][1:]
+    loaded = certificate_from_json(blob)
+    for step, raw in zip(loaded.steps, blob["steps"]):
+        for cyl, entry in zip(step.cylinders, raw["cylinders"]):
+            whole = Cylinder(THIRDS, DigitSystem.parse_word(3, entry["prefix"]))
+            assert cyl.word == whole.word
+            assert (cyl.value, cyl.power) == (whole.value, whole.power)
+    assert loaded.false_boxes == (1,)
+    report = verify_certificate(loaded, spot_checks=())
+    assert [s.ok for s in report.steps] == [False, False, False]
+    assert report.failures == FLIPPED_FAILURES
 
 
 # Deep certificates, each a few hundred kB to 1.6 MB: bytes frozen from a

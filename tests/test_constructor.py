@@ -206,17 +206,19 @@ def test_narrow_depth_is_least_exact(case):
     cyl, need, eps, bias = case
     base = cyl.system.base
     anchor = cyl.anchor()
-    true_log = constructor._log
+    bound = eps if isinstance(eps, PowerValue) else PowerValue(eps)
+    true_log = PowerValue.log_float
 
-    def biased_log(x):
-        shift = bias * math.log(base) if x is not eps else 0.0
+    def biased_log(x):  # shifts the estimate's log of need, not of eps
+        shift = bias * math.log(base) if x is not bound else 0.0
         return true_log(x) + shift
 
-    with mock.patch.object(constructor, "_log", biased_log):
-        depth = constructor._narrow_depth(need, base, eps)
+    with mock.patch.object(PowerValue, "log_float", biased_log):
+        depth, power = constructor._narrow_depth(need, base, bound)
         out = constructor._narrow_detach(
-            cyl, anchor.numerator, anchor.denominator, eps
+            cyl, anchor.numerator, anchor.denominator, bound
         )
+    assert power == base**depth
     assert depth == _brute_depth(need, base, eps)
     # the narrowed prefix: depth smallest digits, then the two detach levels
     assert out.prefix[: cyl.depth + depth] == cyl.prefix + (cyl.system.dmin,) * depth

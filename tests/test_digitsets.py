@@ -189,6 +189,51 @@ def test_cylinder_paths_agree_with_digit_sum(case):
     assert contains_interval(system.hull(), direct.hull())
 
 
+@st.composite
+def growth_chain(draw):
+    """A system of base 2-12, 40 or 300 with an offset and a scale, and a
+    chain of growth steps below its root."""
+    base = draw(st.sampled_from((*range(2, 13), 40, 300)))
+    digits = draw(st.sets(st.integers(0, base - 1), min_size=2, max_size=5))
+    offset = F(draw(st.integers(-9, 9)), draw(st.integers(1, 9)))
+    scale = F(draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+    system = DigitSystem(base, tuple(digits), offset, scale)
+    tail = st.lists(st.sampled_from(system.digits), max_size=8).map(tuple)
+    step = st.one_of(
+        st.tuples(st.just("child"), st.sampled_from(system.digits)),
+        st.tuples(st.just("extend"), tail),
+        st.tuples(st.just("descend_min"), st.integers(-1, 12)),
+        st.tuples(st.just("grow"), tail),
+    )
+    return system, draw(st.lists(step, max_size=8))
+
+
+@settings(deadline=None)
+@given(growth_chain())
+@example((THIRDS, [("grow", ()), ("descend_min", 0), ("child", 2)]))
+@example((DigitSystem(300, (0, 7, 299)), [("grow", (299, 7)), ("descend_min", 3)]))
+def test_growth_chains_equal_the_whole_word(case):
+    # every way down the tree is the one growth rule: a chain of child,
+    # extend, descend_min and _grow steps is the cylinder of its word
+    system, chain = case
+    cyl, digits = Cylinder.root(system), ()
+    for op, arg in chain:
+        if op == "child":
+            cyl, digits = cyl.child(arg), digits + (arg,)
+        elif op == "extend":
+            cyl, digits = cyl.extend(arg), digits + arg
+        elif op == "descend_min":
+            cyl, digits = cyl.descend_min(arg), digits + (system.dmin,) * max(arg, 0)
+        else:
+            tail = Cylinder(system, arg)
+            cyl, digits = cyl._grow(tail.word, tail.value, tail.power), digits + arg
+        whole = Cylinder(system, digits)
+        assert cyl.word == whole.word
+        assert (cyl.value, cyl.power) == (whole.value, whole.power)
+        assert cyl.hull_ends() == whole.hull_ends()
+        assert cyl.anchor() == whole.anchor() and cyl.midpoint() == whole.midpoint()
+
+
 def test_rationals_in_first_items():
     root = Cylinder.root(THIRDS)
     gen = rationals_in(root, 1)

@@ -15,13 +15,14 @@ from singvec import (
     PhiSpec,
     PowerValue,
     ProductSet,
+    RatInterval,
     certificate_from_json,
     certificate_loads,
     construct,
     default_spot_checks,
     verify_certificate,
 )
-from singvec import Box, engine
+from singvec import Box, engine, verifier
 from singvec.exact import rat, rat_str
 
 F = Fraction
@@ -67,6 +68,28 @@ def test_fresh_certificate_verifies(cert):
     assert spot.ok
     assert spot.t == 9
     assert spot.value.hi <= spot.bound
+
+
+def test_spot_check_falls_back_to_the_exact_scan(cert, monkeypatch):
+    # an enclosure that straddles the bound at every precision leaves
+    # the check to psi, the exact scan of the midpoint: it still holds,
+    # and its value is a point inside the true enclosure
+    norm = cert.spec.norm
+    midpoint = tuple(c.midpoint() for c in cert.steps[-1].cylinders)
+    true = verifier.psi_enclosure(norm, midpoint, 9)
+    bound = cert.spec.phi.value_at(F(9)).as_fraction()
+    calls = []
+
+    def straddling(norm, x, t, bits=128):
+        calls.append(bits)
+        return RatInterval(F(0), 2 * bound)
+
+    monkeypatch.setattr(verifier, "psi_enclosure", straddling)
+    report = verify_certificate(cert, spot_checks=(9,))
+    assert report.ok and calls[0] == 128 and calls[-1] == 1024
+    (spot,) = report.spot_checks
+    assert spot.ok and spot.value.lo == spot.value.hi <= bound
+    assert true.lo <= spot.value.lo <= true.hi
 
 
 def test_default_spot_checks_frozen(cert):
