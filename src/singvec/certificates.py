@@ -32,17 +32,13 @@ from fractions import Fraction
 from functools import cached_property
 
 from .digitsets import Cylinder, DigitSystem, ProductSet, cylinder_box
-from .engine import NormSpec, _charge
+from .engine import NormSpec, _charge, check_exponent
 from .errors import SchemaError, UsageError
 from .exact import Box, RatInterval, int_str, json_int, parse_int, rat, rat_str
 from .hyperplanes import Hyperplane, _check_walk
 from .powers import PowerValue
 
 SCHEMA_VERSION = 1
-
-# Work budget, checked before any exact power: the numerator and
-# denominator of a pow exponent or of a recorded power's exponent.
-MAX_PHI_EXPONENT = 10**4
 
 
 # -- decay bound -------------------------------------------------------
@@ -66,7 +62,7 @@ class PhiSpec:
             object.__setattr__(self, "exponent", Fraction(self.exponent))
             if self.exponent <= 0:
                 raise UsageError("decay exponent must be positive")
-            check_exponent(self.exponent, UsageError)
+            check_exponent(self.exponent)
             return
         if self.kind != "table":
             raise UsageError(f"unknown bound kind: {self.kind!r}")
@@ -147,17 +143,6 @@ def power_to_json(value: PowerValue | Fraction):
     return out
 
 
-def check_exponent(exp: Fraction, error=SchemaError) -> Fraction:
-    """The exponent of a recorded power, refused with error when its
-    numerator or denominator is above MAX_PHI_EXPONENT."""
-    if max(abs(exp.numerator), exp.denominator) > MAX_PHI_EXPONENT:
-        raise error(
-            f"exponent {rat_str(exp)} is over budget: numerator and "
-            f"denominator must be at most {MAX_PHI_EXPONENT}"
-        )
-    return exp
-
-
 def power_from_json(obj) -> PowerValue:
     """The exact value of a recorded height or bound.  An exponent whose
     numerator or denominator is above MAX_PHI_EXPONENT is refused before
@@ -166,7 +151,7 @@ def power_from_json(obj) -> PowerValue:
         return PowerValue(rat(obj))
     if isinstance(obj, dict):
         coef = rat(obj["coef"]) if "coef" in obj else Fraction(1)
-        exp = check_exponent(rat(obj["exp"]))
+        exp = check_exponent(rat(obj["exp"]), SchemaError)
         return PowerValue(rat(obj["base"]), exp, coef)
     raise SchemaError(f"cannot read exact value from {obj!r}")
 
@@ -448,8 +433,9 @@ def _certificate(obj) -> Certificate:
         for a in obj["avoided"]
     )
     recorded = obj["final_box"]
-    if not steps:
-        box_from_json(recorded)  # read, though no step is there to match
+    if not steps:  # to_json writes [] for no step; a box is read, unmatched
+        if recorded != []:
+            box_from_json(recorded)
     elif recorded == obj["steps"][-1]["box"]:  # equal text, equal verdict
         if len(steps) - 1 in false_boxes:
             false_boxes.append(None)

@@ -41,6 +41,7 @@ from .certificates import (
 from .constructor import construct
 from .digitsets import DigitSystem, ProductSet
 from .engine import (
+    SUP_NORM,
     AffineSubspaceSpec,
     NormSpec,
     badness_infimum,
@@ -163,19 +164,25 @@ def _fmt_ratio(p: int, q: int) -> str:
 # -- construct ----------------------------------------------------------
 
 
+# construct's spec flags but --cantor, absent unless given, and the values
+# a spec made from flags takes in their absence
+_SPEC_DEFAULTS = dict(norm=SUP_NORM, phi=PhiSpec("pow", 3), steps=4, max_depth=64)
+
+
 def _cmd_construct(args) -> int:
+    given = [k for k in ("cantor", *_SPEC_DEFAULTS) if k in vars(args)]
     if args.spec is not None:
+        if given:
+            raise UsageError("--spec takes no other spec flag: got " + ", ".join(
+                "--" + k.replace("_", "-") for k in given))
         with open(args.spec, "rb") as fh:
             spec = _loads(fh.read(), ConstructionSpec.from_json, "spec")
-    elif not args.cantor:
+    elif "cantor" not in given:
         raise UsageError("need --cantor factors or --spec file")
     else:
         spec = ConstructionSpec(
             product=ProductSet(tuple(args.cantor)),
-            norm=args.norm,
-            phi=args.phi,
-            steps=args.steps,
-            max_depth=args.max_depth,
+            **{k: getattr(args, k, v) for k, v in _SPEC_DEFAULTS.items()},
         )
     cert = construct(spec)
     text = cert.dumps()
@@ -384,21 +391,21 @@ def build_parser() -> _Parser:
         "--cantor",
         action="append",
         type=_parse_cantor,
-        default=[],
+        default=argparse.SUPPRESS,
         metavar="BASE:D1,D2,...",
         help="one digit-system factor per flag (need n >= 2)",
     )
     p.add_argument("--spec", help="ConstructionSpec JSON file instead of flags")
     p.add_argument(
-        "--phi", type=PhiSpec.parse, default="pow:3",
+        "--phi", type=PhiSpec.parse, default=argparse.SUPPRESS,
         help="decay bound, e.g. pow:5",
     )
-    p.add_argument("--steps", type=int, default=4)
+    p.add_argument("--steps", type=int, default=argparse.SUPPRESS)
     p.add_argument(
-        "--norm", type=NormSpec.parse, default="sup",
+        "--norm", type=NormSpec.parse, default=argparse.SUPPRESS,
         help="sup or weighted:s1,s2,...",
     )
-    p.add_argument("--max-depth", type=int, default=64)
+    p.add_argument("--max-depth", type=int, default=argparse.SUPPRESS)
     p.add_argument("-o", "--output", help="certificate path (default stdout)")
     p.set_defaults(func=_cmd_construct)
 

@@ -25,10 +25,10 @@ from .certificates import (
     Certificate,
     ConstructionSpec,
     Step,
-    check_exponent,
     default_avoidance_heights,
 )
 from .digitsets import Cylinder, cylinder_box, nests_strictly, rationals_in
+from .engine import check_exponent
 from .errors import DepthExhausted, NoRationalFound, SingvecError, UsageError
 from .hyperplanes import (
     Hyperplane,
@@ -66,7 +66,6 @@ def _pick_pin(cyl: Cylinder, norm, k: int, n: int, prev_phi):
         if prev_phi is not None and not phi > prev_phi:
             continue
         return anchor.numerator, q, phi, sub
-    raise NoRationalFound(f"pin enumeration exhausted in coordinate {k}", cap)
 
 
 def _narrow_depth(need: Fraction, base: int, eps: PowerValue) -> tuple[int, int]:
@@ -167,11 +166,11 @@ def construct(spec: ConstructionSpec) -> Certificate:
         prev_cyls = tuple(cyls)
         p, q, phi, sub = _pick_pin(cyls[k - 1], spec.norm, k, n, prev_phi)
         cyls[k - 1] = sub
-        # refuse now an exponent that certificate_loads would refuse
-        check_exponent(phi.exp, UsageError)
         eps = spec.phi.value_at(phi)
         if steps:
-            check_exponent(eps.exp, UsageError)
+            # refuse now an exponent certificate_loads would refuse; phi's,
+            # 1/n or a weight's height exponent, the norm's and walk's checks hold
+            check_exponent(eps.exp)
             steps[-1] = dataclasses.replace(steps[-1], bound_used=eps)
         if prev_pin is not None:
             pp, pq, pk = prev_pin

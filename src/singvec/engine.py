@@ -92,9 +92,21 @@ _START_BITS = 64
 _MAX_BITS = 4096
 _DEFAULT_TOL = Fraction(1, 10**30)
 
-# Steps one scan or plane walk may take, checked before it allocates
-# anything (_scan_work, hyperplanes._check_walk).
+# Budgets, checked before anything they bound is made: the steps of one
+# scan or plane walk (_height_caps, _scan_work, hyperplanes._check_walk),
+# and the numerator and denominator of an exponent a power is made with
+# (check_exponent): a pow bound's, a weight's height exponent, a recorded
+# power's.
 MAX_SCAN_WORK = 10**7
+MAX_PHI_EXPONENT = 10**4
+
+
+def check_exponent(exp: Fraction, error=UsageError) -> Fraction:
+    """exp, or error when its numerator or denominator is over budget."""
+    if max(abs(exp.numerator), exp.denominator) > MAX_PHI_EXPONENT:
+        raise error(f"exponent {rat_str(exp)} is over budget: numerator and "
+                    f"denominator must be at most {MAX_PHI_EXPONENT}")
+    return exp
 
 
 # -- heights -----------------------------------------------------------
@@ -126,6 +138,9 @@ class NormSpec:
             raise UsageError("weights must lie strictly between 0 and 1")
         if sum(ws) != 1:
             raise UsageError("weights must sum to 1")
+        for s in ws:  # its height exponent, the power phi raises |q_j| to
+            check_exponent(1 / (len(ws) * s), lambda message: UsageError(
+                f"weight {rat_str(s)}: height {message}"))
 
     def check_dim(self, n: int) -> None:
         if self.kind == "weighted" and len(self.weights) != n:
@@ -509,10 +524,19 @@ def _min_dist(rows, caps: Sequence[int], tol) -> tuple[RatInterval, tuple]:
 # -- psi ---------------------------------------------------------------
 
 
-def _height_caps(norm: NormSpec, n: int, t: Fraction) -> tuple[int, ...]:
+def _height_caps(norm: NormSpec, n: int, t) -> tuple[int, ...]:
     """coordinate_caps of {Phi(q) <= t}, raising EmptyRange when that box
     holds no nonzero vector and UsageError when scanning it is over
-    budget (_check_work)."""
+    budget (_check_work).  A scan takes at least its largest cap, t**e or
+    more (e = 1 for sup, n * max(s) for weights s), so t >= 2**k with e * k
+    >= MAX_SCAN_WORK.bit_length() is refused before a cap is made."""
+    norm.check_dim(n)
+    t = Fraction(t)
+    e = 1 if norm.kind == "sup" else n * max(norm.weights)
+    k = t.numerator.bit_length() - t.denominator.bit_length() - 1
+    if t > 0 and e * k >= MAX_SCAN_WORK.bit_length():
+        raise UsageError(f"scan at height 2^{k} or more is over budget: a cap "
+                         f"reaches 2^{math.floor(e * k)}, past {MAX_SCAN_WORK} steps")
     caps = norm.coordinate_caps(t, n)
     if all(c == 0 for c in caps):
         raise EmptyRange(
@@ -557,7 +581,6 @@ def psi(
     refinement stops once the minimizer is unique, or once the enclosure
     width drops below tol when one is supplied.
     """
-    t = Fraction(t)
     row = _scan_row(xi)
     caps = _height_caps(norm, len(row), t)
     part = _rational_part([row], caps)
@@ -577,7 +600,6 @@ def psi_enclosure(norm: NormSpec, xi, t, bits: int = 128) -> RatInterval:
     are enclosed at scale 2**bits here."""
     if bits < 1:
         raise UsageError("working precision must be at least 1 bit")
-    t = Fraction(t)
     row = _scan_row(xi)
     caps = _height_caps(norm, len(row), t)
     scale = 1 << bits

@@ -26,8 +26,8 @@ separated; no plane at or below the step's height threshold meets the
 box except the step's own pin).  Finally the value function is
 spot-checked at requested thresholds against the decay bound at the
 midpoint of the final box, read from the last step's cylinders; by
-default at the recorded rational heights whose box scan fits the
-engine's MAX_SCAN_WORK.
+default at the recorded rational heights whose box scan the engine
+admits.
 """
 from __future__ import annotations
 
@@ -37,14 +37,7 @@ from fractions import Fraction
 
 from .certificates import Certificate
 from .digitsets import Cylinder, nests_strictly
-from .engine import (
-    MAX_SCAN_WORK,
-    _check_work,
-    _refine,
-    _scan_work,
-    psi,
-    psi_enclosure,
-)
+from .engine import _height_caps, _refine, psi, psi_enclosure
 from .errors import UsageError
 from .exact import RatInterval, int_str, rat_str
 from .hyperplanes import coordinate_hyperplane, hyperplanes_meeting, meets
@@ -92,21 +85,16 @@ class VerificationReport:
 
 
 def default_spot_checks(cert: Certificate) -> tuple[Fraction, ...]:
-    """Thresholds at the recorded heights from the second pin on, kept
-    to exact rational values whose box scan the engine's budget admits:
-    _scan_work of their height caps at most MAX_SCAN_WORK.  psi_enclosure
-    scans each one whole in about T**(n-1) log T steps at threshold T.
-    That is at least the largest cap, t**e (e = 1 for sup, n * max(s)
-    for weights s), so a height t >= 2**k with e * k at least the
-    budget's bit length is over it before any cap is taken."""
-    norm, n = cert.spec.norm, cert.spec.dim
-    e = 1 if norm.kind == "sup" else n * max(norm.weights)
+    """Thresholds at the recorded heights from the second pin on, kept to
+    the exact rational ones engine._height_caps admits: psi_enclosure scans
+    each one whole, in about T**(n-1) log T steps at threshold T."""
 
     def admitted(t) -> bool:
-        k = t.numerator.bit_length() - t.denominator.bit_length() - 1
-        return e * k < MAX_SCAN_WORK.bit_length() and (
-            _scan_work(norm.coordinate_caps(t, n)) <= MAX_SCAN_WORK
-        )
+        try:
+            _height_caps(cert.spec.norm, cert.spec.dim, t)
+        except UsageError:
+            return False
+        return True
 
     heights = (step.phi_of_q.as_fraction() for step in cert.steps[1:])
     return tuple(t for t in heights if t is not None and admitted(t))
@@ -116,15 +104,13 @@ def verify_certificate(
     cert: Certificate, spot_checks=None
 ) -> VerificationReport:
     """Every claim of cert re-checked, failures collected in check order.
-    spot_checks replaces default_spot_checks; a threshold that is not
-    positive, or whose box scan is over budget, is a UsageError."""
+    spot_checks replaces default_spot_checks; engine._height_caps refuses
+    each threshold it does not admit before its decay bound is made."""
     n, norm, steps = cert.spec.dim, cert.spec.norm, cert.steps
     if spot_checks is not None:
         spot_checks = tuple(Fraction(t) for t in spot_checks)
-        if any(t <= 0 for t in spot_checks):
-            raise UsageError("spot-check thresholds must be positive")
-        for t in spot_checks:  # before its decay bound, which grows with t
-            _check_work(norm.coordinate_caps(t, n))
+        for t in spot_checks:
+            _height_caps(norm, n, t)
     failures: list[str] = []
     failed: set[tuple[int | None, str]] = set()
 

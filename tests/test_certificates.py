@@ -190,6 +190,26 @@ def test_final_box_written_and_read_on_its_own():
     assert certificate_from_json(blob).false_boxes == ()
 
 
+def test_certificate_with_no_step_reads_back():
+    # with no step, to_json writes [] as the final box; the reader takes
+    # it, and the verifier reports the missing steps
+    blank = Certificate(small_spec(), (), ())
+    again = certificate_loads(blank.dumps())
+    assert again.steps == () and again.final_box is None
+    assert again.dumps() == blank.dumps()
+    report = verify_certificate(again)
+    assert report.failures == ("certificate has 0 steps, its spec asks for 2",)
+    # any other final box is still read as a box, and a malformed one
+    # is no certificate
+    blob = blank.to_json()
+    blob["final_box"] = [["0", "1"], ["0", "1"]]
+    assert certificate_from_json(blob).steps == ()
+    for final_box in ([[]], [["0"]], {}, "x"):
+        blob["final_box"] = final_box
+        with pytest.raises(SchemaError):
+            certificate_from_json(blob)
+
+
 def test_loaded_certificate_dumps_the_boxes_of_its_cylinders():
     # a loaded certificate holds no box: it writes its cylinders' hulls,
     # so a valid file comes back byte for byte and a tampered box does

@@ -418,6 +418,19 @@ def test_records_exponent_estimate():
     assert "local slopes:" in out.stdout
 
 
+def test_weighted_records_print_irrational_thresholds():
+    # under (1/3, 2/3) the height of (1, 2) is 2**(3/4), which has no
+    # rational value and prints as base^(exp)
+    out = run(
+        "records", "--xi", "sqrt2", "--xi", "cbrt2",
+        "--norm", "weighted:1/3,2/3", "--t-max", "30",
+    )
+    assert out.returncode == 0, out.stderr
+    rows = {line.split()[0]: line.split("  ")[-1] for line in out.stdout.splitlines()
+            if line[:1].isdigit()}
+    assert rows["2^(3/4)"] == "(1, 2)"
+
+
 # -- roots --------------------------------------------------------------
 
 
@@ -437,6 +450,12 @@ def test_roots_examples_table():
     assert "0.543689012" in out.stdout
     assert "0.759229759" in out.stdout
     assert "0.618033988" in out.stdout
+
+
+def test_roots_hypersurface_query():
+    out = run("roots", "--H", "2", "2")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[0] == "H(2,2) in [0.618033988401, 0.618033989333]"
 
 
 def test_roots_requires_a_query():

@@ -61,6 +61,8 @@ PSI = ("psi", "--xi", "1/2", "--xi", "1/3", "--t", "3")
          None, 1),
         (("psi", "--simultaneous", "--norm", "weighted:2/3,1/3", "--xi",
           "1/3", "--xi", "1/5", "--t", "10"), None, 1),
+        (("psi", "--xi", "1/2", "--t", "abc"), None, 1),
+        (("construct", "--cantor", "3-0,2"), None, 1),
     ],
     ids=[
         "norm-not-rational", "norm-zero-denominator", "dims-not-integer",
@@ -68,7 +70,8 @@ PSI = ("psi", "--xi", "1/2", "--xi", "1/3", "--t", "3")
         "cylinder-not-integer", "cylinder-digit-not-allowed",
         "spec-not-json", "spec-empty-object", "phi-over-budget",
         "records-has-no-tol", "psi-negative-tol", "psi-mixed-negative-tol",
-        "simultaneous-takes-no-norm",
+        "simultaneous-takes-no-norm", "threshold-not-a-number",
+        "cantor-without-colon",
     ],
 )
 def test_malformed_input_has_its_exit_code(tmp_path, argv, spec, code):
@@ -109,8 +112,10 @@ def cert_blob():
         ("phi", {"kind": "pow", "exponent": "999999999999"}),
         # a hull 2**64 wide: each direction walks 2**64 constant terms
         ("product", [{"base": 3, "digits": [0, 2], "scale": str(2**64)}] * 2),
+        # a weight whose height exponent is 5000000/9999999
+        ("norm", {"kind": "weighted", "weights": ["9999999/10000000", "1/10000000"]}),
     ],
-    ids=["avoidance-height", "phi-exponent", "scale"],
+    ids=["avoidance-height", "phi-exponent", "scale", "norm-weight"],
 )
 def test_over_budget_certificate_is_refused_at_once(tmp_path, cert_blob, field, value):
     blob = json.loads(json.dumps(cert_blob))
@@ -201,6 +206,29 @@ def test_over_budget_scan_is_refused_at_once(tmp_path, cert_blob, argv):
     assert out.returncode == 1
     assert "over budget" in out.stderr
     assert len(out.stderr) < 1000  # the sizes of the caps, not their digits
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize(
+    "weights, t",
+    [
+        # caps t**(19998/10000) and t**(2/10000) of a 3322-bit t
+        ("9999/10000,1/10000", "1e1000"),
+        # the cap 2**(9999999/5000000), a 5000000th root of 2**9999999
+        ("9999999/10000000,1/10000000", "2"),
+    ],
+    ids=["huge-threshold", "huge-weight-exponent"],
+)
+def test_weighted_psi_is_sized_before_its_caps(weights, t):
+    start = time.monotonic()
+    out = subprocess.run(
+        CMD + ["psi", "--xi", "sqrt2", "--xi", "cbrt2", "--norm",
+               f"weighted:{weights}", "--t", t],
+        capture_output=True, text=True, timeout=20, preexec_fn=_limit_memory,
+    )
+    assert time.monotonic() - start < 1
+    assert out.returncode == 1
+    assert "over budget" in out.stderr
     assert "Traceback" not in out.stderr
 
 
@@ -400,6 +428,44 @@ def test_construct_table_prints_at_once(tmp_path):
     )
     assert out.returncode == 0, out.stderr
     assert "final box widths:" in out.stdout
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (("--steps", "5", "--cantor", "5:0,4", "--phi", "pow:9"),
+         "--cantor, --phi, --steps"),
+        (("--norm", "sup"), "--norm"),
+        (("--max-depth", "64"), "--max-depth"),
+    ],
+    ids=["three-flags", "norm", "max-depth"],
+)
+def test_construct_spec_takes_no_other_spec_flag(tmp_path, cert_blob, flags, named):
+    # the file's spec would be built as it stands, the flags ignored
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(cert_blob["spec"]))
+    cert = tmp_path / "cert.json"
+    out = run("construct", "--spec", str(spec), *flags, "-o", str(cert))
+    assert out.returncode == 1
+    assert f"--spec takes no other spec flag: got {named}" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert not cert.exists()
+
+
+def test_certificate_with_no_step_fails_verification(tmp_path, cert_blob):
+    # to_json writes [] as the final box of a certificate with no step
+    blob = dict(cert_blob, steps=[], avoided=[], final_box=[])
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(blob))
+    out = run("certify", str(path))
+    assert out.returncode == 4
+    assert "certificate has 0 steps, its spec asks for 3" in out.stdout
+    assert "Traceback" not in out.stderr
+    # any other malformed final box is no certificate
+    path.write_text(json.dumps(dict(blob, final_box=[[]])))
+    out = run("certify", str(path))
+    assert out.returncode == 3
+    assert "Traceback" not in out.stderr
 
 
 def test_construct_spec_rebuilds_certificate(tmp_path):

@@ -19,9 +19,11 @@ from singvec import (
     PowerValue,
     ProductSet,
     UsageError,
+    certificate_loads,
     construct,
     extend_spec,
     refine_point,
+    verify_certificate,
 )
 from singvec import constructor
 
@@ -71,6 +73,22 @@ def test_heights_strictly_increase(cert3):
     qs = [s.q for s in cert3.steps]
     assert qs == sorted(qs)
     assert qs[0] >= 1
+
+
+def test_pin_whose_height_does_not_rise_is_skipped():
+    # step 2's first nested anchor on the base-7 axis, 1053/2401, has
+    # height 2401**(3/4) < 100**(3/2), the height of step 1's 9/100
+    spec = ConstructionSpec(
+        product=ProductSet((DigitSystem(10, (0, 9)), DigitSystem(7, (0, 3, 6)))),
+        norm=NormSpec("weighted", (F(1, 3), F(2, 3))),
+        phi=PhiSpec("pow", exponent=F(2)),
+        steps=3,
+    )
+    cert = construct(spec)
+    assert [(s.p, s.q) for s in cert.steps[:2]] == [(9, 100), (7353, 16807)]
+    phis = [s.phi_of_q for s in cert.steps]
+    assert all(a < b for a, b in zip(phis, phis[1:]))
+    assert verify_certificate(certificate_loads(cert.dumps())).ok
 
 
 def test_first_heights_frozen(cert3):

@@ -1619,6 +1619,56 @@ def test_scan_work_budget():
         _check_work((10**7,))
 
 
+def test_height_is_sized_before_any_cap(monkeypatch):
+    # the caps of 10**1000 would be the powers t**(19998/10000) and
+    # t**(2/10000): the size of t alone puts the scan over budget
+    made = []
+    monkeypatch.setattr(engine, "power_floor", lambda t, e: made.append(t))
+    norm = NormSpec("weighted", (F(9999, 10000), F(1, 10000)))
+    for call in (psi, psi_enclosure, record_sequence):
+        with pytest.raises(UsageError, match="over budget: .* past 10000000 steps$"):
+            call(norm, ("sqrt2", "cbrt2"), 10**1000)
+    assert made == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([SUP_NORM, W23, NormSpec("weighted", (F(1, 4), F(3, 4)))]),
+    st.fractions(min_value=1, max_value=2**40, max_denominator=2**12),
+)
+@example(SUP_NORM, F(2**24 - 1))
+@example(SUP_NORM, F(2**24))
+@example(W23, F(2**18))
+def test_height_size_rule_refuses_only_over_budget_caps(norm, t):
+    # _height_caps refuses a t by its size alone only where the caps
+    # themselves are over budget
+    def refused(check, *args):
+        try:
+            check(*args)
+        except UsageError:
+            return True
+        return False
+
+    caps_refused = refused(_check_work, norm.coordinate_caps(t, 2))
+    assert refused(engine._height_caps, norm, 2, t) == caps_refused
+
+
+def test_weight_height_exponents_are_budgeted():
+    # 1/(2 * 9999999/10000000) = 5000000/9999999: phi would make powers
+    # of |q_j| with that exponent, and caps with its inverse
+    with pytest.raises(UsageError, match="weight 9999999/10000000: height "
+                       "exponent 5000000/9999999 is over budget"):
+        NormSpec("weighted", (F(9999999, 10**7), F(1, 10**7)))
+    # phi would raise |q_1| to the power 40000 before its square root
+    with pytest.raises(UsageError, match="weight 1/40000: height exponent 20000 "):
+        NormSpec.parse("weighted:1/40000,39999/40000")
+    # exponents 5000/9999 and 5000, and 100/101 and 100/99, are inside it
+    norm = NormSpec("weighted", (F(9999, 10000), F(1, 10000)))
+    assert psi(norm, ("sqrt2", "cbrt2"), 30)[1] == (38, 1)
+    norm = NormSpec("weighted", (F(101, 200), F(99, 200)))
+    assert record_sequence(norm, ("sqrt2", "cbrt2"), 300).entries
+
+
 def test_psi_enclosure_needs_a_bit():
     # the value is 3 - 2 * sqrt2 = 0.17157...; at scale 1 the tent
     # function has no room and the enclosure would read [0, 0]

@@ -102,6 +102,18 @@ def test_algebraic_endpoint_root_collapses():
     assert d.exact_value() == 2
 
 
+def test_algebraic_root_at_the_lower_end_is_exact():
+    assert parse_real("alg:-2,1:2,3").exact_value() == 2
+
+
+@pytest.mark.parametrize("text", ["alg:0,-1,1:0,1", "alg:0,-1,1:-1,1"])
+def test_algebraic_root_at_an_end_counts_toward_isolation(text):
+    # x^2 - x has its roots 0 and 1 at both ends of [0, 1], and one at
+    # an end and one inside [-1, 1]
+    with pytest.raises(NonIsolating):
+        parse_real(text)
+
+
 def test_algebraic_multiple_root_polynomial():
     # (x - 1)^2: square-free handling still isolates the root
     d = AlgebraicReal([1, -2, 1], RatInterval(F(0), F(3, 2)))

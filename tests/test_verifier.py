@@ -11,11 +11,13 @@ from singvec import (
     ConstructionSpec,
     Cylinder,
     DigitSystem,
+    EmptyRange,
     NormSpec,
     PhiSpec,
     PowerValue,
     ProductSet,
     RatInterval,
+    UsageError,
     certificate_from_json,
     certificate_loads,
     construct,
@@ -156,6 +158,32 @@ def test_default_spot_checks_rule_out_huge_heights_by_size(monkeypatch):
     )
     assert default_spot_checks(cert) == (F(9),)
     assert caps == [F(9), F(9)]
+
+
+def test_explicit_spot_threshold_is_sized_before_any_cap(monkeypatch):
+    # a cap of 2**5000 under (2/3, 1/3) would be 2**(5000 * 4/3)
+    cert = construct(
+        ConstructionSpec(
+            product=PRODUCT,
+            norm=NormSpec("weighted", (F(2, 3), F(1, 3))),
+            phi=PhiSpec("pow", exponent=F(5)),
+            steps=3,
+        )
+    )
+    made, power_floor = [], engine.power_floor
+
+    def counted(t, e):
+        made.append(t)
+        return power_floor(t, e)
+
+    monkeypatch.setattr(engine, "power_floor", counted)
+    for t in (2**5000, F(3**9000, 7)):
+        with pytest.raises(UsageError, match="over budget"):
+            verify_certificate(cert, spot_checks=(9, t))
+    assert made == [9, 9, 9, 9]
+    # a threshold whose box holds no nonzero vector is refused too
+    with pytest.raises(EmptyRange):
+        verify_certificate(cert, spot_checks=(F(1, 2),))
 
 
 def pipeline_without_box_sides(monkeypatch, norm):
