@@ -93,10 +93,10 @@ _MAX_BITS = 4096
 _DEFAULT_TOL = Fraction(1, 10**30)
 
 # Budgets, checked before anything they bound is made: the steps of one
-# scan or plane walk (_height_caps, _scan_work, hyperplanes._check_walk),
-# and the numerator and denominator of an exponent a power is made with
-# (check_exponent): a pow bound's, a weight's height exponent, a recorded
-# power's.
+# scan, charged where every scan is sized (_height_caps), or of one plane
+# walk (hyperplanes._check_walk), and the numerator and denominator of an
+# exponent a power is made with (check_exponent): a pow bound's, a
+# weight's height exponent, a record key's, a recorded power's.
 MAX_SCAN_WORK = 10**7
 MAX_PHI_EXPONENT = 10**4
 
@@ -525,11 +525,13 @@ def _min_dist(rows, caps: Sequence[int], tol) -> tuple[RatInterval, tuple]:
 
 
 def _height_caps(norm: NormSpec, n: int, t) -> tuple[int, ...]:
-    """coordinate_caps of {Phi(q) <= t}, raising EmptyRange when that box
-    holds no nonzero vector and UsageError when scanning it is over
-    budget (_check_work).  A scan takes at least its largest cap, t**e or
-    more (e = 1 for sup, n * max(s) for weights s), so t >= 2**k with e * k
-    >= MAX_SCAN_WORK.bit_length() is refused before a cap is made."""
+    """coordinate_caps of {Phi(q) <= t}: the one place a scan's box is
+    sized and charged.  Raises EmptyRange when that box holds no nonzero
+    vector and UsageError when scanning it is over budget: _scan_work,
+    a bound on the box and not on its walk, past MAX_SCAN_WORK.  A scan
+    takes at least its largest cap, t**e or more (e = 1 for sup,
+    n * max(s) for weights s), so t >= 2**k with e * k >=
+    MAX_SCAN_WORK.bit_length() is refused before a cap is made."""
     norm.check_dim(n)
     t = Fraction(t)
     e = 1 if norm.kind == "sup" else n * max(norm.weights)
@@ -542,7 +544,7 @@ def _height_caps(norm: NormSpec, n: int, t) -> tuple[int, ...]:
         raise EmptyRange(
             f"no nonzero integer vector has height <= {rat_str(t)}"
         )
-    _check_work(caps)
+    _charge(_scan_work(caps), "scan of {} caps up to {}", len(caps), max(caps))
     return caps
 
 
@@ -552,12 +554,6 @@ def _scan_work(caps: Sequence[int]) -> int:
     as a bound on the box and not on its walk."""
     prefixes = (math.prod(2 * c + 1 for c in caps[:-1]) + 1) // 2
     return prefixes + (2 * caps[-1] + 1 if len(caps) > 1 else caps[-1])
-
-
-def _check_work(caps: Sequence[int]) -> None:
-    """Raise UsageError when _scan_work(caps), a bound on the box and
-    not on its walk, is over MAX_SCAN_WORK."""
-    _charge(_scan_work(caps), "scan of {} caps up to {}", len(caps), max(caps))
 
 
 def _charge(work: int, what: str, *sizes: int) -> None:
@@ -612,15 +608,11 @@ def psi_simultaneous(xi, t, tol=None) -> tuple[RatInterval, int]:
     """Smallest over 1 <= q <= floor(t) of the largest per-coordinate
     nearest-integer distance of q * xi, with the smallest minimizing q.
     """
-    t = Fraction(t)
     row = _scan_row(xi)
-    cap = t.numerator // t.denominator if t > 0 else 0
-    if cap < 1:
-        raise EmptyRange(f"no positive integer is at most {rat_str(t)}")
-    _check_work([cap])
+    caps = _height_caps(SUP_NORM, 1, t)
     # one row per coordinate; candidates (q,) in witness_key order are
     # q = 1, 2, ..., so the least key is the smallest q
-    value, (q,) = _min_dist([[x] for x in row], [cap], tol)
+    value, (q,) = _min_dist([[x] for x in row], caps, tol)
     return value, q
 
 
@@ -630,18 +622,15 @@ def dirichlet_check(xi, t, mode: str = "dual") -> bool:
     most t**(-1/n).  Decided on integers, as the module docstring says;
     raises PrecisionExhausted rather than ever rounding the comparison."""
     t = Fraction(t)
-    if t < 1:
-        raise UsageError("threshold must be at least 1")
     row = _scan_row(xi)
     n = len(row)
     if mode not in ("dual", "simultaneous"):
         raise UsageError(f"unknown mode: {mode!r}")
-    cap = t.numerator // t.denominator
     if mode == "dual":  # the bound t**(-a/b) is t**(-n)
-        (a, b), rows, caps = (n, 1), [row], [cap] * n
+        (a, b), rows = (n, 1), [row]
     else:  # t**(-1/n)
-        (a, b), rows, caps = (1, n), [[x] for x in row], [cap]
-    _check_work(caps)
+        (a, b), rows = (1, n), [[x] for x in row]
+    caps = _height_caps(SUP_NORM, len(rows[0]), t)
 
     def step(bits, last):
         table, scale = _scaled_rows(rows, bits)
@@ -740,15 +729,23 @@ def record_sequence(norm: NormSpec, xi, t_max) -> RecordSequence:
 
 
 def _height_key(norm: NormSpec, n: int) -> list[int]:
-    """Exponents e_j such that the integer key max_j |q_j|**e_j has the
-    order and ties of norm.phi(q) on n coordinates: 1 for the sup norm;
-    for weights s_j = a_j/b_j and L = lcm(a_j), L*b_j/a_j, which makes
-    the key phi(q)**(n*L).  The keys up to h fill the box of caps
-    iroot(h, e_j)."""
+    """The least integer exponents e_j such that the integer key
+    max_j |q_j|**e_j has the order and ties of norm.phi(q) on n
+    coordinates: 1 for the sup norm; for weights s_j, with B the lcm of
+    their denominators, A_j = s_j * B and E = lcm(A_j), E / A_j, which
+    makes the key phi(q)**(n*E/B).  Each is held to MAX_PHI_EXPONENT
+    (check_exponent) before a key is made.  The keys up to h fill the
+    box of caps iroot(h, e_j)."""
     if norm.kind == "sup":
         return [1] * n
-    big_l = math.lcm(*(s.numerator for s in norm.weights))
-    return [big_l * s.denominator // s.numerator for s in norm.weights]
+    big_b = math.lcm(*(s.denominator for s in norm.weights))
+    big_a = [s.numerator * (big_b // s.denominator) for s in norm.weights]
+    big_e = math.lcm(*big_a)
+    exps = [big_e // a for a in big_a]
+    for e in exps:
+        check_exponent(Fraction(e), lambda message: UsageError(
+            f"record height key {message}"))
+    return exps
 
 
 def exponent_estimate(seq: RecordSequence) -> tuple[Fraction, tuple[Fraction, ...]]:
@@ -913,12 +910,9 @@ def badness_infimum(spec: AffineSubspaceSpec, height_cap: int) -> BadnessResult:
     the result is the exact point zero.  Otherwise the enclosure is
     refined until its lower end is positive or 1024 bits are spent,
     and then reported honestly either way."""
-    if height_cap < 1:
-        raise UsageError("height cap must be at least 1")
     w = spec.exponent
     rows = [_scan_row(row) for row in spec.augmented_rows()]
-    caps = [height_cap] * len(rows[0])
-    _check_work(caps)
+    caps = _height_caps(SUP_NORM, len(rows[0]), height_cap)
     part = _rational_part(rows, caps)
     if part is not None:
         value, q = _badness_scan(*part, w, _START_BITS)
@@ -931,14 +925,12 @@ def badness_infimum(spec: AffineSubspaceSpec, height_cap: int) -> BadnessResult:
 def simultaneous_badness_min(xi, w, height_cap: int) -> tuple[RatInterval, int]:
     """Minimum over 1 <= q <= height_cap of
     q**w * max_j <q * xi_j>, with the smallest attaining q."""
-    if height_cap < 1:
-        raise UsageError("height cap must be at least 1")
     w = Fraction(w)
     if w <= 0:
         raise UsageError("exponent must be positive")
-    _check_work([height_cap])
     rows = [[x] for x in _scan_row(xi)]
-    value, (q,) = _refine_badness(rows, [height_cap], w)
+    caps = _height_caps(SUP_NORM, 1, height_cap)
+    value, (q,) = _refine_badness(rows, caps, w)
     return value, q
 
 
@@ -959,12 +951,10 @@ def lower_bound_check(
     short for small c, and about height_cap steps when nearly every q
     comes near the bound (c near 1/2, or a rational point whose zero
     class is long)."""
-    if height_cap < 1:
-        raise UsageError("height cap must be at least 1")
     c = Fraction(c)
     if c <= 0:
         raise UsageError("the constant must be positive")
-    _check_work([height_cap])
+    (height_cap,) = _height_caps(SUP_NORM, 1, height_cap)
     a, b = spec.exponent.numerator, spec.exponent.denominator
     c_den = c.denominator**b
     rows = [[x] for x in _scan_row(lift_affine(spec, x))]

@@ -232,6 +232,37 @@ def test_weighted_psi_is_sized_before_its_caps(weights, t):
     assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize(
+    "xi, weights, t_max, code, last",
+    [
+        # the least record key exponents are 5001 and 4999; the key
+        # phi**(2 * 24999999) made powers near |q_j|**(5 * 10**7)
+        (("sqrt2", "cbrt2"), "4999/10000,5001/10000", "10", 0,
+         " (4, 9)"),
+        # the least exponents are still near 3.7 * 10**6: over budget
+        (("sqrt2", "cbrt2", "alg:-3,0,0,1:1,2"),
+         "3331/10000,3333/10000,3336/10000", "3", 1, None),
+    ],
+    ids=["pair", "threefold"],
+)
+def test_record_key_takes_its_least_exponents(xi, weights, t_max, code, last):
+    start = time.monotonic()
+    out = subprocess.run(
+        CMD + ["records", *(f"--xi={x}" for x in xi),
+               "--norm", f"weighted:{weights}", "--t-max", t_max],
+        capture_output=True, text=True, timeout=20, preexec_fn=_limit_memory,
+    )
+    assert time.monotonic() - start < 1
+    assert out.returncode == code, out.stderr
+    assert "Traceback" not in out.stderr
+    if last is None:
+        assert "record height key exponent" in out.stderr
+        assert "over budget" in out.stderr
+    else:
+        rows = [r for r in out.stdout.splitlines() if r[:1].isdigit()]
+        assert rows[-1].endswith(last)
+
+
 def test_over_budget_plane_walk_in_a_spec_file_is_a_usage_error(tmp_path, cert_blob):
     # the spec itself is well formed; the walk at height 3000 refuses
     # itself when construct reaches step 3

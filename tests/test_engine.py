@@ -51,7 +51,6 @@ from singvec import (
 )
 from singvec import engine, lattice
 from singvec.engine import (
-    _check_work,
     _failing_thresholds,
     _fixed_pairs,
     _height_key,
@@ -199,7 +198,7 @@ def test_empty_range_names_a_huge_threshold():
     with digit_limit(4300):
         with pytest.raises(EmptyRange, match="height <= 1/10{5000}$"):
             psi(SUP_NORM, (F(1, 2),), tiny)
-        with pytest.raises(EmptyRange, match="at most 1/10{5000}$"):
+        with pytest.raises(EmptyRange, match="height <= 1/10{5000}$"):
             psi_simultaneous((F(1, 2),), tiny)
 
 
@@ -1061,14 +1060,19 @@ def test_weighted_records_match_brute_force(weights, t_values):
             assert got == _records_oracle(norm, xi, t_max), (xi, t_max)
 
 
+def _key_power(weights):
+    """n*E/B for weights s_j, B = lcm of their denominators and E =
+    lcm(s_j * B): the power of phi that the least record key is."""
+    big_b = math.lcm(*(s.denominator for s in weights))
+    big_e = math.lcm(*(int(s * big_b) for s in weights))
+    return F(len(weights) * big_e, big_b)
+
+
 def _phi_power(weights, q):
-    """phi(q)**(n*L) for weights a_j/b_j and L = lcm(a_j), as an integer:
-    max_j |q_j|**(L*b_j/a_j)."""
-    big_l = math.lcm(*(s.numerator for s in weights))
-    return max(
-        abs(c) ** (big_l * s.denominator // s.numerator)
-        for c, s in zip(q, weights)
-    )
+    """phi(q)**(n*E/B), as _key_power, as an integer: max_j
+    |q_j|**(E/(s_j * B)), whose exponents are the least integers."""
+    k = _key_power(weights)
+    return max(abs(c) ** int(k / (len(weights) * s)) for c, s in zip(q, weights))
 
 
 _weight_sets = st.sampled_from(
@@ -1091,9 +1095,8 @@ def test_phi_power_orders_and_ties_like_phi(weights, data):
     q = data.draw(vec)
     r = data.draw(vec)
     norm = NormSpec("weighted", weights)
-    big_l = math.lcm(*(s.numerator for s in weights))
     kq, kr = _phi_power(weights, q), _phi_power(weights, r)
-    assert norm.phi(q).pow(n * big_l) == kq
+    assert norm.phi(q).pow(_key_power(weights)) == kq
     assert (kq < kr) == (norm.phi(q) < norm.phi(r))
     assert (kq == kr) == (norm.phi(q) == norm.phi(r))
 
@@ -1602,9 +1605,8 @@ def test_sorted_source_scans_a_big_box_in_time():
 
 
 def test_scan_work_budget():
-    caps = SUP_NORM.coordinate_caps(F(10**40), 2)
     with pytest.raises(UsageError, match="over budget"):
-        _check_work(caps)
+        engine._height_caps(SUP_NORM, 2, 10**40)
     with pytest.raises(UsageError, match="over budget"):
         psi(SUP_NORM, ("sqrt2", "cbrt2"), 10**40)
     with pytest.raises(UsageError, match="over budget"):
@@ -1613,10 +1615,47 @@ def test_scan_work_budget():
         psi_simultaneous(("sqrt2",), 10**40)
     # the sorted source walks prefixes and one sorted column; one column
     # is charged c + 1, a bound on the box and not on its walk
-    _check_work((10**6, 10**6))
-    _check_work((10**7 - 1,))
+    assert engine._height_caps(SUP_NORM, 2, 10**6) == (10**6, 10**6)
+    assert engine._height_caps(SUP_NORM, 1, 10**7 - 1) == (10**7 - 1,)
     with pytest.raises(UsageError, match="over budget"):
-        _check_work((10**7,))
+        engine._height_caps(SUP_NORM, 1, 10**7)
+
+
+_LINE = AffineSubspaceSpec(("0",), (("cbrt2",),))
+
+
+@pytest.mark.parametrize(
+    "scan",
+    [
+        lambda t: psi(SUP_NORM, ("sqrt2", "cbrt2"), t),
+        lambda t: psi_enclosure(SUP_NORM, ("sqrt2", "cbrt2"), t),
+        lambda t: record_sequence(SUP_NORM, ("sqrt2", "cbrt2"), t),
+        lambda t: psi_simultaneous(("sqrt2", "cbrt2"), t),
+        lambda t: dirichlet_check(("sqrt2", "cbrt2"), t, "dual"),
+        lambda t: dirichlet_check(("sqrt2", "cbrt2"), t, "simultaneous"),
+        lambda t: badness_infimum(_LINE, t),
+        lambda t: simultaneous_badness_min(("sqrt2",), F(1, 2), t),
+        lambda t: lower_bound_check(_LINE, ("cbrt2",), t, F(1, 1000)),
+    ],
+    ids=["psi", "psi_enclosure", "records", "simultaneous", "dirichlet-dual",
+         "dirichlet-simultaneous", "badness", "simultaneous-badness",
+         "lower-bound"],
+)
+def test_every_scan_is_admitted_by_one_rule(monkeypatch, scan):
+    # _height_caps sizes, empties and charges every scan's box, before
+    # either source is asked for a candidate
+    def no_source(*args, **kwargs):
+        raise AssertionError("a source ran before the box was admitted")
+
+    monkeypatch.setattr(engine, "_box_scan", no_source)
+    monkeypatch.setattr(engine, "_sorted_box", no_source)
+    for t in (10**7, 10**8, 10**40):
+        with pytest.raises(UsageError, match="over budget"):
+            scan(t)
+    for t in (0, F(1, 2)):
+        with pytest.raises(EmptyRange, match=(
+                f"^no nonzero integer vector has height <= {t}$")):
+            scan(t)
 
 
 def test_height_is_sized_before_any_cap(monkeypatch):
@@ -1649,7 +1688,8 @@ def test_height_size_rule_refuses_only_over_budget_caps(norm, t):
             return True
         return False
 
-    caps_refused = refused(_check_work, norm.coordinate_caps(t, 2))
+    caps = norm.coordinate_caps(t, 2)
+    caps_refused = engine._scan_work(caps) > engine.MAX_SCAN_WORK
     assert refused(engine._height_caps, norm, 2, t) == caps_refused
 
 
